@@ -7,7 +7,6 @@ from .ambient import (
     ObstructedWeight,
     RestrictionError,
     ambient_laplacian,
-    check_multiplicative_constant,
     gjms_iterated,
     gjms_recursion,
     harmonic_extension,
@@ -25,7 +24,7 @@ from .scattering import (
     scattering_solve,
 )
 from .series import LogSeries, TruncatedSeries
-from .sl2 import NcPoly, extract_Zk, h_eigenvalue, verify_commutator_identity
+from .sl2 import NcPoly, extract_Zk, verify_commutator_identity
 
 __all__ = [
     "AlgebraError",
@@ -46,7 +45,6 @@ __all__ = [
     "VariableMismatch",
     "ambient_laplacian",
     "apply_Ds",
-    "check_multiplicative_constant",
     "cross_route_report",
     "extract_Zk",
     "gjms_iterated",
@@ -54,7 +52,6 @@ __all__ = [
     "gjms_route_scattering",
     "gl_product",
     "greens_log_coefficient",
-    "h_eigenvalue",
     "harmonic_extension",
     "obstruction",
     "qe_product",

@@ -3,13 +3,17 @@
 On the eigenfunction sector a weight-w homogeneous function is t^w * P(rho)
 with P a truncated series whose coefficients are polynomials in sigma, the
 eigenvalue of the base weighted Laplacian.  One application of the ambient
-weighted Laplacian maps it to t^(w-2) times
+weighted Laplacian maps it to t^(w-2) times the second-order operator
+a*rho*P'' + (b0 + rho*b1)*P' + c*P with
 
-    -2 rho P'' + (2w + d + m - 2 - rho*Gtr) P' + sigma*LF*P
-    + (w/2) Gtr P + MF (w P - 2 rho P'),
+    a = -2,  b0 = 2w + d + m - 2,  b1 = -(Gtr + 2 MF),
+    c = sigma*LF + (w/2) Gtr + w MF,
 
 where Gtr = g^{ij} g'_{ij}, MF = (m/f) f', and LF is the sector scaling of
-the base Laplacian.  Everything below is built from this single map.
+the base Laplacian.  The iterated, extension and obstruction constructions
+apply this map; the jet recursion solves the same equation from its own
+coefficients (0, 0, -2T, sigma*LF + w T) in the drift trace T, with the
+principal part folded into the divisor 2j(k-j).
 """
 
 from __future__ import annotations
@@ -22,19 +26,17 @@ from typing import Any
 
 from .backgrounds import Background
 from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, rat, rat_str
-from .series import RHO, TruncatedSeries
+from .series import (
+    RHO,
+    ObstructedWeight,
+    TruncatedSeries,
+    apply_second_order,
+    solve_order_by_order,
+)
 
 
 class RestrictionError(AlgebraError):
     """k exceeds (d+m)/2 with d+m an even integer, and no override was given."""
-
-
-class ObstructedWeight(AlgebraError):
-    """The harmonic-extension recursion divides by zero at an integer level."""
-
-    def __init__(self, level: int):
-        super().__init__(f"harmonic extension obstructed at level {level}")
-        self.level = level
 
 
 ROUTES = ("factorization", "iterated", "recursion", "obstruction", "scattering")
@@ -122,19 +124,12 @@ def ambient_laplacian(bg: Background, func: HomogeneousFunction) -> HomogeneousF
         )
     n = prof.order
     w = func.weight
-    d, m = bg.d, bg.m
     gtr = bg.metric_trace(RHO, n)
     mf = bg.measure_trace(RHO, n)
     lf = bg.laplacian_factor(RHO, n)
-    dp = prof.derivative()
-    out = (2 * w + d + m - 2) * dp
-    if n >= 2:
-        out = out + (-2) * prof.derivative().derivative().mul_var()
-    out = out - (gtr * dp).mul_var().truncate(n - 1)
-    out = out + (SigmaPoly.sigma() * (lf * prof)).truncate(n - 1)
-    out = out + ((w / 2) * (gtr * prof)).truncate(n - 1)
-    drift = w * prof - 2 * dp.mul_var().truncate(n)
-    out = out + (mf * drift).truncate(n - 1)
+    b1 = -(gtr + 2 * mf)
+    c = SigmaPoly.sigma() * lf + (w / 2) * gtr + w * mf
+    out = apply_second_order(-2, 2 * w + bg.dm - 2, b1, c, prof)
     return HomogeneousFunction(w - 2, out)
 
 
@@ -187,42 +182,29 @@ def gjms_recursion(bg: Background, k: int, override: bool = False) -> GjmsPolyno
     the operator off the order-(k-1) jet with normalization c_k."""
     check_k_restriction(bg, k, override)
     w = critical_weight(bg, k)
-    gtr = bg.trace_term(RHO, k)
-    lf = bg.laplacian_factor(RHO, k)
-    jets: list[SigmaPoly] = [SigmaPoly.one()]
+    t = bg.trace_term(RHO, k)
+    b1 = -2 * t
+    c = SigmaPoly.sigma() * bg.laplacian_factor(RHO, k) + w * t
 
-    def rhs_series() -> TruncatedSeries:
-        prof = TruncatedSeries(RHO, jets, min(k, len(jets) - 1)).as_exact(k)
-        dp = prof.derivative()
-        s = (SigmaPoly.sigma() * (lf * prof)).truncate(k - 1)
-        s = s - 2 * (gtr * dp).mul_var().truncate(k - 1)
-        s = s + w * (prof * gtr).truncate(k - 1)
-        return s
+    def apply(prof: TruncatedSeries) -> TruncatedSeries:
+        return apply_second_order(0, 0, b1, c, prof)
 
-    for level in range(k - 1):
-        s_l = rhs_series().coeff(level)
-        jets.append(s_l / (2 * (level + 1 - k) * (level + 1)))
-    poly = factorial(k - 1) * rhs_series().coeff(k - 1) / jet_normalization(k)
+    jets = solve_order_by_order(apply, lambda j: 2 * j * (k - j), k - 1, RHO)
+    poly = factorial(k - 1) * apply(jets).coeff(k - 1) / jet_normalization(k)
     return GjmsPolynomial(k, bg, "recursion", poly)
 
 
-def _solve_extension_jets(bg: Background, w: Fraction, levels: int) -> list[SigmaPoly]:
+def _solve_extension_jets(bg: Background, w: Fraction, levels: int) -> TruncatedSeries:
     """Jets a_0..a_levels making the ambient Laplacian vanish through order
-    levels-1.  Raises ObstructedWeight when the forced divisor vanishes."""
+    levels-1, as a profile exact at order levels+1.  Raises ObstructedWeight
+    when the forced divisor 2j(k-j), k = w + (d+m)/2, vanishes."""
     k = w + bg.dm / 2
-    jets: list[SigmaPoly] = [SigmaPoly.one()]
-    for level in range(1, levels + 1):
-        divisor = 2 * level * (k - level)
-        prof = TruncatedSeries(RHO, jets, len(jets) - 1).as_exact(levels)
-        image = ambient_laplacian(bg, HomogeneousFunction(w, prof))
-        residual = image.profile.coeff(level - 1)
-        if divisor == 0:
-            if residual.is_zero():
-                jets.append(SigmaPoly.zero())
-                continue
-            raise ObstructedWeight(level)
-        jets.append(-residual / divisor)
-    return jets
+    return solve_order_by_order(
+        lambda prof: ambient_laplacian(bg, HomogeneousFunction(w, prof)).profile,
+        lambda j: 2 * j * (k - j),
+        levels,
+        RHO,
+    )
 
 
 def harmonic_extension(bg: Background, w: RatLike, order: int) -> HomogeneousFunction:
@@ -233,8 +215,7 @@ def harmonic_extension(bg: Background, w: RatLike, order: int) -> HomogeneousFun
     1..order.
     """
     w = rat(w)
-    jets = _solve_extension_jets(bg, w, order)
-    return HomogeneousFunction(w, TruncatedSeries(RHO, jets, order))
+    return HomogeneousFunction(w, _solve_extension_jets(bg, w, order).truncate(order))
 
 
 def obstruction(bg: Background, k: int, override: bool = False) -> GjmsPolynomial:
@@ -243,21 +224,10 @@ def obstruction(bg: Background, k: int, override: bool = False) -> GjmsPolynomia
     2^(k-1), since Q = 2 rho t^2)."""
     check_k_restriction(bg, k, override)
     w = critical_weight(bg, k)
-    jets = _solve_extension_jets(bg, w, k - 1)
-    prof = TruncatedSeries(RHO, jets, k - 1).as_exact(k)
+    prof = _solve_extension_jets(bg, w, k - 1)
     image = ambient_laplacian(bg, HomogeneousFunction(w, prof))
     poly = image.profile.coeff(k - 1) / (Fraction(2) ** (k - 1))
     return GjmsPolynomial(k, bg, "obstruction", poly)
-
-
-def check_multiplicative_constant(
-    bg: Background, k: int, override: bool = False
-) -> tuple[bool, GjmsPolynomial, GjmsPolynomial]:
-    """Does the iterated route equal (-4)^(k-1) ((k-1)!)^2 times the obstruction?"""
-    iterated = gjms_iterated(bg, k, override=override)
-    obstr = obstruction(bg, k, override=override)
-    ok = iterated.poly == iterated_vs_obstruction_constant(k) * obstr.poly
-    return ok, iterated, obstr
 
 
 def random_admissible_perturbation(

@@ -68,34 +68,32 @@ class Background:
 
     # -- model factors -----------------------------------------------------
     #
-    # conformal factor c: g_picture = c^2 * g;  weight factor q: f_picture = q * f
+    # conformal factor c: g_picture = c^2 * g;  weight factor q: f_picture = q * f.
+    # Both are 1 + shift*rho in the rho picture; the r picture substitutes
+    # rho = -r^2/2.
 
-    def _conformal_factor(self, picture: str, order: int) -> TruncatedSeries:
+    def _factor(self, which: str, picture: str, order: int) -> TruncatedSeries:
         if self.kind == QUASI_EINSTEIN:
-            coeffs = [1, self.lam] if picture == RHO else [1, 0, -self.lam / 2]
+            shift = self.lam
         else:
-            coeffs = [1, Fraction(-1, 2)] if picture == RHO else [1, 0, Fraction(1, 4)]
-        poly = TruncatedSeries(picture, coeffs[: order + 1], min(order, len(coeffs) - 1))
-        return poly.as_exact(order)
-
-    def _weight_factor(self, picture: str, order: int) -> TruncatedSeries:
-        if self.kind == QUASI_EINSTEIN:
-            coeffs = [1, self.lam] if picture == RHO else [1, 0, -self.lam / 2]
-        else:
-            coeffs = [1, Fraction(1, 2)] if picture == RHO else [1, 0, Fraction(-1, 4)]
-        poly = TruncatedSeries(picture, coeffs[: order + 1], min(order, len(coeffs) - 1))
-        return poly.as_exact(order)
+            shift = Fraction(-1, 2) if which == "c" else Fraction(1, 2)
+        factor = TruncatedSeries(RHO, [1, shift], 1)
+        if picture == R:
+            factor = factor.substitute_rho()
+        elif picture != RHO:
+            raise AlgebraError(f"unknown picture {picture!r}")
+        return factor.as_exact(order)
 
     # -- expansion accessors ------------------------------------------------
 
     def metric_trace(self, picture: str, order: int) -> TruncatedSeries:
         """g^{ij} g'_{ij} = 2 d c'/c for a conformal family g = c^2 g0."""
-        c = self._conformal_factor(picture, order + 1)
+        c = self._factor("c", picture, order + 1)
         return (2 * self.d * c.derivative() * c.reciprocal()).truncate(order)
 
     def measure_trace(self, picture: str, order: int) -> TruncatedSeries:
         """(m/f) f' = m q'/q for a weight family f = q f0."""
-        q = self._weight_factor(picture, order + 1)
+        q = self._factor("q", picture, order + 1)
         return (self.m * q.derivative() * q.reciprocal()).truncate(order)
 
     def trace_term(self, picture: str, order: int) -> TruncatedSeries:
@@ -105,12 +103,12 @@ class Background:
 
     def laplacian_factor(self, picture: str, order: int) -> TruncatedSeries:
         """Scaling of the base weighted Laplacian on the sector: c^-2."""
-        return self._conformal_factor(picture, order).rpow(-2)
+        return self._factor("c", picture, order).rpow(-2)
 
     def density_factor(self, order: int) -> TruncatedSeries:
         """(f_r/f)^m (det g_r / det g)^(1/2) = q^m c^d, in the r picture."""
-        c = self._conformal_factor(R, order)
-        q = self._weight_factor(R, order)
+        c = self._factor("c", R, order)
+        q = self._factor("q", R, order)
         return q.rpow(self.m) * c.rpow(self.d)
 
     # -- serialization -------------------------------------------------------

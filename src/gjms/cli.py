@@ -8,43 +8,40 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import os
 import random
 import sys
+import traceback
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import factorial
+from typing import Callable
 
 from .ambient import (
-    GjmsPolynomial,
-    ObstructedWeight,
+    ROUTES,
     check_k_restriction,
     check_k_restriction_dm,
     critical_weight,
     gjms_iterated,
-    gjms_recursion,
     harmonic_extension,
-    iterate_at_weight,
-    obstruction,
     iterated_vs_obstruction_constant,
     random_admissible_perturbation,
     RestrictionError,
     ambient_laplacian,
 )
 from .backgrounds import Background, verify_spaceform_conditions
-from .core import AlgebraError, SigmaPoly, rat, rat_str
-from .factorization import CSV_HEADER, cross_route_report, factorization_product
+from .core import AlgebraError, rat, rat_str
+from .factorization import cross_route_report, route_polynomial
 from .scattering import (
     gjms_route_scattering,
     greens_log_coefficient,
     log_normalization,
     scattering_solve,
 )
-from .series import RHO, TruncatedSeries
-from .sl2 import NcPoly, extract_Zk, falling_h_product, jacobi_defect, verify_commutator_identity
+from .sl2 import extract_Zk, falling_h_product, jacobi_defect, verify_commutator_identity
 
-ROUTE_CHOICES = ("factorization", "iterated", "recursion", "obstruction", "scattering", "all")
+ROUTE_CHOICES = ROUTES + ("all",)
 
 # Fixed matrix the verify command sweeps; chosen to cover both background
 # kinds, fractional m, lambda of both signs, the flat case, and an even d+m.
@@ -62,16 +59,6 @@ GREEN_MATRIX = (
     Background.quasi_einstein(2, 2, Fraction(1, 6)),
     Background.gover_leitner(3, 2),
 )
-
-
-def _order_override(default: int) -> int:
-    env = os.environ.get("GJMS_ORDER")
-    if env is None:
-        return default
-    try:
-        return max(default, int(env))
-    except ValueError as exc:
-        raise AlgebraError(f"GJMS_ORDER must be an integer, got {env!r}") from exc
 
 
 def _restricted(bg: Background, k: int) -> bool:
@@ -92,22 +79,6 @@ def _parse_background(args: argparse.Namespace) -> Background:
     return Background.gover_leitner(args.d, rat(args.m))
 
 
-def _route_poly(bg: Background, k: int, route: str, override: bool) -> GjmsPolynomial:
-    if route == "factorization":
-        return factorization_product(bg, k)
-    if route == "iterated":
-        order = _order_override(k)
-        pert = TruncatedSeries.zero(RHO, order)
-        return gjms_iterated(bg, k, pert, override=override)
-    if route == "recursion":
-        return gjms_recursion(bg, k, override=override)
-    if route == "obstruction":
-        return obstruction(bg, k, override=override)
-    if route == "scattering":
-        return gjms_route_scattering(bg, k, override=override)
-    raise AlgebraError(f"unknown route {route!r}")
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
     ks = list(range(1, args.kmax + 1)) if args.kmax else [args.k]
     # Restriction is a function of (d, m, k) alone; report it before any
@@ -115,11 +86,10 @@ def cmd_compute(args: argparse.Namespace) -> int:
     for k in sorted(ks):
         check_k_restriction_dm(args.d + rat(args.m), k, args.override)
     bg = _parse_background(args)
-    routes = list(ROUTE_CHOICES[:-1]) if args.route == "all" else [args.route]
-    results = []
-    for k in sorted(ks):
-        for route in sorted(routes):
-            results.append(_route_poly(bg, k, route, args.override))
+    routes = ROUTES if args.route == "all" else (args.route,)
+    results = [
+        route_polynomial(bg, k, route, args.override) for k in sorted(ks) for route in sorted(routes)
+    ]
     out = sys.stdout
     if args.format == "json":
         payload = results[0].to_json() if len(results) == 1 else [g.to_json() for g in results]
@@ -129,12 +99,11 @@ def cmd_compute(args: argparse.Namespace) -> int:
         writer.writerow(["k", "route", "poly_sigma"])
         for g in results:
             writer.writerow([g.k, g.route, " ".join(g.poly.to_strings())])
+    elif len(results) == 1:
+        out.write(f"{results[0].poly}\n")
     else:
-        if len(results) == 1:
-            out.write(f"{results[0].poly}\n")
-        else:
-            for g in results:
-                out.write(f"k={g.k} {g.route}: {g.poly}\n")
+        for g in results:
+            out.write(f"k={g.k} {g.route}: {g.poly}\n")
     return 0
 
 
@@ -151,48 +120,29 @@ def cmd_spaceform(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    ds = _int_list(args.d)
-    ms = _rat_list(args.m)
-    ks = _int_list(args.k)
+    ds, ms, ks = _int_list(args.d), _rat_list(args.m), _int_list(args.k)
     lams = _rat_list(args.lam) if args.kind == "qe" else [None]
     cells = []
-    for d in ds:
-        for m in ms:
-            for lam in lams:
-                try:
-                    bg = (
-                        Background.quasi_einstein(d, m, lam)
-                        if args.kind == "qe"
-                        else Background.gover_leitner(d, m)
-                    )
-                except AlgebraError:
-                    continue
-                for k in ks:
-                    if _restricted(bg, k):
-                        continue
-                    cells.append(cross_route_report(bg, k))
+    for d, m, lam in product(ds, ms, lams):
+        try:
+            bg = Background.quasi_einstein(d, m, lam) if args.kind == "qe" else Background.gover_leitner(d, m)
+        except AlgebraError:
+            continue
+        cells.extend(cross_route_report(bg, k) for k in ks if not _restricted(bg, k))
     if args.format == "json":
         sys.stdout.write(json.dumps([c.to_json() for c in cells]) + "\n")
         return 0
-    route_names = ("factorization", "iterated", "recursion", "obstruction", "scattering")
     writer = csv.writer(sys.stdout)
-    writer.writerow(["kind", "d", "m", "lambda", "k", *route_names, "all_agree"])
+    writer.writerow(["kind", "d", "m", "lambda", "k", *ROUTES, "all_agree"])
     for cell in cells:
         bg = cell.background
-        row = [
-            bg.kind,
-            bg.d,
-            rat_str(bg.m),
-            "" if bg.lam is None else rat_str(bg.lam),
-            cell.k,
-        ]
-        for name in route_names:
+        row = [bg.kind, bg.d, rat_str(bg.m), "" if bg.lam is None else rat_str(bg.lam), cell.k]
+        for name in ROUTES:
             if name in cell.routes:
                 row.append(" ".join(cell.routes[name].poly.to_strings()))
             else:
                 row.append(f"error: {cell.errors.get(name, 'unavailable')}")
-        row.append(str(cell.all_agree()).lower())
-        writer.writerow(row)
+        writer.writerow(row + [str(cell.all_agree()).lower()])
     return 0
 
 
@@ -208,13 +158,22 @@ def _rat_list(text: str) -> list[Fraction]:
 
 
 class Checker:
+    """Runs each check at once and prints one line for it; a check that raises
+    fails with the exception as its witness instead of ending the run."""
+
     def __init__(self, out=None):
         self.out = out or sys.stdout
         self.failures = 0
 
-    def check(self, description: str, ok: bool, detail: str = "") -> None:
-        mark = "ok  " if ok else "FAIL"
-        self.out.write(f"{mark} {description}\n")
+    def check(self, description: str, test: Callable[[], bool | tuple[bool, str]]) -> None:
+        """test() returns ok, or ok and a detail printed on failure."""
+        try:
+            outcome = test()
+            ok, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
+        except Exception as exc:
+            traceback.print_exc(file=sys.stderr)
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        self.out.write(f"{'ok  ' if ok else 'FAIL'} {description}\n")
         if not ok:
             self.failures += 1
             if detail:
@@ -222,102 +181,98 @@ class Checker:
 
 
 def verify_sl2(chk: Checker, kmax: int) -> None:
+    def identity(kind: str, k: int) -> tuple[bool, str]:
+        ok, witness = verify_commutator_identity(kind, k)
+        return ok, f"witness {witness}"
+
+    def route_ratio(k: int) -> bool:
+        # h evaluated at -(k-1) turns the product into the iterated/obstruction ratio
+        val = falling_h_product(k).substitute_h(-(k - 1)).terms.get((), Fraction(0))
+        return val == Fraction(-1) ** (k - 1) * factorial(k - 1) and (
+            4 ** (k - 1) * factorial(k - 1) * val == iterated_vs_obstruction_constant(k)
+        )
+
     for k in range(1, kmax + 1):
         for kind, label in (("yk_x", "[y^k,x] = -k y^(k-1)(h-k+1)"), ("xk_y", "[x^k,y] = k x^(k-1)(h+k-1)")):
-            ok, witness = verify_commutator_identity(kind, k)
-            chk.check(f"sl2 {label} at k={k}", ok, f"witness {witness}")
-    chk.check("sl2 Jacobi identity reduces to 0", jacobi_defect().is_zero())
-    x, y = NcPoly.x(), NcPoly.y()
+            chk.check(f"sl2 {label} at k={k}", lambda: identity(kind, k))
+    chk.check("sl2 Jacobi identity reduces to 0", lambda: jacobi_defect().is_zero())
     for k in range(1, kmax + 1):
-        zk = extract_Zk(k)
-        lead = Fraction(-1) ** (k - 1) * factorial(k - 1) * falling_h_product(k)
-        defect = (y ** (k - 1) * x ** (k - 1) - lead - x * zk).normal_form()
+        # extract_Zk raises unless y^(k-1)x^(k-1) - lead - x Z_k reduces to 0
         chk.check(
             f"sl2 y^(k-1)x^(k-1) = (-1)^(k-1)(k-1)! h(h+1)..(h+k-2) + x Z_k at k={k}",
-            defect.is_zero(),
+            lambda: extract_Zk(k) is not None,
         )
-        # h evaluated at -(k-1) turns the product into the iterated/obstruction ratio
-        prod_val = falling_h_product(k).substitute_h(-(k - 1)).terms.get((), Fraction(0))
-        chk.check(
-            f"sl2 h-product at h=-(k-1) reproduces the route ratio at k={k}",
-            prod_val == Fraction(-1) ** (k - 1) * factorial(k - 1)
-            and 4 ** (k - 1) * factorial(k - 1) * prod_val == iterated_vs_obstruction_constant(k),
-        )
+        chk.check(f"sl2 h-product at h=-(k-1) reproduces the route ratio at k={k}", lambda: route_ratio(k))
 
 
 def verify_ambient(chk: Checker, kmax: int, inject_fault: bool = False) -> None:
     rng = random.Random(20240229)
-    first = True
+
+    def routes_agree(bg: Background, k: int, corrupt: bool) -> tuple[bool, str]:
+        report = cross_route_report(bg, k)
+        if report.errors:
+            return False, "; ".join(f"{n}: {e}" for n, e in sorted(report.errors.items()))
+        # the fault flag corrupts the first cell, a self-test of the harness
+        iterated = report.routes["iterated"].poly + (1 if corrupt else 0)
+        agree = all(iterated == report.routes[n].poly for n in ("factorization", "recursion", "obstruction"))
+        detail = "; ".join(f"{n}: {g.poly}" for n, g in sorted(report.routes.items()))
+        return agree and report.constant_check is True, detail
+
+    def independent(bg: Background, k: int) -> bool:
+        base = gjms_iterated(bg, k).poly
+        return all(
+            gjms_iterated(bg, k, random_admissible_perturbation(rng, k + 2)).poly == base for _ in range(3)
+        )
+
+    def closes(bg: Background) -> bool:
+        image = ambient_laplacian(bg, harmonic_extension(bg, critical_weight(bg, 1) + Fraction(1, 3), 4))
+        return all(image.profile.coeff(j).is_zero() for j in range(4))
+
+    corrupt = inject_fault
     for bg in VERIFY_MATRIX:
         for k in range(1, kmax + 1):
             if _restricted(bg, k):
                 continue
-            report = cross_route_report(bg, k)
-            iterated = report.routes["iterated"].poly
-            if inject_fault and first:
-                iterated = iterated + 1  # deliberate harness self-test corruption
-                first = False
-            agree = all(
-                iterated == report.routes[name].poly
-                for name in ("factorization", "recursion", "obstruction")
-            )
-            chk.check(
-                f"routes agree on {bg.label()} k={k}",
-                agree and report.constant_check is True,
-                detail="; ".join(f"{n}: {g.poly}" for n, g in sorted(report.routes.items())),
-            )
-            base = report.routes["iterated"].poly
-            stable = all(
-                gjms_iterated(bg, k, random_admissible_perturbation(rng, k + 2)).poly == base
-                for _ in range(3)
-            )
-            chk.check(f"extension independence on {bg.label()} k={k}", stable)
-        w = critical_weight(bg, 1) + Fraction(1, 3)
-        ext = harmonic_extension(bg, w, 4)
-        image = ambient_laplacian(bg, ext)
-        chk.check(
-            f"harmonic extension closes to order 3 on {bg.label()}",
-            all(image.profile.coeff(j).is_zero() for j in range(4)),
-        )
+            chk.check(f"routes agree on {bg.label()} k={k}", lambda: routes_agree(bg, k, corrupt))
+            corrupt = False
+            chk.check(f"extension independence on {bg.label()} k={k}", lambda: independent(bg, k))
+        chk.check(f"harmonic extension closes to order 3 on {bg.label()}", lambda: closes(bg))
 
 
 def verify_scattering(chk: Checker, kmax: int) -> None:
+    solve = cache(scattering_solve)
+
+    def odd_vanish(bg: Background, k: int) -> bool:
+        v = solve(bg, k).v_coeffs
+        return all(v[j].is_zero() for j in range(1, 2 * k, 2) if j < bg.dm)
+
+    def equals_iterated(bg: Background, k: int) -> tuple[bool, str]:
+        scat, iterated = gjms_route_scattering(bg, k).poly, gjms_iterated(bg, k).poly
+        return scat == iterated, f"scattering: {scat}; iterated: {iterated}"
+
+    def monic(bg: Background, k: int) -> bool:
+        normalized = solve(bg, k).log_coeff / log_normalization(k)
+        return normalized.degree == k and abs(normalized.coeffs[-1]) == 1
+
     for bg in VERIFY_MATRIX:
         for k in range(1, min(kmax, 3) + 1):
             if _restricted(bg, k):
                 continue
-            sol = scattering_solve(bg, k)
-            odd_ok = all(
-                sol.v_coeffs[j].is_zero()
-                for j in range(1, 2 * k, 2)
-                if j < bg.dm
-            )
-            chk.check(f"odd radial coefficients vanish on {bg.label()} k={k}", odd_ok)
-            scat = gjms_route_scattering(bg, k).poly
-            iterated = gjms_iterated(bg, k).poly
-            chk.check(
-                f"scattering route equals iterated on {bg.label()} k={k}",
-                scat == iterated,
-                detail=f"scattering: {scat}; iterated: {iterated}",
-            )
-            normalized = sol.log_coeff / log_normalization(k)
-            chk.check(
-                f"log coefficient over d_k is +/-monic degree {k} on {bg.label()}",
-                normalized.degree == k and abs(normalized.coeffs[-1]) == 1,
-            )
+            chk.check(f"odd radial coefficients vanish on {bg.label()} k={k}", lambda: odd_vanish(bg, k))
+            chk.check(f"scattering route equals iterated on {bg.label()} k={k}", lambda: equals_iterated(bg, k))
+            chk.check(f"log coefficient over d_k is +/-monic degree {k} on {bg.label()}", lambda: monic(bg, k))
 
 
 def verify_green(chk: Checker, kmax: int) -> None:
+    def symmetric(bg: Background, k: int) -> tuple[bool, str]:
+        report = greens_log_coefficient(bg, k)
+        return report.match, f"lp: {report.lp}; rhs: {report.rhs}"
+
     for bg in GREEN_MATRIX:
         for k in range(1, min(kmax, 2) + 1):
             if _restricted(bg, k):
                 continue
-            report = greens_log_coefficient(bg, k)
-            chk.check(
-                f"log-coefficient pairing is symmetric on {bg.label()} k={k}",
-                report.match,
-                detail=f"lp: {report.lp}; rhs: {report.rhs}",
-            )
+            chk.check(f"log-coefficient pairing is symmetric on {bg.label()} k={k}", lambda: symmetric(bg, k))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -332,7 +287,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite in ("all", "green"):
         verify_green(chk, kmax)
     if args.inject_fault and args.suite not in ("all", "ambient"):
-        chk.check("fault-injection self-test hook", False, "fault injected by request")
+        chk.check("fault-injection self-test hook", lambda: (False, "fault injected by request"))
     total = "all checks passed" if chk.failures == 0 else f"{chk.failures} check(s) FAILED"
     chk.out.write(f"summary: {total}\n")
     return 0 if chk.failures == 0 else 1
@@ -398,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("gl tables take no --lambda")
     try:
         return args.func(args)
-    except (RestrictionError, ObstructedWeight, AlgebraError, ZeroDivisionError, ValueError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # AlgebraError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .ambient import (
+    ROUTES,
     GjmsPolynomial,
     check_k_restriction,
     gjms_iterated,
@@ -82,54 +83,39 @@ class RouteReport:
             "all_agree": self.all_agree(),
         }
 
-    def csv_rows(self) -> list[list[str]]:
-        """One row per route: background fields, k, route, ascending coefficients."""
-        bg = self.background
-        rows = []
-        for name in sorted(self.routes):
-            rows.append(
-                [
-                    bg.kind,
-                    str(bg.d),
-                    str(bg.m),
-                    "" if bg.lam is None else str(bg.lam),
-                    str(self.k),
-                    name,
-                    " ".join(self.routes[name].poly.to_strings()),
-                ]
-            )
-        return rows
 
-
-CSV_HEADER = ["kind", "d", "m", "lambda", "k", "route", "poly_sigma"]
+def route_polynomial(bg: Background, k: int, route: str, override: bool = False) -> GjmsPolynomial:
+    """One route's polynomial; the obstruction route is returned raw, without
+    the (-4)^(k-1) ((k-1)!)^2 normalization."""
+    if route == "factorization":
+        return factorization_product(bg, k)
+    if route == "iterated":
+        return gjms_iterated(bg, k, override=override)
+    if route == "recursion":
+        return gjms_recursion(bg, k, override=override)
+    if route == "obstruction":
+        return obstruction(bg, k, override=override)
+    if route == "scattering":
+        return gjms_route_scattering(bg, k, override=override)
+    raise AlgebraError(f"unknown route {route!r}")
 
 
 def cross_route_report(bg: Background, k: int, override: bool = False) -> RouteReport:
     """Run every construction route on one cell and compare them pairwise."""
     routes: dict[str, GjmsPolynomial] = {}
     errors: dict[str, str] = {}
-
-    builders = {
-        "factorization": lambda: factorization_product(bg, k),
-        "iterated": lambda: gjms_iterated(bg, k, override=override),
-        "recursion": lambda: gjms_recursion(bg, k, override=override),
-        "scattering": lambda: gjms_route_scattering(bg, k, override=override),
-    }
-    for name, build in builders.items():
+    for name in ROUTES:
         try:
-            routes[name] = build()
+            routes[name] = route_polynomial(bg, k, name, override)
         except AlgebraError as exc:
             errors[name] = str(exc)
 
     constant_check: bool | None = None
-    try:
-        raw = obstruction(bg, k, override=override)
-        normalized = iterated_vs_obstruction_constant(k) * raw.poly
+    if "obstruction" in routes:
+        normalized = iterated_vs_obstruction_constant(k) * routes["obstruction"].poly
         routes["obstruction"] = GjmsPolynomial(k, bg, "obstruction", normalized)
         if "iterated" in routes:
             constant_check = routes["iterated"].poly == normalized
-    except AlgebraError as exc:
-        errors["obstruction"] = str(exc)
 
     names = sorted(routes)
     agreement = {

@@ -2,14 +2,15 @@
 
 With g_+ = r^-2 (dr^2 + g_r) and f_+ = r^-1 f_r, conjugating the radial
 eigenvalue operator by r^((d+m)/2 - k) and negating yields, on the
-eigenfunction sector,
+eigenfunction sector, the second-order operator a*r*P'' + (b0 + r*b1)*P' + c*P
+with
 
-    D_s = -r d^2/dr^2 + [2s-d-m-1 - r*T] d/dr - (d+m-s) T - r*sigma*LF,
+    a = -1,  b0 = 2s - d - m - 1,  b1 = -T,  c = (s - d - m) T - r*sigma*LF,
 
-with s = (d+m)/2 + k, T the r-picture drift trace, and LF the sector scaling
-of the base Laplacian.  The recursion solves the expansion order by order;
-the order-2k log coefficient reproduces the ambient operator up to the
-normalization d_k and a global sign.
+where s = (d+m)/2 + k, T is the r-picture drift trace, and LF the sector
+scaling of the base Laplacian.  The expansion is solved order by order with
+divisor j(2k-j); the order-2k log coefficient reproduces the ambient operator
+up to the normalization d_k and a global sign.
 
 Sign pinning: the whole package uses the trace-convention weighted Laplacian
 (the one the ambient formula forces), under which the log coefficient comes
@@ -28,7 +29,7 @@ from typing import Any
 from .ambient import GjmsPolynomial, check_k_restriction
 from .backgrounds import Background
 from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, rat, rat_str
-from .series import R, LogSeries, TruncatedSeries
+from .series import R, LogSeries, TruncatedSeries, apply_second_order, solve_order_by_order
 
 SCATTERING_SIGN = Fraction(-1)
 
@@ -64,16 +65,10 @@ def _ds_plain(
     n = series.order
     if n < 2:
         raise OrderShortfall("applying the radial operator needs order >= 2")
-    d, m = bg.d, bg.m
     trace = bg.trace_term(R, n)
     lf = bg.laplacian_factor(R, n)
-    dp = series.derivative()
-    out = (2 * s - d - m - 1) * dp
-    out = out - series.derivative().derivative().mul_var()
-    out = out - (trace * dp).mul_var().truncate(n - 1)
-    out = out - ((d + m - s) * (trace * series)).truncate(n - 1)
-    out = out - (SigmaPoly.sigma() * (lf * series)).mul_var().truncate(n - 1)
-    return out
+    c = (s - bg.dm) * trace - (SigmaPoly.sigma() * lf).mul_var()
+    return apply_second_order(-1, 2 * s - bg.dm - 1, -trace, c, series)
 
 
 def apply_Ds(bg: Background, s: RatLike, u: LogSeries) -> LogSeries:
@@ -105,20 +100,11 @@ def scattering_solve(bg: Background, k: int, override: bool = False) -> Scatteri
     coefficient at order 2k."""
     check_k_restriction(bg, k, override)
     s = bg.dm / 2 + k
-    order = 2 * k + 2
-    v: list[SigmaPoly] = [SigmaPoly.one()]
-    for j in range(1, 2 * k + 1):
-        partial = TruncatedSeries(R, v, len(v) - 1).as_exact(order)
-        image = _ds_plain(bg, s, partial)
-        residual = image.coeff(j - 1)
-        indicial = j * (2 * k - j)
-        if j < 2 * k:
-            if indicial == 0:
-                raise AlgebraError(f"indicial factor vanished at order {j} < 2k")
-            v.append(-residual / indicial)
-        else:
-            log_coeff = residual / (2 * k)
-    return ScatteringSolution(k, s, bg, tuple(v), log_coeff)
+    v = solve_order_by_order(
+        lambda series: _ds_plain(bg, s, series), lambda j: j * (2 * k - j), 2 * k - 1, R
+    )
+    log_coeff = _ds_plain(bg, s, v).coeff(2 * k - 1) / (2 * k)
+    return ScatteringSolution(k, s, bg, v.coeffs[: 2 * k], log_coeff)
 
 
 def residual_with_log(bg: Background, sol: ScatteringSolution) -> LogSeries:

@@ -10,7 +10,7 @@ known to be polynomials (all higher coefficients identically zero).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .core import (
     AlgebraError,
@@ -26,6 +26,14 @@ RHO = "rho"
 R = "r"
 
 CoeffLike = Union[SigmaPoly, RatLike]
+
+
+class ObstructedWeight(AlgebraError):
+    """An order-by-order solve divides by zero at an integer level."""
+
+    def __init__(self, level: int):
+        super().__init__(f"harmonic extension obstructed at level {level}")
+        self.level = level
 
 
 def _as_sp(value: CoeffLike) -> SigmaPoly:
@@ -228,6 +236,49 @@ class TruncatedSeries:
             f"({c})*{self.var}^{j}" for j, c in enumerate(self.coeffs) if not c.is_zero()
         )
         return f"<{body or '0'} + O({self.var}^{self.order + 1})>"
+
+
+def apply_second_order(
+    a: RatLike,
+    b0: RatLike,
+    b1: TruncatedSeries,
+    c: TruncatedSeries,
+    p: TruncatedSeries,
+) -> TruncatedSeries:
+    """a*v*P'' + (b0 + v*b1)*P' + c*P for the series variable v, with rational
+    a, b0 and series coefficients b1, c; valid one order below P."""
+    n = p.order
+    dp = p.derivative()
+    out = b0 * dp + (b1 * dp).mul_var().truncate(n - 1) + (c * p).truncate(n - 1)
+    if a and n >= 2:
+        out = out + a * dp.derivative().mul_var()
+    return out
+
+
+def solve_order_by_order(
+    apply: Callable[[TruncatedSeries], TruncatedSeries],
+    divisor: Callable[[int], RatLike],
+    levels: int,
+    var: str,
+) -> TruncatedSeries:
+    """The jets a_0 = 1, a_1, ..., a_levels of a series solved level by level.
+
+    Level j sets a_j = -residual_j / divisor(j), where residual_j is the
+    order-(j-1) coefficient of apply on the partial series a_0..a_(j-1) and
+    divisor(j) is the factor the operator's principal part puts on a_j (apply
+    may include or omit that part; it never sees a_j).  A zero divisor raises
+    ObstructedWeight(j).  The result is declared exact at order levels+1, so
+    one more application reads the next residual.
+    """
+    coeffs: list[SigmaPoly] = [SigmaPoly.one()]
+    for j in range(1, levels + 1):
+        partial = TruncatedSeries(var, coeffs, j - 1).as_exact(levels + 1)
+        residual = apply(partial).coeff(j - 1)
+        div = divisor(j)
+        if div == 0:
+            raise ObstructedWeight(j)
+        coeffs.append(-residual / div)
+    return TruncatedSeries(var, coeffs, levels).as_exact(levels + 1)
 
 
 class LogSeries:

@@ -257,11 +257,6 @@ def extract_Zk(k: int) -> NcPoly:
     return zk
 
 
-def h_eigenvalue(w: RatLike, d: RatLike, m: RatLike) -> Fraction:
-    """Action of h on a weight-w homogeneous function: w + (d+m+2)/2."""
-    return rat(w) + (rat(d) + rat(m) + 2) / 2
-
-
 def jacobi_defect() -> NcPoly:
     """Normal form of [[x,y],h] + [[y,h],x] + [[h,x],y] (zero in any Lie algebra)."""
     x, y, h = NcPoly.x(), NcPoly.y(), NcPoly.h()

@@ -9,7 +9,6 @@ from gjms.ambient import (
     RestrictionError,
     ambient_laplacian,
     check_k_restriction_dm,
-    check_multiplicative_constant,
     critical_weight,
     gjms_iterated,
     gjms_recursion,
@@ -22,6 +21,7 @@ from gjms.ambient import (
 )
 from gjms.backgrounds import Background
 from gjms.core import AlgebraError, SigmaPoly
+from gjms.factorization import cross_route_report
 from gjms.series import RHO, TruncatedSeries
 
 QE = Background.quasi_einstein(3, 2, 1)
@@ -195,8 +195,8 @@ class TestObstructionRoute:
         for bg in (QE, GL, Background.quasi_einstein(2, 2, F(1, 6))):
             kmax = 2 if bg.dm == 4 else 3
             for k in range(1, kmax + 1):
-                ok, iterated, obstr = check_multiplicative_constant(bg, k)
-                assert ok, (bg.label(), k, str(iterated.poly), str(obstr.poly))
+                rep = cross_route_report(bg, k)
+                assert rep.constant_check is True, (bg.label(), k, rep.to_json())
 
     def test_k1_obstruction_equals_iterated(self):
         assert obstruction(QE, 1).poly == gjms_iterated(QE, 1).poly

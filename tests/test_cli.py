@@ -1,8 +1,26 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
 
+import pytest
+
+from gjms import cli, factorization
+from gjms.core import AlgebraError
+
 CLI = [sys.executable, "-m", "gjms.cli"]
+
+# sha256 of stdout; any change to a polynomial, a check line or the output
+# format moves one of these.
+GOLDEN_STDOUT = {
+    ("verify", "all", "--kmax", "3"):
+        "c2a645174143f37e214d2f83841a18a50d8bcbdab798c773119022e9545faeb1",
+    ("table", "qe", "--d", "3,4,5", "--m", "1,2", "--lambda=-1,1", "--k", "1,2,3"):
+        "85c00b7ce423f978e61676774a4ebb6d5421b035d1d3d020124821e6c80d2c15",
+    ("compute", "gl", "--d", "3", "--m", "2", "--kmax", "3", "--route", "all", "--format", "json"):
+        "8680dd29da71716aaceda8af75c4c108ebb1dc34e15a7ca9c72f1dfe0ca087cc",
+}
 
 
 def run_cli(*args, env=None):
@@ -88,6 +106,51 @@ class TestVerify:
         first = run_cli("verify", "all", "--kmax", "2")
         second = run_cli("verify", "all", "--kmax", "2")
         assert first.stdout == second.stdout
+
+
+class TestVerifyFailures:
+    """A check whose computation raises is a FAIL line with the exception as
+    its witness and exit code 1, never a usage error or a traceback."""
+
+    @staticmethod
+    def broken(*args, **kwargs):
+        raise AlgebraError("injected defect")
+
+    @pytest.mark.parametrize(
+        "suite, owner, name, line",
+        [
+            ("ambient", factorization, "gjms_recursion", "FAIL routes agree on"),
+            ("scattering", cli, "scattering_solve", "FAIL odd radial coefficients vanish on"),
+            ("green", cli, "greens_log_coefficient", "FAIL log-coefficient pairing is symmetric on"),
+            ("sl2", cli, "extract_Zk", "FAIL sl2 y^(k-1)x^(k-1) ="),
+        ],
+        ids=("ambient", "scattering", "green", "sl2"),
+    )
+    def test_raising_route_is_a_failed_check(self, monkeypatch, capsys, suite, owner, name, line):
+        monkeypatch.setattr(owner, name, self.broken)
+        code = cli.main(["verify", suite, "--kmax", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert line in out
+        assert "injected defect" in out
+        assert out.endswith("check(s) FAILED\n")
+
+    def test_checker_reports_any_exception(self):
+        out = io.StringIO()
+        chk = cli.Checker(out)
+        chk.check("lookup", lambda: {}["missing"])
+        chk.check("fine", lambda: True)
+        assert chk.failures == 1
+        assert out.getvalue() == "FAIL lookup\n     KeyError: 'missing'\nok   fine\n"
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("args", list(GOLDEN_STDOUT), ids=lambda args: " ".join(args[:2]))
+    def test_stdout_digest(self, args):
+        # bytes, not text: the csv writer ends rows with \r\n
+        res = subprocess.run(CLI + list(args), capture_output=True)
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout).hexdigest() == GOLDEN_STDOUT[args]
 
 
 class TestTable:

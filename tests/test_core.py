@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gjms.core import AlgebraError, OrderShortfall, SigmaPoly, VariableMismatch, rat, rat_str
-from gjms.series import RHO, R, LogSeries, TruncatedSeries
+from gjms.series import (
+    RHO,
+    R,
+    LogSeries,
+    ObstructedWeight,
+    TruncatedSeries,
+    apply_second_order,
+    solve_order_by_order,
+)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 sigma_polys = st.lists(rationals, max_size=4).map(SigmaPoly)
@@ -145,6 +153,44 @@ class TestTruncatedSeries:
         n = 6
         lhs = TruncatedSeries.binomial_power(RHO, a, e1, n) * TruncatedSeries.binomial_power(RHO, a, e2, n)
         assert lhs == TruncatedSeries.binomial_power(RHO, a, e1 + e2, n)
+
+
+class TestSecondOrderOperator:
+    def test_on_a_monomial(self):
+        # P = v^3: a v P'' + (b0 + v b1) P' + c P = (6a + 3b0) v^2 + (3b1 + c) v^3
+        p = TruncatedSeries(RHO, [0, 0, 0, 1], 5)
+        b1 = TruncatedSeries.constant(RHO, 5, 5)
+        c = TruncatedSeries.constant(RHO, SigmaPoly.sigma(), 5)
+        out = apply_second_order(2, 3, b1, c, p)
+        assert out.order == 4
+        assert out.coeffs == (0, 0, 21, SigmaPoly([15, 1]), 0)
+
+    def test_order_one_input_drops_the_second_derivative(self):
+        p = TruncatedSeries(RHO, [1, 1], 1)
+        zero = TruncatedSeries.zero(RHO, 1)
+        out = apply_second_order(7, 2, zero, zero, p)
+        assert out.order == 0 and out.coeff(0) == 2
+
+    def test_order_zero_input_is_rejected(self):
+        zero = TruncatedSeries.zero(RHO, 0)
+        with pytest.raises(OrderShortfall):
+            apply_second_order(1, 1, zero, zero, TruncatedSeries.constant(RHO, 1, 0))
+
+    def test_solver_reproduces_the_exponential(self):
+        # P' - P = 0 with a_0 = 1 forces a_j = a_(j-1) / j
+        minus_one = TruncatedSeries.constant(R, -1, 8)
+        zero = TruncatedSeries.zero(R, 8)
+        sol = solve_order_by_order(
+            lambda p: apply_second_order(0, 1, zero, minus_one, p), lambda j: j, 6, R
+        )
+        assert sol.order == 7
+        assert [c.coeff(0) for c in sol.coeffs] == [F(1, factorial(j)) for j in range(7)] + [0]
+
+    def test_solver_raises_at_a_zero_divisor(self):
+        zero = TruncatedSeries.zero(RHO, 8)
+        with pytest.raises(ObstructedWeight) as exc:
+            solve_order_by_order(lambda p: apply_second_order(0, 1, zero, zero, p), lambda j: j - 3, 6, RHO)
+        assert exc.value.level == 3
 
 
 class TestLogSeries:

@@ -1,12 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gjms.ambient import RestrictionError, gjms_iterated
+from gjms.ambient import ROUTES, RestrictionError, check_k_restriction, gjms_iterated
 from gjms.backgrounds import Background
 from gjms.core import SigmaPoly
 from gjms.factorization import (
-    CSV_HEADER,
     cross_route_report,
     factorization_product,
     gl_product,
@@ -100,14 +101,27 @@ class TestCrossRouteReport:
         assert not rep.all_agree()
         assert rep.constant_check is None
 
-    def test_csv_rows(self):
-        rep = cross_route_report(QE, 1)
-        rows = rep.csv_rows()
-        assert len(rows) == 5
-        assert len(CSV_HEADER) == len(rows[0]) == 7
-        assert all(row[0] == "quasi_einstein" and row[4] == "1" for row in rows)
-        by_route = {row[5]: row[6] for row in rows}
-        assert by_route["factorization"] == "-15/2 1"
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.booleans(),
+        st.integers(2, 6),
+        st.fractions(min_value=0, max_value=4, max_denominator=3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        st.integers(1, 4),
+    )
+    def test_every_route_matches_the_closed_form_on_random_backgrounds(self, qe, d, m, lam, k):
+        assume(d + m != 2)
+        bg = Background.quasi_einstein(d, m, lam) if qe else Background.gover_leitner(d, m)
+        try:
+            check_k_restriction(bg, k)
+        except RestrictionError:
+            assume(False)
+        closed = qe_product(d, m, lam, k) if qe else gl_product(d, m, k)
+        rep = cross_route_report(bg, k)
+        assert set(rep.routes) == set(ROUTES), rep.errors
+        for name, route in rep.routes.items():
+            assert route.poly == closed.poly, (bg.label(), k, name)
+        assert rep.constant_check is True
 
     def test_json_shape(self):
         data = cross_route_report(GL, 2).to_json()

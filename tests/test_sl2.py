@@ -14,7 +14,6 @@ from gjms.sl2 import (
     commutator,
     extract_Zk,
     falling_h_product,
-    h_eigenvalue,
     jacobi_defect,
     verify_commutator_identity,
 )
@@ -136,15 +135,6 @@ class TestZkExtraction:
 
 
 class TestWeights:
-    def test_h_eigenvalue_examples(self):
-        assert h_eigenvalue(F(-5, 2) + 2, 3, 2) == 3  # critical weight, k = 2
-        assert h_eigenvalue(0, 3, 2) == F(7, 2)
-
-    def test_h_eigenvalue_at_critical_weight_is_k_plus_one(self):
-        for d, m, k in [(3, 2, 1), (4, F(1, 2), 3), (2, F(7, 3), 2)]:
-            w = -(F(d) + F(m)) / 2 + k
-            assert h_eigenvalue(w, d, m) == k + 1
-
     def test_constant_consistency(self):
         # 4^(k-1) (k-1)! times the special value of the h-product equals
         # the iterated-vs-obstruction constant (-4)^(k-1)((k-1)!)^2
