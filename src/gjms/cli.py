@@ -1,6 +1,7 @@
 """Batch command surface: compute operators, run the verification matrix, emit tables.
 
-Exit codes: 0 all checks pass, 1 a verification failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a verification failed or a route raised on
+valid input, 2 usage error.
 All numeric output is exact rational text ("p/q"); nothing is ever a float.
 """
 
@@ -87,9 +88,16 @@ def cmd_compute(args: argparse.Namespace) -> int:
         check_k_restriction_dm(args.d + rat(args.m), k, args.override)
     bg = _parse_background(args)
     routes = ROUTES if args.route == "all" else (args.route,)
-    results = [
-        route_polynomial(bg, k, route, args.override) for k in sorted(ks) for route in sorted(routes)
-    ]
+    try:
+        results = [
+            route_polynomial(bg, k, route, args.override) for k in sorted(ks) for route in sorted(routes)
+        ]
+    except RestrictionError:
+        raise  # the closed-form product refuses restricted k even with --override
+    except Exception as exc:  # the input was valid, so the route is at fault
+        traceback.print_exc(file=sys.stderr)
+        sys.stderr.write(f"error: internal defect: {type(exc).__name__}: {exc}\n")
+        return 1
     out = sys.stdout
     if args.format == "json":
         payload = results[0].to_json() if len(results) == 1 else [g.to_json() for g in results]

@@ -68,7 +68,8 @@ class RouteReport:
     constant_check: bool | None
 
     def all_agree(self) -> bool:
-        return bool(self.agreement) and all(self.agreement.values())
+        """True only when every route succeeded and all pairs agree."""
+        return not self.errors and bool(self.agreement) and all(self.agreement.values())
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -143,16 +143,23 @@ class TruncatedSeries:
             c = _as_sp(other)
             return TruncatedSeries(self.var, [c * a for a in self.coeffs], self.order)
         n = self._common(other)
-        out = [SigmaPoly.zero() for _ in range(n + 1)]
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncatedSeries(self.var, out, n)
+        # One convolution over (series order, sigma degree) into Fraction
+        # rows; each SigmaPoly is built once, from its finished row.
+        lhs = [(i, a.coeffs) for i, a in enumerate(self.coeffs[: n + 1]) if a.coeffs]
+        rhs = [(j, b.coeffs) for j, b in enumerate(other.coeffs[: n + 1]) if b.coeffs]
+        if not lhs or not rhs:
+            return TruncatedSeries.zero(self.var, n)
+        width = max(len(c) for _, c in lhs) + max(len(c) for _, c in rhs) - 1
+        rows = [[0] * width for _ in range(n + 1)]
+        for i, ac in lhs:
+            for j, bc in rhs:
+                if i + j > n:
+                    break
+                row = rows[i + j]
+                for p, x in enumerate(ac):
+                    for q, y in enumerate(bc):
+                        row[p + q] += x * y
+        return TruncatedSeries(self.var, [SigmaPoly(row) for row in rows], n)
 
     __rmul__ = __mul__
 
@@ -189,17 +196,26 @@ class TruncatedSeries:
         return c0.coeff(0)
 
     def rpow(self, exponent: RatLike) -> "TruncatedSeries":
-        """(1 + u)**e for rational e; the constant term must equal 1."""
+        """(1 + u)**e for rational e; the constant term must equal 1.
+
+        J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with a the
+        coefficients of self and p those of the power, p_0 = 1 and
+        n p_n = sum_{i=1..n} ((e+1) i - n) a_i p_(n-i).  The sum runs over the
+        nonzero a_i only, so a factor 1 + a*v costs O(N) coefficient products.
+        """
         if self.coeffs[0] != SigmaPoly.one():
             raise AlgebraError("rational power needs constant term 1")
         e = rat(exponent)
-        u = self - 1
-        acc = TruncatedSeries.constant(self.var, 1, self.order)
-        upow = TruncatedSeries.constant(self.var, 1, self.order)
+        terms = [(i, a) for i, a in enumerate(self.coeffs) if i and not a.is_zero()]
+        p = [SigmaPoly.one()]
         for n in range(1, self.order + 1):
-            upow = upow * u
-            acc = acc + binomial(e, n) * upow
-        return acc
+            acc = SigmaPoly.zero()
+            for i, a in terms:
+                if i > n:
+                    break
+                acc = acc + ((e + 1) * i - n) * (a * p[n - i])
+            p.append(acc / n)
+        return TruncatedSeries(self.var, p, self.order)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; the constant term must be a nonzero rational."""
@@ -267,12 +283,20 @@ def solve_order_by_order(
     order-(j-1) coefficient of apply on the partial series a_0..a_(j-1) and
     divisor(j) is the factor the operator's principal part puts on a_j (apply
     may include or omit that part; it never sees a_j).  A zero divisor raises
-    ObstructedWeight(j).  The result is declared exact at order levels+1, so
-    one more application reads the next residual.
+    ObstructedWeight(j).
+
+    apply may lose at most one order, and the order-(j-1) coefficient of its
+    result may depend on input coefficients through order j only, as for
+    every operator of the apply_second_order form.  At level j apply is
+    therefore handed the partial series declared exact only through order
+    max(j, 2), not levels+1 (2 is the least order the radial operator
+    accepts), so level j costs O(j^2) coefficient products, not O(levels^2).
+    The result is declared exact at order levels+1, so one more application
+    reads the next residual.
     """
     coeffs: list[SigmaPoly] = [SigmaPoly.one()]
     for j in range(1, levels + 1):
-        partial = TruncatedSeries(var, coeffs, j - 1).as_exact(levels + 1)
+        partial = TruncatedSeries(var, coeffs, j - 1).as_exact(max(j, 2))
         residual = apply(partial).coeff(j - 1)
         div = divisor(j)
         if div == 0:

@@ -144,6 +144,44 @@ class TestVerifyFailures:
         assert out.getvalue() == "FAIL lookup\n     KeyError: 'missing'\nok   fine\n"
 
 
+class TestRouteFailures:
+    """A route that raises on valid input is a defect: exit 1 from compute,
+    and never agreement in a table."""
+
+    @staticmethod
+    def broken(*args, **kwargs):
+        raise AlgebraError("injected defect")
+
+    def test_compute_reports_an_internal_defect(self, monkeypatch, capsys):
+        monkeypatch.setattr(factorization, "gjms_recursion", self.broken)
+        code = cli.main(["compute", "qe", "--d", "3", "--m", "2", "--lambda", "1", "--k", "2", "--route", "recursion"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.endswith("error: internal defect: AlgebraError: injected defect\n")
+
+    def test_closed_form_refusing_an_override_is_a_usage_error(self, capsys):
+        # the closed-form product rejects restricted k even with --override
+        code = cli.main(["compute", "qe", "--d", "4", "--m", "2", "--lambda", "1", "--k", "4", "--override"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: k=4 exceeds")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_table_route_error_is_not_agreement(self, monkeypatch, capsys, fmt):
+        monkeypatch.setattr(factorization, "gjms_recursion", self.broken)
+        cli.main(["table", "gl", "--d", "3", "--m", "2", "--k", "1", "--format", fmt])
+        out = capsys.readouterr().out
+        if fmt == "json":
+            (cell,) = json.loads(out)
+            assert cell["errors"] == {"recursion": "injected defect"}
+            assert cell["all_agree"] is False
+        else:
+            row = out.splitlines()[1]
+            assert "error: injected defect" in row
+            assert row.endswith(",false")
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("args", list(GOLDEN_STDOUT), ids=lambda args: " ".join(args[:2]))
     def test_stdout_digest(self, args):

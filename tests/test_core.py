@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjms.core import AlgebraError, OrderShortfall, SigmaPoly, VariableMismatch, rat, rat_str
+from gjms.core import AlgebraError, OrderShortfall, SigmaPoly, VariableMismatch, binomial, rat, rat_str
 from gjms.series import (
     RHO,
     R,
@@ -25,6 +25,45 @@ def series8(coeff_lists):
 
 
 series_st = st.lists(sigma_polys, min_size=0, max_size=9).map(series8)
+unit_series_st = st.builds(
+    lambda order, tail: TruncatedSeries(RHO, [1] + tail[:order], order),
+    st.integers(0, 8),
+    st.lists(sigma_polys, max_size=8),
+)
+exponents = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+# Reference kernels: the textbook definitions the fast ones must reproduce.
+
+
+def naive_mul(a, b):
+    """Cauchy product, one SigmaPoly product and sum per pair of orders."""
+    n = min(a.order, b.order)
+    out = [SigmaPoly.zero()] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] = out[i + j] + a.coeffs[i] * b.coeffs[j]
+    return TruncatedSeries(a.var, out, n)
+
+
+def binomial_sum_rpow(s, e):
+    """(1 + u)**e as sum_n C(e, n) u**n, with u = s - 1."""
+    u = s - 1
+    acc = TruncatedSeries.constant(s.var, 1, s.order)
+    upow = TruncatedSeries.constant(s.var, 1, s.order)
+    for n in range(1, s.order + 1):
+        upow = naive_mul(upow, u)
+        acc = acc + binomial(e, n) * upow
+    return acc
+
+
+def full_order_solve(apply, divisor, levels, var):
+    """The order-by-order solve with apply always given order levels+1."""
+    coeffs = [SigmaPoly.one()]
+    for j in range(1, levels + 1):
+        partial = TruncatedSeries(var, coeffs, j - 1).as_exact(levels + 1)
+        coeffs.append(-apply(partial).coeff(j - 1) / divisor(j))
+    return TruncatedSeries(var, coeffs, levels).as_exact(levels + 1)
 
 
 class TestRationals:
@@ -153,6 +192,56 @@ class TestTruncatedSeries:
         n = 6
         lhs = TruncatedSeries.binomial_power(RHO, a, e1, n) * TruncatedSeries.binomial_power(RHO, a, e2, n)
         assert lhs == TruncatedSeries.binomial_power(RHO, a, e1 + e2, n)
+
+
+class TestKernelsMatchReferences:
+    @settings(max_examples=40, deadline=None)
+    @given(series_st, series_st)
+    def test_product_matches_the_double_loop(self, a, b):
+        assert a * b == naive_mul(a, b)
+
+    def test_product_of_sparse_series_of_different_orders(self):
+        a = TruncatedSeries(R, [0, 0, SigmaPoly([1, 2])], 6)
+        b = TruncatedSeries(R, [3, 0, 0, SigmaPoly([0, 0, F(1, 2)])], 4)
+        assert a * b == naive_mul(a, b)
+        assert (a * b).order == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(unit_series_st, exponents)
+    def test_rpow_matches_the_binomial_sum(self, s, e):
+        assert s.rpow(e) == binomial_sum_rpow(s, e)
+
+    @pytest.mark.parametrize("e", [F(-2), F(1, 2), F(5), F(-7, 3)])
+    def test_rpow_of_a_one_term_factor(self, e):
+        # the model factors 1 + a*rho and 1 - r^2/2 have one nonzero term
+        for s in (TruncatedSeries(RHO, [1, F(2, 3)], 1).as_exact(12),
+                  TruncatedSeries(R, [1, 0, F(-1, 2)], 2).as_exact(12)):
+            assert s.rpow(e) == binomial_sum_rpow(s, e)
+
+    @settings(max_examples=40, deadline=None)
+    @given(unit_series_st, exponents, exponents)
+    def test_rpow_adds_exponents(self, s, e1, e2):
+        assert s.rpow(e1) * s.rpow(e2) == s.rpow(e1 + e2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rationals,
+        rationals,
+        series_st,
+        series_st,
+        st.fractions(min_value=0, max_value=6, max_denominator=3),
+        st.integers(0, 7),
+    )
+    def test_solver_matches_the_full_order_solve(self, a, b0, b1, c, shift, levels):
+        # like the routes' operators, apply rebuilds its coefficients at the
+        # order of its input
+        def apply(p):
+            return apply_second_order(a, b0, b1.truncate(p.order), c.truncate(p.order), p)
+
+        def divisor(j):
+            return j * (j + shift)
+
+        assert solve_order_by_order(apply, divisor, levels, RHO) == full_order_solve(apply, divisor, levels, RHO)
 
 
 class TestSecondOrderOperator:

@@ -107,7 +107,7 @@ class TestCrossRouteReport:
         st.integers(2, 6),
         st.fractions(min_value=0, max_value=4, max_denominator=3),
         st.fractions(min_value=-2, max_value=2, max_denominator=3),
-        st.integers(1, 4),
+        st.integers(1, 8),
     )
     def test_every_route_matches_the_closed_form_on_random_backgrounds(self, qe, d, m, lam, k):
         assume(d + m != 2)
@@ -122,6 +122,20 @@ class TestCrossRouteReport:
         for name, route in rep.routes.items():
             assert route.poly == closed.poly, (bg.label(), k, name)
         assert rep.constant_check is True
+
+    @pytest.mark.parametrize(
+        "bg",
+        [Background.quasi_einstein(3, F(1, 2), F(2, 3)), Background.gover_leitner(4, F(3, 2))],
+        ids=("qe", "gl"),
+    )
+    def test_every_route_matches_the_closed_form_at_k16(self, bg):
+        closed = factorization_product(bg, 16).poly
+        rep = cross_route_report(bg, 16)
+        assert set(rep.routes) == set(ROUTES), rep.errors
+        for name, route in rep.routes.items():
+            assert route.poly == closed, name
+        assert rep.constant_check is True
+        assert rep.all_agree()
 
     def test_json_shape(self):
         data = cross_route_report(GL, 2).to_json()
