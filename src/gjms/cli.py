@@ -137,9 +137,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         except AlgebraError:
             continue
         cells.extend(cross_route_report(bg, k) for k in ks if not _restricted(bg, k))
+    status = 0 if all(cell.all_agree() for cell in cells) else 1
     if args.format == "json":
         sys.stdout.write(json.dumps([c.to_json() for c in cells]) + "\n")
-        return 0
+        return status
     writer = csv.writer(sys.stdout)
     writer.writerow(["kind", "d", "m", "lambda", "k", *ROUTES, "all_agree"])
     for cell in cells:
@@ -151,7 +152,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             else:
                 row.append(f"error: {cell.errors.get(name, 'unavailable')}")
         writer.writerow(row + [str(cell.all_agree()).lower()])
-    return 0
+    return status
 
 
 def _int_list(text: str) -> list[int]:
@@ -287,7 +288,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     chk = Checker()
     kmax = args.kmax
     if args.suite in ("all", "sl2"):
-        verify_sl2(chk, kmax if args.suite == "sl2" else min(kmax, 6))
+        verify_sl2(chk, kmax)
     if args.suite in ("all", "ambient"):
         verify_ambient(chk, kmax, inject_fault=args.inject_fault)
     if args.suite in ("all", "scattering"):

@@ -102,7 +102,11 @@ def route_polynomial(bg: Background, k: int, route: str, override: bool = False)
 
 
 def cross_route_report(bg: Background, k: int, override: bool = False) -> RouteReport:
-    """Run every construction route on one cell and compare them pairwise."""
+    """Run every construction route on one cell and compare them pairwise.
+
+    A route that raises is recorded in ``errors``: the message of an
+    ``AlgebraError``, ``"<Type>: <message>"`` for any other exception.
+    """
     routes: dict[str, GjmsPolynomial] = {}
     errors: dict[str, str] = {}
     for name in ROUTES:
@@ -110,6 +114,8 @@ def cross_route_report(bg: Background, k: int, override: bool = False) -> RouteR
             routes[name] = route_polynomial(bg, k, name, override)
         except AlgebraError as exc:
             errors[name] = str(exc)
+        except Exception as exc:  # a defect in the route, still one cell's error
+            errors[name] = f"{type(exc).__name__}: {exc}"
 
     constant_check: bool | None = None
     if "obstruction" in routes:

@@ -1,9 +1,18 @@
 """Noncommutative polynomials in x, h, y with sl(2) relations.
 
-The relations are [x, y] = h, [h, x] = 2x, [h, y] = -2y.  Oriented toward the
-PBW order x^a h^b y^c they give the rewriting system
+The relations are [x, y] = h, [h, x] = 2x, [h, y] = -2y.  The normal form is
+the PBW basis x^a h^b y^c.  A word is reduced letter by letter: the normal
+form of the prefix is a combination of monomials x^a h^b y^c, and appending
+one letter to a monomial has a closed form (y^c h = (h + 2c) y^c,
+y^c x = x y^c - c (h + c - 1) y^(c-1) and h^b x = x (h+2)^b):
 
-    y*x -> x*y - h,    h*x -> x*h + 2x,    y*h -> h*y + 2y.
+    x^a h^b y^c * y = x^a h^b y^(c+1)
+    x^a h^b y^c * h = x^a h^b (h + 2c) y^c
+    x^a h^b y^c * x = x^(a+1) (h+2)^b y^c - c x^a h^b (h + c - 1) y^(c-1)
+
+Like monomials are merged after every letter, so the cost is polynomial in
+the word length (see Kassel, Quantum Groups, GTM 155, for the PBW reordering
+in U(sl2)).
 
 Reading "mod Q" (= mod -4x) off a normal form means dropping every word that
 starts with x, which is why x comes first in the PBW order.
@@ -12,24 +21,18 @@ starts with x, which is why x comes first in the PBW order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, Mapping
 
 from .core import AlgebraError, RatLike, rat, rat_str
 
 Word = tuple[str, ...]
+Pbw = tuple[int, int, int]  # exponents (a, b, c) of x^a h^b y^c
 
 _GENERATORS = ("x", "h", "y")
 
 # PBW rank: a word is in normal form iff its letters are non-decreasing here.
 _RANK = {"x": 0, "h": 1, "y": 2}
-
-# word pair -> list of (replacement word, coefficient factor)
-_RULES: dict[Word, list[tuple[Word, Fraction]]] = {
-    ("y", "x"): [(("x", "y"), Fraction(1)), (("h",), Fraction(-1))],
-    ("h", "x"): [(("x", "h"), Fraction(1)), (("x",), Fraction(2))],
-    ("y", "h"): [(("h", "y"), Fraction(1)), (("y",), Fraction(2))],
-}
 
 
 class NcPoly:
@@ -137,22 +140,24 @@ class NcPoly:
     # -- normal form -----------------------------------------------------
 
     def normal_form(self) -> "NcPoly":
-        """Rewrite every word into PBW order x^a h^b y^c."""
-        acc: list[tuple[Word, Fraction]] = []
-        stack = list(self.terms.items())
-        while stack:
-            word, coeff = stack.pop()
-            i = _first_violation(word)
-            if i is None:
-                acc.append((word, coeff))
-                continue
-            head, tail = word[:i], word[i + 2 :]
-            for repl, factor in _RULES[word[i : i + 2]]:
-                stack.append((head + repl + tail, coeff * factor))
-        return NcPoly(acc)
+        """Rewrite every word into PBW order x^a h^b y^c.
+
+        Each word is appended letter by letter to a map of exponent triples
+        (a, b, c), using the three closed forms in the module docstring:
+        ``*y`` raises c, ``*h`` gives x^a h^b (h + 2c) y^c, and ``*x`` gives
+        x^(a+1) (h+2)^b y^c - c x^a h^b (h + c - 1) y^(c-1).
+        """
+        acc: dict[Pbw, Fraction] = {}
+        for word, coeff in self.terms.items():
+            prefix = {(0, 0, 0): coeff}
+            for letter in word:
+                prefix = _append(prefix, letter)
+            for key, c in prefix.items():
+                acc[key] = acc.get(key, 0) + c
+        return NcPoly((("x",) * a + ("h",) * b + ("y",) * c, v) for (a, b, c), v in acc.items())
 
     def is_normal(self) -> bool:
-        return all(_first_violation(w) is None for w in self.terms)
+        return all(_is_pbw(w) for w in self.terms)
 
     def substitute_h(self, value: RatLike) -> "NcPoly":
         """Replace the generator h by a scalar (valid on normal forms)."""
@@ -161,7 +166,7 @@ class NcPoly:
         for word, c in self.terms.items():
             n_h = sum(1 for letter in word if letter == "h")
             rest = tuple(letter for letter in word if letter != "h")
-            if n_h and _first_violation(word) is not None:
+            if n_h and not _is_pbw(word):
                 raise AlgebraError("h-substitution requires a PBW normal form")
             items.append((rest, c * val**n_h))
         return NcPoly(items)
@@ -191,11 +196,33 @@ def _as_nc(value: "NcPoly | RatLike") -> NcPoly:
     return NcPoly({(): rat(value)})
 
 
-def _first_violation(word: Word) -> int | None:
-    for i in range(len(word) - 1):
-        if _RANK[word[i]] > _RANK[word[i + 1]]:
-            return i
-    return None
+def _is_pbw(word: Word) -> bool:
+    """True iff the letters are non-decreasing in the PBW order x < h < y."""
+    return all(_RANK[a] <= _RANK[b] for a, b in zip(word, word[1:]))
+
+
+def _append(terms: dict[Pbw, Fraction], letter: str) -> dict[Pbw, Fraction]:
+    """(sum of coeff * x^a h^b y^c) * letter, again as PBW exponent triples."""
+    out: dict[Pbw, Fraction] = {}
+
+    def add(key: Pbw, c: Fraction) -> None:
+        out[key] = out.get(key, 0) + c
+
+    for (a, b, c), coeff in terms.items():
+        if letter == "y":
+            add((a, b, c + 1), coeff)
+        elif letter == "h":
+            add((a, b + 1, c), coeff)
+            if c:
+                add((a, b, c), 2 * c * coeff)
+        else:
+            for j in range(b + 1):  # h^b x = x (h+2)^b
+                add((a + 1, j, c), comb(b, j) * 2 ** (b - j) * coeff)
+            if c:  # - c x^a h^b (h + c - 1) y^(c-1)
+                add((a, b + 1, c - 1), -c * coeff)
+                if c > 1:
+                    add((a, b, c - 1), -c * (c - 1) * coeff)
+    return out
 
 
 def commutator(a: NcPoly, b: NcPoly) -> NcPoly:

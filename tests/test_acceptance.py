@@ -74,14 +74,14 @@ def qe_matrix():
 
 def test_criterion_1_sl2_identities():
     ok = jacobi_defect().is_zero()
-    for k in range(1, 7):
+    for k in range(1, 13):
         ok = ok and verify_commutator_identity("yk_x", k)[0]
         ok = ok and verify_commutator_identity("xk_y", k)[0]
         try:
             extract_Zk(k)  # re-verifies the corrected product identity internally
         except Exception:  # pragma: no cover - diagnostic path
             ok = False
-    report(1, "sl(2) commutator identities, corrected product identity, Jacobi, k <= 6", ok)
+    report(1, "sl(2) commutator identities, corrected product identity, Jacobi, k <= 12", ok)
 
 
 def test_criterion_2_extension_independence():

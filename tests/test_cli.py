@@ -102,6 +102,14 @@ class TestVerify:
         res = run_cli("verify", "sl2", "--kmax", "6")
         assert res.returncode == 0
 
+    def test_all_runs_sl2_to_kmax(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "verify_sl2", lambda chk, kmax: seen.append(kmax))
+        for suite in ("verify_ambient", "verify_scattering", "verify_green"):
+            monkeypatch.setattr(cli, suite, lambda *args, **kwargs: None)
+        assert cli.main(["verify", "all", "--kmax", "9"]) == 0
+        assert seen == [9]
+
     def test_byte_deterministic(self):
         first = run_cli("verify", "all", "--kmax", "2")
         second = run_cli("verify", "all", "--kmax", "2")
@@ -170,8 +178,9 @@ class TestRouteFailures:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_table_route_error_is_not_agreement(self, monkeypatch, capsys, fmt):
         monkeypatch.setattr(factorization, "gjms_recursion", self.broken)
-        cli.main(["table", "gl", "--d", "3", "--m", "2", "--k", "1", "--format", fmt])
+        code = cli.main(["table", "gl", "--d", "3", "--m", "2", "--k", "1", "--format", fmt])
         out = capsys.readouterr().out
+        assert code == 1
         if fmt == "json":
             (cell,) = json.loads(out)
             assert cell["errors"] == {"recursion": "injected defect"}
@@ -179,6 +188,26 @@ class TestRouteFailures:
         else:
             row = out.splitlines()[1]
             assert "error: injected defect" in row
+            assert row.endswith(",false")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_table_route_raising_any_exception_is_a_failed_cell(self, monkeypatch, capsys, fmt):
+        def divides_by_zero(*args, **kwargs):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(factorization, "gjms_recursion", divides_by_zero)
+        code = cli.main(["table", "gl", "--d", "3", "--m", "2", "--k", "1", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        if fmt == "json":
+            (cell,) = json.loads(captured.out)
+            assert cell["errors"] == {"recursion": "ZeroDivisionError: injected"}
+            assert cell["all_agree"] is False
+            assert set(cell["routes"]) == {"factorization", "iterated", "obstruction", "scattering"}
+        else:
+            row = captured.out.splitlines()[1]
+            assert "error: ZeroDivisionError: injected" in row
             assert row.endswith(",false")
 
 

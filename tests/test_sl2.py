@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from fractions import Fraction as F
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,6 @@ from hypothesis import strategies as st
 from gjms.core import AlgebraError
 from gjms.sl2 import (
     NcPoly,
-    _RULES,
-    _first_violation,
     commutator,
     extract_Zk,
     falling_h_product,
@@ -20,24 +20,32 @@ from gjms.sl2 import (
 
 X, H, Y = NcPoly.x(), NcPoly.h(), NcPoly.y()
 
+# The sl(2) relations oriented toward the PBW order x < h < y, as a rewriting
+# system: word pair -> list of (replacement word, coefficient factor).
+RULES: dict[tuple[str, ...], list[tuple[tuple[str, ...], F]]] = {
+    ("y", "x"): [(("x", "y"), F(1)), (("h",), F(-1))],
+    ("h", "x"): [(("x", "h"), F(1)), (("x",), F(2))],
+    ("y", "h"): [(("h", "y"), F(1)), (("y",), F(2))],
+}
+
 
 def random_order_normal_form(p: NcPoly, rng: random.Random) -> NcPoly:
-    """Independent reducer: applies the same rewriting rules, but picks the
-    term and the violation position at random instead of using a fixed stack
-    discipline.  Agreement with normal_form over random inputs is the
-    confluence check."""
+    """Reference reducer, independent of the closed-form kernel: applies the
+    rewriting rules one adjacent pair at a time, picking the term and the
+    violation position at random.  Agreement with normal_form over random
+    inputs checks both the kernel and the confluence of the rules."""
     done: list[tuple[tuple[str, ...], F]] = []
     work = list(p.terms.items())
     while work:
         word, coeff = work.pop(rng.randrange(len(work)))
         violations = [
-            i for i in range(len(word) - 1) if word[i : i + 2] in _RULES
+            i for i in range(len(word) - 1) if word[i : i + 2] in RULES
         ]
         if not violations:
             done.append((word, coeff))
             continue
         i = rng.choice(violations)
-        for repl, factor in _RULES[word[i : i + 2]]:
+        for repl, factor in RULES[word[i : i + 2]]:
             work.append((word[:i] + repl + word[i + 2 :], coeff * factor))
     return NcPoly(done)
 
@@ -84,6 +92,29 @@ class TestRelations:
             p = random_ncpoly(rng)
             assert random_order_normal_form(p, rng) == p.normal_form()
 
+    @settings(max_examples=60)
+    @given(st.lists(st.sampled_from("xhy"), max_size=8), st.integers(0, 10**6))
+    def test_normal_form_matches_rule_rewriting(self, letters, seed):
+        p = NcPoly({tuple(letters): 1})
+        assert p.normal_form() == random_order_normal_form(p, random.Random(seed))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_append_formulas(self, n):
+        # y^n h = (h + 2n) y^n,  y^n x = x y^n - n (h + n - 1) y^(n-1),  h^n x = x (h+2)^n
+        assert (Y**n * H).normal_form() == H * Y**n + 2 * n * Y**n
+        if n:
+            want = X * Y**n - n * H * Y ** (n - 1) - n * (n - 1) * Y ** (n - 1)
+            assert (Y**n * X).normal_form() == want
+        assert (H**n * X).normal_form() == (X * (H + 2) ** n).normal_form()
+
+    def test_is_normal_is_the_pbw_rank_order(self):
+        assert NcPoly({("x", "x", "h", "y", "y"): 1, (): 3}).is_normal()
+        for word in (("h", "x"), ("y", "x"), ("y", "h"), ("x", "y", "h")):
+            assert not NcPoly({word: 1}).is_normal()
+        with pytest.raises(AlgebraError):
+            NcPoly({("y", "h"): 1}).substitute_h(2)
+        assert NcPoly({("x", "h", "h", "y"): 3}).substitute_h(2) == NcPoly({("x", "y"): 12})
+
     @settings(max_examples=30)
     @given(st.integers(0, 10**6))
     def test_normal_form_is_linear(self, seed):
@@ -93,12 +124,12 @@ class TestRelations:
 
 
 class TestCommutatorIdentities:
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 13))
     def test_yk_x(self, k):
         ok, witness = verify_commutator_identity("yk_x", k)
         assert ok, str(witness)
 
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 13))
     def test_xk_y(self, k):
         ok, witness = verify_commutator_identity("xk_y", k)
         assert ok, str(witness)
@@ -113,11 +144,22 @@ class TestCommutatorIdentities:
 
 
 class TestZkExtraction:
-    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("k", range(1, 13))
     def test_closure(self, k):
         # extract_Zk internally reverifies
         #   y^(k-1) x^(k-1) = (-1)^(k-1)(k-1)! h(h+1)...(h+k-2) + x Z_k
         extract_Zk(k)
+
+    def test_digests_match_the_benchmark_pins(self):
+        # benchmarks/ is not a package, so load workloads.py by path
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        pins = workloads.Sl2Kernel.zk_sha256
+        assert sorted(pins) == list(range(1, 7))
+        for k, digest in pins.items():
+            assert workloads.nc_digest(extract_Zk(k)) == digest, k
 
     def test_z1_z2(self):
         assert extract_Zk(1).is_zero()
