@@ -80,8 +80,14 @@ def _parse_background(args: argparse.Namespace) -> Background:
     return Background.gover_leitner(args.d, rat(args.m))
 
 
+def _positive_k(k: int) -> int:
+    if k < 1:
+        raise AlgebraError("k must be a positive integer")
+    return k
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
-    ks = list(range(1, args.kmax + 1)) if args.kmax else [args.k]
+    ks = [args.k] if args.kmax is None else list(range(1, _positive_k(args.kmax) + 1))
     # Restriction is a function of (d, m, k) alone; report it before any
     # complaint about missing background parameters.
     for k in sorted(ks):
@@ -285,8 +291,8 @@ def verify_green(chk: Checker, kmax: int) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    kmax = _positive_k(args.kmax)
     chk = Checker()
-    kmax = args.kmax
     if args.suite in ("all", "sl2"):
         verify_sl2(chk, kmax)
     if args.suite in ("all", "ambient"):

@@ -56,14 +56,17 @@ def binomial(e: Fraction, n: int) -> Fraction:
 class SigmaPoly:
     """Polynomial in sigma with exact rational coefficients, ascending order.
 
-    Canonical form: no trailing zero coefficients.  The zero polynomial has an
-    empty coefficient tuple and degree ``None``.
+    Canonical form: no trailing zero coefficients, each a ``Fraction``.  The
+    zero polynomial has an empty coefficient tuple and degree ``None``.  The
+    constructor coerces only entries that are not already ``Fraction``s (the
+    integer-row series product hands it finished ones), and a product with a
+    scalar or a constant polynomial scales without a convolution.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [rat(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
@@ -101,9 +104,10 @@ class SigmaPoly:
     def __add__(self, other: "SigmaPoly | RatLike") -> "SigmaPoly":
         if not isinstance(other, (SigmaPoly, Fraction, int, str)):
             return NotImplemented
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SigmaPoly(self.coeff(i) + other.coeff(i) for i in range(n))
+        a, b = self.coeffs, _as_poly(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return SigmaPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
@@ -122,8 +126,11 @@ class SigmaPoly:
         if not isinstance(other, SigmaPoly):
             if not isinstance(other, (Fraction, int, str)):
                 return NotImplemented
-            c = rat(other)
-            return SigmaPoly(c * a for a in self.coeffs)
+            return self._scaled(rat(other))
+        if len(other.coeffs) == 1:
+            return self._scaled(other.coeffs[0])
+        if len(self.coeffs) == 1:
+            return other._scaled(self.coeffs[0])
         if self.is_zero() or other.is_zero():
             return SigmaPoly()
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -133,6 +140,9 @@ class SigmaPoly:
         return SigmaPoly(out)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Fraction) -> "SigmaPoly":
+        return SigmaPoly([c * a for a in self.coeffs] if c else ())
 
     def __truediv__(self, scalar: RatLike) -> "SigmaPoly":
         c = rat(scalar)

@@ -10,6 +10,7 @@ known to be polynomials (all higher coefficients identically zero).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Union
 
 from .core import (
@@ -38,6 +39,14 @@ class ObstructedWeight(AlgebraError):
 
 def _as_sp(value: CoeffLike) -> SigmaPoly:
     return value if isinstance(value, SigmaPoly) else SigmaPoly.const(rat(value))
+
+
+def _integer_rows(coeffs: Iterable[SigmaPoly]) -> tuple[int, list[tuple[int, list[int]]]]:
+    """The lcm D of every coefficient denominator, and the nonzero rows as
+    (series order, [D * coefficient as int, ...])."""
+    rows = [(i, c.coeffs) for i, c in enumerate(coeffs) if c.coeffs]
+    d = lcm(*(x.denominator for _, cs in rows for x in cs))
+    return d, [(i, [x.numerator * (d // x.denominator) for x in cs]) for i, cs in rows]
 
 
 class TruncatedSeries:
@@ -139,14 +148,20 @@ class TruncatedSeries:
         return TruncatedSeries.constant(self.var, other, self.order) + (-self)
 
     def __mul__(self, other: "TruncatedSeries | CoeffLike") -> "TruncatedSeries":
+        """Product truncated at the lower of the two orders.
+
+        Integer rows: each operand's prefix is scaled once to ints over the
+        lcm D of its sigma-coefficient denominators, one convolution over
+        (series order, sigma degree) runs on the ints, trailing zeros are
+        dropped as ints, and each output coefficient is one
+        Fraction(num, Da*Db), normalized once.
+        """
         if not isinstance(other, TruncatedSeries):
             c = _as_sp(other)
             return TruncatedSeries(self.var, [c * a for a in self.coeffs], self.order)
         n = self._common(other)
-        # One convolution over (series order, sigma degree) into Fraction
-        # rows; each SigmaPoly is built once, from its finished row.
-        lhs = [(i, a.coeffs) for i, a in enumerate(self.coeffs[: n + 1]) if a.coeffs]
-        rhs = [(j, b.coeffs) for j, b in enumerate(other.coeffs[: n + 1]) if b.coeffs]
+        da, lhs = _integer_rows(self.coeffs[: n + 1])
+        db, rhs = _integer_rows(other.coeffs[: n + 1])
         if not lhs or not rhs:
             return TruncatedSeries.zero(self.var, n)
         width = max(len(c) for _, c in lhs) + max(len(c) for _, c in rhs) - 1
@@ -159,7 +174,13 @@ class TruncatedSeries:
                 for p, x in enumerate(ac):
                     for q, y in enumerate(bc):
                         row[p + q] += x * y
-        return TruncatedSeries(self.var, [SigmaPoly(row) for row in rows], n)
+        den = da * db
+        for row in rows:
+            while row and not row[-1]:
+                row.pop()
+        return TruncatedSeries(
+            self.var, [SigmaPoly([Fraction(x, den) for x in row]) for row in rows], n
+        )
 
     __rmul__ = __mul__
 
@@ -202,6 +223,8 @@ class TruncatedSeries:
         coefficients of self and p those of the power, p_0 = 1 and
         n p_n = sum_{i=1..n} ((e+1) i - n) a_i p_(n-i).  The sum runs over the
         nonzero a_i only, so a factor 1 + a*v costs O(N) coefficient products.
+        The rational ((e+1) i - n) / n is folded into a_i first, so each
+        p_(n-i) is scaled once and p_n needs no division.
         """
         if self.coeffs[0] != SigmaPoly.one():
             raise AlgebraError("rational power needs constant term 1")
@@ -213,8 +236,8 @@ class TruncatedSeries:
             for i, a in terms:
                 if i > n:
                     break
-                acc = acc + ((e + 1) * i - n) * (a * p[n - i])
-            p.append(acc / n)
+                acc = acc + (((e + 1) * i - n) / n * a) * p[n - i]
+            p.append(acc)
         return TruncatedSeries(self.var, p, self.order)
 
     def reciprocal(self) -> "TruncatedSeries":

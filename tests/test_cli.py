@@ -76,6 +76,15 @@ class TestCompute:
         assert res.returncode == 0
         assert res.stdout == "sigma^4\n"
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("k", [("--kmax", "0"), ("--kmax", "-1"), ("--k", "0"), ("--k", "-1")])
+    def test_nonpositive_k_is_usage_error(self, k, fmt, capsys):
+        code = cli.main(["compute", "gl", "--d", "3", "--m", "2", *k, "--format", fmt])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err == "error: k must be a positive integer\n"
+
 
 class TestVerify:
     def test_all_passes(self):
@@ -101,6 +110,15 @@ class TestVerify:
     def test_sl2_deep(self):
         res = run_cli("verify", "sl2", "--kmax", "6")
         assert res.returncode == 0
+
+    @pytest.mark.parametrize("suite", ["all", "sl2", "ambient", "scattering", "green"])
+    @pytest.mark.parametrize("kmax", ["0", "-1"])
+    def test_nonpositive_kmax_is_usage_error(self, suite, kmax, capsys):
+        code = cli.main(["verify", suite, "--kmax", kmax])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err == "error: k must be a positive integer\n"
 
     def test_all_runs_sl2_to_kmax(self, monkeypatch, capsys):
         seen = []

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +55,26 @@ def binomial_sum_rpow(s, e):
         upow = naive_mul(upow, u)
         acc = acc + binomial(e, n) * upow
     return acc
+
+
+def rows_mul(a, b):
+    """Cauchy product of two series given as rows list[list[Fraction]] (one
+    ascending sigma-coefficient list per series order), truncated at the
+    lower order, with trailing zeros trimmed; plain Fraction arithmetic only."""
+    n = min(len(a), len(b)) - 1
+    out = [[] for _ in range(n + 1)]
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            row = out[i + j]
+            for p, x in enumerate(a[i]):
+                for q, y in enumerate(b[j]):
+                    while len(row) <= p + q:
+                        row.append(F(0))
+                    row[p + q] += x * y
+    for row in out:
+        while row and row[-1] == 0:
+            row.pop()
+    return out
 
 
 def full_order_solve(apply, divisor, levels, var):
@@ -162,6 +182,13 @@ class TestTruncatedSeries:
         b = TruncatedSeries(RHO, [1], 3)
         assert (a * b).order == 3
 
+    def test_scalar_add_and_mul(self):
+        a = TruncatedSeries(RHO, [1, SigmaPoly([0, 2])], 2)
+        assert a + 3 == 3 + a == TruncatedSeries(RHO, [4, SigmaPoly([0, 2])], 2)
+        assert a * 3 == 3 * a == TruncatedSeries(RHO, [3, SigmaPoly([0, 6])], 2)
+        assert a * SigmaPoly.sigma() == TruncatedSeries(RHO, [SigmaPoly([0, 1]), SigmaPoly([0, 0, 2])], 2)
+        assert (a * 0).is_zero() and (a * 0).order == 2
+
     def test_mul_var_gains_an_order(self):
         a = TruncatedSeries(RHO, [1, 2], 2)
         assert a.mul_var().order == 3
@@ -194,7 +221,44 @@ class TestTruncatedSeries:
         assert lhs == TruncatedSeries.binomial_power(RHO, a, e1 + e2, n)
 
 
+def _is_prime(p):
+    return p > 1 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
+# Small primes and primes just below 10^6: distinct ones are pairwise coprime,
+# so a common denominator of a few of them is large.
+PRIMES = [p for p in range(2, 40) if _is_prime(p)] + [p for p in range(999_000, 1_000_000) if _is_prime(p)]
+big = st.integers(2**64, 2**96)
+hard_rationals = st.builds(
+    F, st.one_of(st.integers(-3, 3), big, big.map(lambda x: -x)), st.sampled_from(PRIMES)
+)
+
+
+@st.composite
+def hard_rows(draw):
+    """Rows of an order-0..8 series with sigma-degrees 0..4 of their own, and
+    zero rows forced at the start, the middle or the end."""
+    order = draw(st.integers(0, 8))
+    rows = [draw(st.lists(hard_rationals, max_size=5)) for _ in range(order + 1)]
+    for at in draw(st.sets(st.sampled_from([0, order // 2, order]))):
+        rows[at] = draw(st.sampled_from([[], [F(0)], [F(0), F(0)]]))
+    return rows
+
+
+def as_series(rows):
+    return TruncatedSeries(RHO, [SigmaPoly(r) for r in rows], len(rows) - 1)
+
+
 class TestKernelsMatchReferences:
+    @settings(max_examples=150, deadline=None)
+    @given(hard_rows(), hard_rows())
+    def test_integer_row_product_matches_fraction_rows(self, a, b):
+        prod = as_series(a) * as_series(b)
+        assert prod.order == min(len(a), len(b)) - 1
+        assert [list(c.coeffs) for c in prod.coeffs] == rows_mul(a, b)
+        for c in prod.coeffs:
+            assert all(type(x) is F and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1 for x in c.coeffs)
+
     @settings(max_examples=40, deadline=None)
     @given(series_st, series_st)
     def test_product_matches_the_double_loop(self, a, b):
@@ -280,6 +344,74 @@ class TestSecondOrderOperator:
         with pytest.raises(ObstructedWeight) as exc:
             solve_order_by_order(lambda p: apply_second_order(0, 1, zero, zero, p), lambda j: j - 3, 6, RHO)
         assert exc.value.level == 3
+
+
+mixed_scalars = st.one_of(
+    st.integers(-5, 5),
+    rationals,
+    rationals.map(str),
+    st.sampled_from([0, "0", " 0/7 ", F(0)]),
+)
+
+
+def assert_canonical(p, expected):
+    """p is the polynomial with ascending coefficients `expected` (rationals,
+    trailing zeros allowed), in canonical form."""
+    want = [F(x) for x in expected]
+    while want and want[-1] == 0:
+        want.pop()
+    assert not p.coeffs or p.coeffs[-1] != 0
+    assert all(type(x) is F for x in p.coeffs)
+    assert list(p.coeffs) == want
+    slow = SigmaPoly(want)
+    assert p == slow and hash(p) == hash(slow)
+
+
+class TestSigmaPolyCanonicalForm:
+    @settings(max_examples=60)
+    @given(st.lists(mixed_scalars, max_size=6))
+    def test_init_on_mixed_input(self, items):
+        assert_canonical(SigmaPoly(items), [F(x.strip()) if isinstance(x, str) else x for x in items])
+
+    @settings(max_examples=60)
+    @given(sigma_polys, mixed_scalars)
+    def test_scalar_product_both_orders(self, p, c):
+        value = F(c.strip()) if isinstance(c, str) else F(c)
+        expected = [value * x for x in p.coeffs]
+        assert_canonical(p * c, expected)
+        assert_canonical(c * p, expected)
+        if value == 0:
+            assert (p * c).is_zero()
+
+    @settings(max_examples=60)
+    @given(sigma_polys, rationals)
+    def test_constant_polynomial_product_both_orders(self, p, c):
+        expected = [c * x for x in p.coeffs]
+        assert_canonical(SigmaPoly([c]) * p, expected)
+        assert_canonical(p * SigmaPoly([c]), expected)
+        if c == 0:
+            assert (SigmaPoly([c]) * p).is_zero() and (p * SigmaPoly([c])).is_zero()
+
+    @settings(max_examples=60)
+    @given(sigma_polys, sigma_polys, st.integers(0, 3))
+    def test_add_unequal_lengths_and_cancelling_leading_terms(self, p, q, pad):
+        expected = [p.coeff(i) + q.coeff(i) for i in range(max(len(p.coeffs), len(q.coeffs)))]
+        assert_canonical(p + q, expected)
+        # the top terms of r cancel in (p + r) + (-r), leaving p
+        r = SigmaPoly(list(q.coeffs) + [1] * pad)
+        assert_canonical((p + r) + (-r), p.coeffs)
+
+    def test_pinned_fast_paths(self):
+        p = SigmaPoly([1, F(1, 2), -3])
+        assert_canonical(p * 0, [])
+        assert_canonical(SigmaPoly([0]) * p, [])
+        assert_canonical(p * SigmaPoly.zero(), [])
+        assert_canonical(p * "-2/3", [F(-2, 3), F(-1, 3), 2])
+        assert_canonical(SigmaPoly([2]) * SigmaPoly([3]), [6])
+        assert_canonical(p + SigmaPoly([0, 0, 3, 5]), [1, F(1, 2), 0, 5])
+        assert_canonical(p + SigmaPoly([-1, F(-1, 2), 3]), [])
+        assert_canonical(SigmaPoly([0, 1, 2]) + SigmaPoly([5, 0, -2]), [5, 1])
+        assert_canonical(SigmaPoly([F(2, 4), "3/6", " 0 ", 0, "0/9"]), [F(1, 2), F(1, 2)])
 
 
 class TestLogSeries:
