@@ -25,7 +25,7 @@ from math import factorial
 from typing import Any
 
 from .backgrounds import Background
-from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, rat, rat_str
+from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, positive_k, rat, rat_str
 from .series import (
     RHO,
     ObstructedWeight,
@@ -36,7 +36,8 @@ from .series import (
 
 
 class RestrictionError(AlgebraError):
-    """k exceeds (d+m)/2 with d+m an even integer, and no override was given."""
+    """k exceeds (d+m)/2 with d+m an even integer, and no override was given;
+    raised by ``route_polynomial`` and the CLI, never by a construction."""
 
 
 ROUTES = ("factorization", "iterated", "recursion", "obstruction", "scattering")
@@ -95,22 +96,23 @@ def critical_weight(bg: Background, k: int) -> Fraction:
     return -bg.dm / 2 + rat(k)
 
 
-def check_k_restriction_dm(dm: RatLike, k: int, override: bool = False) -> None:
-    """Reject k > (d+m)/2 when d+m is an even positive integer, unless overridden."""
-    if k < 1:
-        raise AlgebraError("k must be a positive integer")
+def beyond_paper_range(dm: RatLike, k: int) -> bool:
+    """True when d+m is an even integer and k > (d+m)/2, outside the range in
+    which the paper proves the factorization."""
     dm = rat(dm)
-    if override:
-        return
-    if dm.denominator == 1 and dm.numerator % 2 == 0 and k > dm / 2:
+    return dm.denominator == 1 and dm.numerator % 2 == 0 and k > dm / 2
+
+
+def check_k_restriction_dm(dm: RatLike, k: int, override: bool = False) -> None:
+    """The paper's range, stated once: reject k < 1, and k > (d+m)/2 for an even
+    integer d+m unless overridden.  Only ``route_polynomial`` and the CLI apply
+    it; the constructions and closed-form products compute any k >= 1."""
+    positive_k(k)
+    if not override and beyond_paper_range(dm, k):
         raise RestrictionError(
-            f"k={k} exceeds (d+m)/2={rat_str(dm / 2)} with d+m even; "
+            f"k={k} exceeds (d+m)/2={rat_str(rat(dm) / 2)} with d+m even; "
             "pass the override flag to compute anyway"
         )
-
-
-def check_k_restriction(bg: Background, k: int, override: bool = False) -> None:
-    check_k_restriction_dm(bg.dm, k, override)
 
 
 def ambient_laplacian(bg: Background, func: HomogeneousFunction) -> HomogeneousFunction:
@@ -169,18 +171,17 @@ def gjms_iterated(
     bg: Background,
     k: int,
     perturbation: TruncatedSeries | None = None,
-    override: bool = False,
 ) -> GjmsPolynomial:
     """Iterated route: k-fold ambient Laplacian at the invariant weight."""
-    check_k_restriction(bg, k, override)
+    positive_k(k)
     poly = iterate_at_weight(bg, critical_weight(bg, k), k, perturbation)
     return GjmsPolynomial(k, bg, "iterated", poly)
 
 
-def gjms_recursion(bg: Background, k: int, override: bool = False) -> GjmsPolynomial:
+def gjms_recursion(bg: Background, k: int) -> GjmsPolynomial:
     """Jet-recursion route: solve the profile jets order by order, then read
     the operator off the order-(k-1) jet with normalization c_k."""
-    check_k_restriction(bg, k, override)
+    positive_k(k)
     w = critical_weight(bg, k)
     t = bg.trace_term(RHO, k)
     b1 = -2 * t
@@ -218,11 +219,11 @@ def harmonic_extension(bg: Background, w: RatLike, order: int) -> HomogeneousFun
     return HomogeneousFunction(w, _solve_extension_jets(bg, w, order).truncate(order))
 
 
-def obstruction(bg: Background, k: int, override: bool = False) -> GjmsPolynomial:
+def obstruction(bg: Background, k: int) -> GjmsPolynomial:
     """Obstruction route: apply the ambient Laplacian once to the partial
     harmonic extension and read the Q^(k-1) coefficient (rho^(k-1) over
     2^(k-1), since Q = 2 rho t^2)."""
-    check_k_restriction(bg, k, override)
+    positive_k(k)
     w = critical_weight(bg, k)
     prof = _solve_extension_jets(bg, w, k - 1)
     image = ambient_laplacian(bg, HomogeneousFunction(w, prof))

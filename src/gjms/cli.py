@@ -21,18 +21,17 @@ from typing import Callable
 
 from .ambient import (
     ROUTES,
-    check_k_restriction,
+    beyond_paper_range,
     check_k_restriction_dm,
     critical_weight,
     gjms_iterated,
     harmonic_extension,
     iterated_vs_obstruction_constant,
     random_admissible_perturbation,
-    RestrictionError,
     ambient_laplacian,
 )
 from .backgrounds import Background, verify_spaceform_conditions
-from .core import AlgebraError, rat, rat_str
+from .core import AlgebraError, positive_k, rat, rat_str
 from .factorization import cross_route_report, route_polynomial
 from .scattering import (
     gjms_route_scattering,
@@ -62,14 +61,6 @@ GREEN_MATRIX = (
 )
 
 
-def _restricted(bg: Background, k: int) -> bool:
-    try:
-        check_k_restriction(bg, k)
-    except RestrictionError:
-        return True
-    return False
-
-
 def _parse_background(args: argparse.Namespace) -> Background:
     if args.kind == "qe":
         if args.lam is None:
@@ -80,14 +71,8 @@ def _parse_background(args: argparse.Namespace) -> Background:
     return Background.gover_leitner(args.d, rat(args.m))
 
 
-def _positive_k(k: int) -> int:
-    if k < 1:
-        raise AlgebraError("k must be a positive integer")
-    return k
-
-
 def cmd_compute(args: argparse.Namespace) -> int:
-    ks = [args.k] if args.kmax is None else list(range(1, _positive_k(args.kmax) + 1))
+    ks = [args.k] if args.kmax is None else list(range(1, positive_k(args.kmax) + 1))
     # Restriction is a function of (d, m, k) alone; report it before any
     # complaint about missing background parameters.
     for k in sorted(ks):
@@ -98,8 +83,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
         results = [
             route_polynomial(bg, k, route, args.override) for k in sorted(ks) for route in sorted(routes)
         ]
-    except RestrictionError:
-        raise  # the closed-form product refuses restricted k even with --override
     except Exception as exc:  # the input was valid, so the route is at fault
         traceback.print_exc(file=sys.stderr)
         sys.stderr.write(f"error: internal defect: {type(exc).__name__}: {exc}\n")
@@ -134,15 +117,18 @@ def cmd_spaceform(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    ds, ms, ks = _int_list(args.d), _rat_list(args.m), _int_list(args.k)
+    ds, ms, ks = _int_list(args.d), _rat_list(args.m), [positive_k(k) for k in _int_list(args.k)]
     lams = _rat_list(args.lam) if args.kind == "qe" else [None]
+    grid = list(product(ds, ms, lams))
     cells = []
-    for d, m, lam in product(ds, ms, lams):
+    for d, m, lam in grid:
         try:
             bg = Background.quasi_einstein(d, m, lam) if args.kind == "qe" else Background.gover_leitner(d, m)
         except AlgebraError:
             continue
-        cells.extend(cross_route_report(bg, k) for k in ks if not _restricted(bg, k))
+        cells.extend(cross_route_report(bg, k) for k in ks if not beyond_paper_range(bg.dm, k))
+    if grid and ks and not cells:
+        raise AlgebraError("no admissible cell: every background is invalid or every k exceeds (d+m)/2")
     status = 0 if all(cell.all_agree() for cell in cells) else 1
     if args.format == "json":
         sys.stdout.write(json.dumps([c.to_json() for c in cells]) + "\n")
@@ -246,7 +232,7 @@ def verify_ambient(chk: Checker, kmax: int, inject_fault: bool = False) -> None:
     corrupt = inject_fault
     for bg in VERIFY_MATRIX:
         for k in range(1, kmax + 1):
-            if _restricted(bg, k):
+            if beyond_paper_range(bg.dm, k):
                 continue
             chk.check(f"routes agree on {bg.label()} k={k}", lambda: routes_agree(bg, k, corrupt))
             corrupt = False
@@ -271,7 +257,7 @@ def verify_scattering(chk: Checker, kmax: int) -> None:
 
     for bg in VERIFY_MATRIX:
         for k in range(1, min(kmax, 3) + 1):
-            if _restricted(bg, k):
+            if beyond_paper_range(bg.dm, k):
                 continue
             chk.check(f"odd radial coefficients vanish on {bg.label()} k={k}", lambda: odd_vanish(bg, k))
             chk.check(f"scattering route equals iterated on {bg.label()} k={k}", lambda: equals_iterated(bg, k))
@@ -285,13 +271,13 @@ def verify_green(chk: Checker, kmax: int) -> None:
 
     for bg in GREEN_MATRIX:
         for k in range(1, min(kmax, 2) + 1):
-            if _restricted(bg, k):
+            if beyond_paper_range(bg.dm, k):
                 continue
             chk.check(f"log-coefficient pairing is symmetric on {bg.label()} k={k}", lambda: symmetric(bg, k))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    kmax = _positive_k(args.kmax)
+    kmax = positive_k(args.kmax)
     chk = Checker()
     if args.suite in ("all", "sl2"):
         verify_sl2(chk, kmax)

@@ -44,13 +44,11 @@ def rat_str(value: RatLike) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def binomial(e: Fraction, n: int) -> Fraction:
-    """Generalized binomial coefficient C(e, n) for rational e."""
-    num = Fraction(1)
-    for i in range(n):
-        num *= e - i
-        num /= i + 1
-    return num
+def positive_k(k: int) -> int:
+    """Return k, or raise unless it is a positive integer (the one k >= 1 check)."""
+    if k < 1:
+        raise AlgebraError("k must be a positive integer")
+    return k
 
 
 class SigmaPoly:
@@ -178,10 +176,6 @@ class SigmaPoly:
     def to_strings(self) -> list[str]:
         """Ascending coefficient array of "p/q" strings."""
         return [rat_str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, items: Iterable[str]) -> "SigmaPoly":
-        return cls(rat(s) for s in items)
 
     def __str__(self) -> str:
         if self.is_zero():

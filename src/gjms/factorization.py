@@ -8,14 +8,14 @@ from typing import Any
 from .ambient import (
     ROUTES,
     GjmsPolynomial,
-    check_k_restriction,
+    check_k_restriction_dm,
     gjms_iterated,
     gjms_recursion,
     iterated_vs_obstruction_constant,
     obstruction,
 )
 from .backgrounds import GOVER_LEITNER, QUASI_EINSTEIN, Background
-from .core import AlgebraError, RatLike, SigmaPoly, rat
+from .core import AlgebraError, RatLike, SigmaPoly, positive_k, rat
 from .scattering import gjms_route_scattering
 
 
@@ -23,7 +23,7 @@ def qe_product(d: int, m: RatLike, lam: RatLike, k: int) -> GjmsPolynomial:
     """Quasi-Einstein product: over l = 0..k-1, factors
     sigma + 2*lam*(-(d+m)/2 + k - 2l)*((d+m)/2 + k - 1 - 2l)."""
     bg = Background.quasi_einstein(d, m, lam)
-    check_k_restriction(bg, k)
+    positive_k(k)
     dm = bg.dm
     poly = SigmaPoly.one()
     for l in range(k):
@@ -36,7 +36,7 @@ def gl_product(d: int, m: RatLike, k: int) -> GjmsPolynomial:
     """Gover-Leitner product: over j = 0..k-1, factors
     sigma + (2k - 4j - d - m)*(2 - d + m - 2k + 4j)/4."""
     bg = Background.gover_leitner(d, m)
-    check_k_restriction(bg, k)
+    positive_k(k)
     dm = bg.dm
     poly = SigmaPoly.one()
     for j in range(k):
@@ -87,17 +87,19 @@ class RouteReport:
 
 def route_polynomial(bg: Background, k: int, route: str, override: bool = False) -> GjmsPolynomial:
     """One route's polynomial; the obstruction route is returned raw, without
-    the (-4)^(k-1) ((k-1)!)^2 normalization."""
+    the (-4)^(k-1) ((k-1)!)^2 normalization.  The one place the library
+    applies the paper's range (``check_k_restriction_dm``), to every route."""
+    check_k_restriction_dm(bg.dm, k, override)
     if route == "factorization":
         return factorization_product(bg, k)
     if route == "iterated":
-        return gjms_iterated(bg, k, override=override)
+        return gjms_iterated(bg, k)
     if route == "recursion":
-        return gjms_recursion(bg, k, override=override)
+        return gjms_recursion(bg, k)
     if route == "obstruction":
-        return obstruction(bg, k, override=override)
+        return obstruction(bg, k)
     if route == "scattering":
-        return gjms_route_scattering(bg, k, override=override)
+        return gjms_route_scattering(bg, k)
     raise AlgebraError(f"unknown route {route!r}")
 
 

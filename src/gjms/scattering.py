@@ -26,9 +26,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Any
 
-from .ambient import GjmsPolynomial, check_k_restriction
+from .ambient import GjmsPolynomial
 from .backgrounds import Background
-from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, rat, rat_str
+from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, positive_k, rat, rat_str
 from .series import R, LogSeries, TruncatedSeries, apply_second_order, solve_order_by_order
 
 SCATTERING_SIGN = Fraction(-1)
@@ -95,10 +95,10 @@ def apply_Ds(bg: Background, s: RatLike, u: LogSeries) -> LogSeries:
     return LogSeries(reg + cross.truncate(n - 1), logpart)
 
 
-def scattering_solve(bg: Background, k: int, override: bool = False) -> ScatteringSolution:
+def scattering_solve(bg: Background, k: int) -> ScatteringSolution:
     """Solve the radial expansion through order 2k-1 and extract the log
     coefficient at order 2k."""
-    check_k_restriction(bg, k, override)
+    positive_k(k)
     s = bg.dm / 2 + k
     v = solve_order_by_order(
         lambda series: _ds_plain(bg, s, series), lambda j: j * (2 * k - j), 2 * k - 1, R
@@ -120,10 +120,10 @@ def residual_with_log(bg: Background, sol: ScatteringSolution) -> LogSeries:
     return apply_Ds(bg, sol.s, LogSeries(regular, logpart))
 
 
-def gjms_route_scattering(bg: Background, k: int, override: bool = False) -> GjmsPolynomial:
+def gjms_route_scattering(bg: Background, k: int) -> GjmsPolynomial:
     """Scattering route: the order-2k log coefficient, normalized by d_k and
     the pinned global sign."""
-    sol = scattering_solve(bg, k, override)
+    sol = scattering_solve(bg, k)
     poly = SCATTERING_SIGN * sol.log_coeff / log_normalization(k)
     return GjmsPolynomial(k, bg, "scattering", poly)
 
@@ -145,9 +145,7 @@ class GreensLogReport:
         }
 
 
-def greens_log_coefficient(
-    bg: Background, k: int, override: bool = False
-) -> GreensLogReport:
+def greens_log_coefficient(bg: Background, k: int) -> GreensLogReport:
     """log-epsilon coefficient of the boundary pairing
     -eps^(1-d-m) * U(eps) U'(eps) * density(eps), diagonal eigenfunction case.
 
@@ -156,7 +154,7 @@ def greens_log_coefficient(
     The identity lp = -(d+m) p_{2k} A holds independently of the global sign
     convention.
     """
-    sol = scattering_solve(bg, k, override)
+    sol = scattering_solve(bg, k)
     a = bg.dm / 2 - k
     order = 2 * k
     # v_{2k} is undetermined; padding W with zeros beyond order 2k-1 is safe

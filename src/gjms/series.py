@@ -19,7 +19,6 @@ from .core import (
     RatLike,
     SigmaPoly,
     VariableMismatch,
-    binomial,
     rat,
 )
 
@@ -78,13 +77,6 @@ class TruncatedSeries:
     @classmethod
     def variable(cls, var: str, order: int) -> "TruncatedSeries":
         return cls(var, [SigmaPoly.zero(), SigmaPoly.one()], order)
-
-    @classmethod
-    def binomial_power(cls, var: str, shift: RatLike, exponent: RatLike, order: int) -> "TruncatedSeries":
-        """Order-N expansion of (1 + shift*var)**exponent with exact coefficients."""
-        a = rat(shift)
-        e = rat(exponent)
-        return cls(var, [binomial(e, n) * a**n for n in range(order + 1)], order)
 
     # -- access -----------------------------------------------------------
 
@@ -208,14 +200,6 @@ class TruncatedSeries:
             raise OrderShortfall("cannot shift down an order-0 series")
         return TruncatedSeries(self.var, self.coeffs[1:], self.order - 1)
 
-    def _unit_constant(self) -> Fraction:
-        c0 = self.coeffs[0]
-        if c0.degree not in (None, 0) or c0.is_zero():
-            raise AlgebraError(
-                "series inversion needs a nonzero rational constant term"
-            )
-        return c0.coeff(0)
-
     def rpow(self, exponent: RatLike) -> "TruncatedSeries":
         """(1 + u)**e for rational e; the constant term must equal 1.
 
@@ -241,9 +225,8 @@ class TruncatedSeries:
         return TruncatedSeries(self.var, p, self.order)
 
     def reciprocal(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be a nonzero rational."""
-        c0 = self._unit_constant()
-        return (self * (1 / c0)).rpow(-1) * (1 / c0)
+        """Multiplicative inverse; like ``rpow``, the constant term must equal 1."""
+        return self.rpow(-1)
 
     def substitute_rho(self) -> "TruncatedSeries":
         """Map a rho-series to the r picture via rho = -r**2/2.

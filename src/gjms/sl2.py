@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping
 
-from .core import AlgebraError, RatLike, rat, rat_str
+from .core import AlgebraError, RatLike, positive_k, rat, rat_str
 
 Word = tuple[str, ...]
 Pbw = tuple[int, int, int]  # exponents (a, b, c) of x^a h^b y^c
@@ -156,9 +156,6 @@ class NcPoly:
                 acc[key] = acc.get(key, 0) + c
         return NcPoly((("x",) * a + ("h",) * b + ("y",) * c, v) for (a, b, c), v in acc.items())
 
-    def is_normal(self) -> bool:
-        return all(_is_pbw(w) for w in self.terms)
-
     def substitute_h(self, value: RatLike) -> "NcPoly":
         """Replace the generator h by a scalar (valid on normal forms)."""
         val = rat(value)
@@ -243,8 +240,7 @@ def verify_commutator_identity(kind: str, k: int) -> tuple[bool, NcPoly]:
     Returns (holds, witness) where the witness is the PBW normal form of
     LHS - RHS (zero iff the identity holds).
     """
-    if k < 1:
-        raise AlgebraError("k must be a positive integer")
+    positive_k(k)
     x, y, h = NcPoly.x(), NcPoly.y(), NcPoly.h()
     if kind == "yk_x":
         lhs = commutator(y**k, x)
@@ -265,8 +261,7 @@ def extract_Zk(k: int) -> NcPoly:
     remainder is not x-divisible, which would mean the rewriting kernel is
     broken.
     """
-    if k < 1:
-        raise AlgebraError("k must be a positive integer")
+    positive_k(k)
     x, y = NcPoly.x(), NcPoly.y()
     lead = Fraction(-1) ** (k - 1) * factorial(k - 1) * falling_h_product(k)
     remainder = (y ** (k - 1) * x ** (k - 1) - lead).normal_form()

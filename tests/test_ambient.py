@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from gjms.ambient import (
+    ROUTES,
     HomogeneousFunction,
     ObstructedWeight,
     RestrictionError,
@@ -21,7 +22,9 @@ from gjms.ambient import (
 )
 from gjms.backgrounds import Background
 from gjms.core import AlgebraError, SigmaPoly
-from gjms.factorization import cross_route_report
+from gjms.factorization import cross_route_report, gl_product, qe_product, route_polynomial
+from gjms.scattering import gjms_route_scattering, greens_log_coefficient, scattering_solve
+from gjms.sl2 import extract_Zk, verify_commutator_identity
 from gjms.series import RHO, TruncatedSeries
 
 QE = Background.quasi_einstein(3, 2, 1)
@@ -87,15 +90,43 @@ class TestRestriction:
         with pytest.raises(AlgebraError):
             check_k_restriction_dm(F(5), 0)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize(
+        "construct",
+        [
+            lambda k: gjms_iterated(QE, k),
+            lambda k: gjms_recursion(QE, k),
+            lambda k: obstruction(QE, k),
+            lambda k: scattering_solve(QE, k),
+            lambda k: gjms_route_scattering(QE, k),
+            lambda k: greens_log_coefficient(QE, k),
+            lambda k: qe_product(3, 2, 1, k),
+            lambda k: gl_product(3, 2, k),
+            lambda k: route_polynomial(QE, k, "iterated"),
+            lambda k: verify_commutator_identity("yk_x", k),
+            lambda k: extract_Zk(k),
+        ],
+        ids=[
+            "gjms_iterated", "gjms_recursion", "obstruction", "scattering_solve",
+            "gjms_route_scattering", "greens_log_coefficient", "qe_product", "gl_product",
+            "route_polynomial", "verify_commutator_identity", "extract_Zk",
+        ],
+    )
+    def test_nonpositive_k_is_rejected(self, construct, k):
+        with pytest.raises(AlgebraError, match="^k must be a positive integer$"):
+            construct(k)
+
     def test_routes_respect_restriction(self):
         bg = Background.quasi_einstein(3, 1, 1)  # d + m = 4
-        for route in (gjms_iterated, gjms_recursion, obstruction):
+        # route_polynomial applies the range to every route alike
+        for route in ROUTES:
             with pytest.raises(RestrictionError):
-                route(bg, 3)
-        # override computes, and the routes still agree with each other
-        a = gjms_iterated(bg, 3, override=True)
-        b = gjms_recursion(bg, 3, override=True)
-        assert a.poly == b.poly
+                route_polynomial(bg, 3, route)
+        # the constructions themselves compute beyond the range, and agree
+        a = gjms_iterated(bg, 3)
+        assert gjms_recursion(bg, 3).poly == a.poly
+        assert route_polynomial(bg, 3, "iterated", override=True).poly == a.poly
+        assert iterated_vs_obstruction_constant(3) * obstruction(bg, 3).poly == a.poly
 
 
 class TestIteratedRoute:

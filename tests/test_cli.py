@@ -186,12 +186,15 @@ class TestRouteFailures:
         assert captured.out == ""
         assert captured.err.endswith("error: internal defect: AlgebraError: injected defect\n")
 
-    def test_closed_form_refusing_an_override_is_a_usage_error(self, capsys):
-        # the closed-form product rejects restricted k even with --override
-        code = cli.main(["compute", "qe", "--d", "4", "--m", "2", "--lambda", "1", "--k", "4", "--override"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: k=4 exceeds")
+    def test_closed_form_honours_an_override(self, capsys):
+        # beyond (d+m)/2 the closed-form product equals the iterated route
+        args = ["compute", "qe", "--d", "4", "--m", "2", "--lambda", "1", "--k", "4", "--override"]
+        code = cli.main(args)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == "sigma^4 - 8*sigma^3 - 144*sigma^2 + 1152*sigma\n"
+        assert cli.main(args + ["--route", "iterated"]) == 0
+        assert capsys.readouterr().out == out
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_table_route_error_is_not_agreement(self, monkeypatch, capsys, fmt):
@@ -266,6 +269,31 @@ class TestTable:
         assert res.stdout.strip().splitlines() == [
             "kind,d,m,lambda,k,factorization,iterated,recursion,obstruction,scattering,all_agree"
         ]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ("qe", "--d", "1", "--m", "2", "--lambda", "1", "--k", "1"),  # no valid background
+            ("qe", "--d", "3", "--m", "1", "--lambda=1", "--k", "3"),  # every k beyond (d+m)/2
+            ("gl", "--d", "1,3", "--m", "1", "--k", "3"),  # both at once
+        ],
+        ids=("invalid", "restricted", "both"),
+    )
+    def test_grid_without_an_admissible_cell_is_usage_error(self, grid, fmt, capsys):
+        code = cli.main(["table", *grid, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: no admissible cell: every background is invalid or every k exceeds (d+m)/2\n"
+
+    @pytest.mark.parametrize("k", ["0", "-1", "1,0"])
+    def test_nonpositive_k_is_usage_error(self, k, capsys):
+        code = cli.main(["table", "gl", "--d", "3", "--m", "2", "--k", k])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: k must be a positive integer\n"
 
     def test_json_format(self):
         res = run_cli("table", "gl", "--d", "3", "--m", "2", "--k", "1", "--format", "json")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjms.core import AlgebraError, OrderShortfall, SigmaPoly, VariableMismatch, binomial, rat, rat_str
+from gjms.core import AlgebraError, OrderShortfall, SigmaPoly, VariableMismatch, rat, rat_str
 from gjms.series import (
     RHO,
     R,
@@ -34,6 +34,21 @@ exponents = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
 
 # Reference kernels: the textbook definitions the fast ones must reproduce.
+
+
+def binomial(e, n):
+    """Generalized binomial coefficient C(e, n) for rational e."""
+    num = F(1)
+    for i in range(n):
+        num *= e - i
+        num /= i + 1
+    return num
+
+
+def binomial_power(var, shift, exponent, order):
+    """Order-N expansion of (1 + shift*var)**exponent, term by term."""
+    a, e = rat(shift), rat(exponent)
+    return TruncatedSeries(var, [binomial(e, n) * a**n for n in range(order + 1)], order)
 
 
 def naive_mul(a, b):
@@ -137,7 +152,7 @@ class TestSigmaPoly:
     def test_serialization_round_trip(self):
         p = SigmaPoly([F(105, 4), -11, 1])
         assert p.to_strings() == ["105/4", "-11", "1"]
-        assert SigmaPoly.from_strings(p.to_strings()) == p
+        assert SigmaPoly(p.to_strings()) == p
 
     def test_str(self):
         assert str(SigmaPoly([F(3, 4), 1])) == "sigma + 3/4"
@@ -154,8 +169,9 @@ class TestSigmaPoly:
 
 class TestTruncatedSeries:
     def test_binomial_power_negative_two(self):
-        s = TruncatedSeries.binomial_power(RHO, 1, -2, 3)
+        s = binomial_power(RHO, 1, -2, 3)
         assert [c.coeff(0) for c in s.coeffs] == [1, -2, 3, -4]
+        assert TruncatedSeries(RHO, [1, 1], 3).rpow(-2) == s
 
     def test_reciprocal_is_inverse(self):
         s = TruncatedSeries(RHO, [1, 1], 5)
@@ -165,7 +181,7 @@ class TestTruncatedSeries:
     def test_binomial_power_matches_squaring(self):
         # independent oracle: square 1 - rho/2 by series multiplication
         base = TruncatedSeries(RHO, [1, F(-1, 2)], 2)
-        assert TruncatedSeries.binomial_power(RHO, F(-1, 2), 2, 2) == base * base
+        assert binomial_power(RHO, F(-1, 2), 2, 2) == base * base
         assert [c.coeff(0) for c in (base * base).coeffs] == [1, -1, F(1, 4)]
 
     def test_order_guard(self):
@@ -217,8 +233,8 @@ class TestTruncatedSeries:
     )
     def test_binomial_power_exponent_additivity(self, a, e1, e2):
         n = 6
-        lhs = TruncatedSeries.binomial_power(RHO, a, e1, n) * TruncatedSeries.binomial_power(RHO, a, e2, n)
-        assert lhs == TruncatedSeries.binomial_power(RHO, a, e1 + e2, n)
+        lhs = binomial_power(RHO, a, e1, n) * binomial_power(RHO, a, e2, n)
+        assert lhs == binomial_power(RHO, a, e1 + e2, n)
 
 
 def _is_prime(p):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gjms.ambient import ROUTES, RestrictionError, check_k_restriction, gjms_iterated
+from gjms.ambient import ROUTES, RestrictionError, beyond_paper_range, gjms_iterated
 from gjms.backgrounds import Background
 from gjms.core import SigmaPoly
 from gjms.factorization import (
@@ -12,6 +12,7 @@ from gjms.factorization import (
     factorization_product,
     gl_product,
     qe_product,
+    route_polynomial,
 )
 
 QE = Background.quasi_einstein(3, 2, 1)
@@ -39,8 +40,11 @@ class TestQeProduct:
             assert poly(root) == 0
 
     def test_restriction(self):
+        # the range is route_polynomial's to apply; the product computes any k
+        bg = Background.quasi_einstein(3, 1, 1)
         with pytest.raises(RestrictionError):
-            qe_product(3, 1, 1, 3)
+            route_polynomial(bg, 3, "factorization")
+        assert qe_product(3, 1, 1, 3).poly == gjms_iterated(bg, 3).poly
 
 
 class TestGlProduct:
@@ -112,10 +116,7 @@ class TestCrossRouteReport:
     def test_every_route_matches_the_closed_form_on_random_backgrounds(self, qe, d, m, lam, k):
         assume(d + m != 2)
         bg = Background.quasi_einstein(d, m, lam) if qe else Background.gover_leitner(d, m)
-        try:
-            check_k_restriction(bg, k)
-        except RestrictionError:
-            assume(False)
+        assume(not beyond_paper_range(bg.dm, k))
         closed = qe_product(d, m, lam, k) if qe else gl_product(d, m, k)
         rep = cross_route_report(bg, k)
         assert set(rep.routes) == set(ROUTES), rep.errors
@@ -136,6 +137,27 @@ class TestCrossRouteReport:
             assert route.poly == closed, name
         assert rep.constant_check is True
         assert rep.all_agree()
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.booleans(),
+        st.integers(2, 6),
+        st.integers(0, 4),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        st.integers(1, 3),
+    )
+    def test_every_route_matches_the_closed_form_beyond_the_range(self, qe, d, m, lam, excess):
+        # the model backgrounds are explicit to all orders, so with override
+        # every route still equals the product formula past k = (d+m)/2
+        assume((d + m) % 2 == 0 and d + m != 2)
+        k = (d + m) // 2 + excess
+        bg = Background.quasi_einstein(d, m, lam) if qe else Background.gover_leitner(d, m)
+        closed = factorization_product(bg, k).poly
+        rep = cross_route_report(bg, k, override=True)
+        assert set(rep.routes) == set(ROUTES), rep.errors
+        for name, route in rep.routes.items():
+            assert route.poly == closed, (bg.label(), k, name)
+        assert rep.constant_check is True
 
     def test_json_shape(self):
         data = cross_route_report(GL, 2).to_json()
