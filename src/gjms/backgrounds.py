@@ -13,15 +13,42 @@ meaning d/dr there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from functools import wraps
+from typing import Any, Callable
 
 from .core import AlgebraError, RatLike, SigmaPoly, rat, rat_str
 from .series import R, RHO, TruncatedSeries
 
 QUASI_EINSTEIN = "quasi_einstein"
 GOVER_LEITNER = "gover_leitner"
+
+Accessor = Callable[["Background", str, int], TruncatedSeries]
+
+
+def _stored(build: Accessor) -> Accessor:
+    """Keep, per Background instance and picture, the longest series ``build``
+    has made, and serve a lower order by truncation.
+
+    A longer request rebuilds at max(order, 2 * held order): the
+    order-by-order solves ask for orders 2, 3, ..., n in turn, so doubling
+    needs O(log n) builds instead of n.  Coefficients never depend on the
+    order they were built at, so every answer equals a fresh build's.
+    """
+
+    name = build.__name__
+
+    @wraps(build)
+    def accessor(self: "Background", picture: str, order: int) -> TruncatedSeries:
+        key = (name, picture)
+        held = self._series.get(key)
+        if held is None or held.order < order:
+            grown = order if held is None else max(order, 2 * held.order)
+            held = self._series[key] = build(self, picture, grown)
+        return held if held.order == order else held.truncate(order)
+
+    return accessor
 
 
 @dataclass(frozen=True)
@@ -31,6 +58,11 @@ class Background:
     m: Fraction
     lam: Fraction | None = None
     mu: Fraction | None = None
+    # (accessor name, picture) -> the longest series built so far (_stored);
+    # outside ==, hash and repr, so equal backgrounds stay equal
+    _series: dict[tuple[str, str], TruncatedSeries] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.kind not in (QUASI_EINSTEIN, GOVER_LEITNER):
@@ -85,22 +117,31 @@ class Background:
         return factor.as_exact(order)
 
     # -- expansion accessors ------------------------------------------------
+    #
+    # The four that every operator application reads are stored per instance
+    # and picture: the longest series built so far serves any lower order by
+    # truncation, and a longer request rebuilds at max(order, 2 * held order)
+    # (_stored).  density_factor is read once per Green pairing, not stored.
 
+    @_stored
     def metric_trace(self, picture: str, order: int) -> TruncatedSeries:
         """g^{ij} g'_{ij} = 2 d c'/c for a conformal family g = c^2 g0."""
         c = self._factor("c", picture, order + 1)
         return (2 * self.d * c.derivative() * c.reciprocal()).truncate(order)
 
+    @_stored
     def measure_trace(self, picture: str, order: int) -> TruncatedSeries:
         """(m/f) f' = m q'/q for a weight family f = q f0."""
         q = self._factor("q", picture, order + 1)
         return (self.m * q.derivative() * q.reciprocal()).truncate(order)
 
+    @_stored
     def trace_term(self, picture: str, order: int) -> TruncatedSeries:
         """The drift trace (1/2) g^{ij} g'_{ij} + (m/f) f'."""
         half = Fraction(1, 2) * self.metric_trace(picture, order)
         return half + self.measure_trace(picture, order)
 
+    @_stored
     def laplacian_factor(self, picture: str, order: int) -> TruncatedSeries:
         """Scaling of the base weighted Laplacian on the sector: c^-2."""
         return self._factor("c", picture, order).rpow(-2)

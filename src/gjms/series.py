@@ -10,6 +10,7 @@ known to be polynomials (all higher coefficients identically zero).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from typing import Callable, Iterable, Union
 
@@ -40,12 +41,32 @@ def _as_sp(value: CoeffLike) -> SigmaPoly:
     return value if isinstance(value, SigmaPoly) else SigmaPoly.const(rat(value))
 
 
-def _integer_rows(coeffs: Iterable[SigmaPoly]) -> tuple[int, list[tuple[int, list[int]]]]:
-    """The lcm D of every coefficient denominator, and the nonzero rows as
-    (series order, [D * coefficient as int, ...])."""
-    rows = [(i, c.coeffs) for i, c in enumerate(coeffs) if c.coeffs]
-    d = lcm(*(x.denominator for _, cs in rows for x in cs))
-    return d, [(i, [x.numerator * (d // x.denominator) for x in cs]) for i, cs in rows]
+def _integer_rows(
+    coeffs: Iterable[SigmaPoly], *scalars: Fraction
+) -> tuple[int, list[list[int]]]:
+    """The lcm D of every coefficient's and scalar's denominator, and one row
+    [D * sigma-coefficient as int, ...] per coefficient (empty for zero)."""
+    rows = [c.coeffs for c in coeffs]
+    d = lcm(*(x.denominator for x in scalars), *(x.denominator for cs in rows for x in cs))
+    return d, [[x.numerator * (d // x.denominator) for x in cs] for cs in rows]
+
+
+def _add_product(row: list[int], xs: list[int], ys: list[int]) -> None:
+    """row += xs * ys, all three ascending int sigma-coefficient lists."""
+    for p, x in enumerate(xs):
+        for q, y in enumerate(ys):
+            row[p + q] += x * y
+
+
+def _fraction_rows(rows: list[list[int]], den: int) -> list[SigmaPoly]:
+    """Int rows over den as SigmaPolys: trailing zeros dropped as ints, then
+    each coefficient one Fraction(num, den), normalized once."""
+    out = []
+    for row in rows:
+        while row and not row[-1]:
+            row.pop()
+        out.append(SigmaPoly([Fraction(x, den) for x in row]))
+    return out
 
 
 class TruncatedSeries:
@@ -58,7 +79,7 @@ class TruncatedSeries:
             raise AlgebraError(f"unknown series variable {var!r}")
         if order < 0:
             raise OrderShortfall("series truncation order must be >= 0")
-        cs = [_as_sp(c) for c in coeffs]
+        cs = [c if isinstance(c, SigmaPoly) else SigmaPoly.const(c) for c in coeffs]
         if len(cs) > order + 1:
             raise AlgebraError("more coefficients than the truncation order allows")
         cs.extend(SigmaPoly.zero() for _ in range(order + 1 - len(cs)))
@@ -154,6 +175,8 @@ class TruncatedSeries:
         n = self._common(other)
         da, lhs = _integer_rows(self.coeffs[: n + 1])
         db, rhs = _integer_rows(other.coeffs[: n + 1])
+        lhs = [(i, r) for i, r in enumerate(lhs) if r]
+        rhs = [(j, r) for j, r in enumerate(rhs) if r]
         if not lhs or not rhs:
             return TruncatedSeries.zero(self.var, n)
         width = max(len(c) for _, c in lhs) + max(len(c) for _, c in rhs) - 1
@@ -162,17 +185,8 @@ class TruncatedSeries:
             for j, bc in rhs:
                 if i + j > n:
                     break
-                row = rows[i + j]
-                for p, x in enumerate(ac):
-                    for q, y in enumerate(bc):
-                        row[p + q] += x * y
-        den = da * db
-        for row in rows:
-            while row and not row[-1]:
-                row.pop()
-        return TruncatedSeries(
-            self.var, [SigmaPoly([Fraction(x, den) for x in row]) for row in rows], n
-        )
+                _add_product(rows[i + j], ac, bc)
+        return TruncatedSeries(self.var, _fraction_rows(rows, da * db), n)
 
     __rmul__ = __mul__
 
@@ -268,13 +282,42 @@ def apply_second_order(
     p: TruncatedSeries,
 ) -> TruncatedSeries:
     """a*v*P'' + (b0 + v*b1)*P' + c*P for the series variable v, with rational
-    a, b0 and series coefficients b1, c; valid one order below P."""
+    a, b0 and series coefficients b1, c; valid one order below P.
+
+    One integer-row pass: for P of order N, b1 valid to order N-2 and c to
+    order N-1, the order-t coefficient (t < N) is
+
+      out_t = (a*t + b0)*(t+1)*p_(t+1) + sum_(i+j=t) (j*b1_i + c_i)*p_j.
+
+    a, b0, b1 and c are scaled to ints over one common denominator D and P
+    over its own Dp, the convolution runs on the ints, and each output
+    coefficient is one Fraction(num, D*Dp), normalized once.
+    """
     n = p.order
-    dp = p.derivative()
-    out = b0 * dp + (b1 * dp).mul_var().truncate(n - 1) + (c * p).truncate(n - 1)
-    if a and n >= 2:
-        out = out + a * dp.derivative().mul_var()
-    return out
+    if n == 0:
+        raise OrderShortfall("cannot differentiate an order-0 series")
+    for coeff, need in ((b1, n - 2), (c, n - 1)):
+        p._common(coeff)
+        if coeff.order < need:
+            raise OrderShortfall(
+                f"operator coefficient valid to order {coeff.order}; need order >= {need}"
+            )
+    a, b0 = rat(a), rat(b0)
+    d, rows = _integer_rows(b1.coeffs[: n - 1] + c.coeffs[:n], a, b0)
+    bs, cs = rows[: n - 1] + [[]], rows[n - 1 :]
+    dp, ps = _integer_rows(p.coeffs)
+    ai, b0i = a.numerator * (d // a.denominator), b0.numerator * (d // b0.denominator)
+    width = max(map(len, rows)) + max(map(len, ps))
+    out = []
+    for t in range(n):
+        row = [0] * width
+        _add_product(row, [(ai * t + b0i) * (t + 1)], ps[t + 1])
+        for j in range(t + 1):
+            if ps[j]:
+                w = [j * x + y for x, y in zip_longest(bs[t - j], cs[t - j], fillvalue=0)]
+                _add_product(row, w, ps[j])
+        out.append(row)
+    return TruncatedSeries(p.var, _fraction_rows(out, d * dp), n - 1)
 
 
 def solve_order_by_order(

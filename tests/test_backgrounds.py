@@ -112,6 +112,62 @@ class TestExpansionData:
         assert bg.trace_term(R, 6) == (-(t_rho.substitute_rho().mul_var())).truncate(6)
 
 
+STORED = ("metric_trace", "measure_trace", "trace_term", "laplacian_factor")
+
+
+def fresh_backgrounds():
+    return Background.quasi_einstein(4, F(3, 2), F(-2, 3)), Background.gover_leitner(3, F(1, 2))
+
+
+class TestStoredAccessors:
+    """The per-instance series store must not be visible from outside."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.permutations(range(13)))
+    def test_any_order_sequence_matches_a_fresh_background(self, orders):
+        warm = fresh_backgrounds()
+        for order in orders:
+            for i, bg in enumerate(warm):
+                for name in STORED:
+                    for picture in (RHO, R):
+                        expected = getattr(fresh_backgrounds()[i], name)(picture, order)
+                        got = getattr(bg, name)(picture, order)
+                        assert got == expected and got.order == order, (bg.label(), name, picture, order)
+
+    def test_identity_is_unchanged_by_warm_up(self):
+        for bg, twin in zip(fresh_backgrounds(), fresh_backgrounds()):
+            before = (repr(bg), hash(bg), bg.to_json())
+            for name in STORED:
+                for picture in (RHO, R):
+                    getattr(bg, name)(picture, 12)
+            assert bg == twin and hash(bg) == hash(twin) and repr(bg) == repr(twin)
+            assert (repr(bg), hash(bg), bg.to_json()) == before
+            assert Background.from_json(bg.to_json()) == bg
+
+    def test_an_equal_background_builds_its_own_series(self, monkeypatch):
+        calls = []
+        rpow = TruncatedSeries.rpow
+
+        def counted(self, exponent):
+            calls.append(exponent)
+            return rpow(self, exponent)
+
+        monkeypatch.setattr(TruncatedSeries, "rpow", counted)
+        warm, _ = fresh_backgrounds()
+        for name in STORED:
+            getattr(warm, name)(RHO, 8)
+        assert calls
+        calls.clear()
+        for name in STORED:
+            getattr(warm, name)(RHO, 8)
+        assert not calls
+        fresh, _ = fresh_backgrounds()
+        assert fresh == warm
+        for name in STORED:
+            getattr(fresh, name)(RHO, 8)
+        assert len(calls) == 3  # c'/c, q'/q and c^-2; trace_term reuses the first two
+
+
 class TestSpaceforms:
     def test_round_case_d2_m2(self):
         rep = verify_spaceform_conditions(2, 2, 1, 1, 1)

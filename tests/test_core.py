@@ -92,6 +92,17 @@ def rows_mul(a, b):
     return out
 
 
+def composed_second_order(a, b0, b1, c, p):
+    """a*v*P'' + (b0 + v*b1)*P' + c*P composed from series operations, one
+    order below P."""
+    n = p.order
+    dp = p.derivative()
+    out = b0 * dp + (b1 * dp).mul_var().truncate(n - 1) + (c * p).truncate(n - 1)
+    if a and n >= 2:
+        out = out + a * dp.derivative().mul_var()
+    return out
+
+
 def full_order_solve(apply, divisor, levels, var):
     """The order-by-order solve with apply always given order levels+1."""
     coeffs = [SigmaPoly.one()]
@@ -324,7 +335,51 @@ class TestKernelsMatchReferences:
         assert solve_order_by_order(apply, divisor, levels, RHO) == full_order_solve(apply, divisor, levels, RHO)
 
 
+small_polys = st.lists(rationals, max_size=3).map(SigmaPoly)
+
+
+@st.composite
+def operator_inputs(draw):
+    """(a, b0, b1, c, P): P of order 1..10 in either variable, zero included;
+    b1 and c of sigma-degree <= 2, valid to orders N-2 and N-1 or above."""
+    var = draw(st.sampled_from([RHO, R]))
+    n = draw(st.integers(1, 10))
+
+    def series(polys, order):
+        return TruncatedSeries(var, draw(st.lists(polys, max_size=order + 1)), order)
+
+    a = draw(st.one_of(st.just(F(0)), rationals))
+    b0 = draw(rationals)
+    b1 = series(small_polys, draw(st.integers(max(n - 2, 0), n + 2)))
+    c = series(small_polys, draw(st.integers(n - 1, n + 2)))
+    return a, b0, b1, c, series(sigma_polys, n)
+
+
 class TestSecondOrderOperator:
+    @settings(max_examples=100, deadline=None)
+    @given(operator_inputs())
+    def test_kernel_matches_the_composed_operator(self, args):
+        out, ref = apply_second_order(*args), composed_second_order(*args)
+        assert out.order == ref.order == args[-1].order - 1
+        assert out.coeffs == ref.coeffs
+
+    @pytest.mark.parametrize("b1_order, c_order", [(2, 4), (3, 3)])
+    def test_short_coefficients_are_rejected(self, b1_order, c_order):
+        # P of order 5 needs b1 to order 3 and c to order 4
+        p = TruncatedSeries(RHO, [1, 2, 3], 5)
+        b1, c = TruncatedSeries.zero(RHO, b1_order), TruncatedSeries.constant(RHO, 1, c_order)
+        for op in (apply_second_order, composed_second_order):
+            with pytest.raises(OrderShortfall):
+                op(1, 1, b1, c, p)
+
+    def test_mixed_variables_are_rejected(self):
+        p = TruncatedSeries(RHO, [1, 2, 3], 4)
+        rho, r = TruncatedSeries.zero(RHO, 4), TruncatedSeries.zero(R, 4)
+        for b1, c in ((r, rho), (rho, r)):
+            for op in (apply_second_order, composed_second_order):
+                with pytest.raises(VariableMismatch):
+                    op(1, 1, b1, c, p)
+
     def test_on_a_monomial(self):
         # P = v^3: a v P'' + (b0 + v b1) P' + c P = (6a + 3b0) v^2 + (3b1 + c) v^3
         p = TruncatedSeries(RHO, [0, 0, 0, 1], 5)
@@ -342,8 +397,9 @@ class TestSecondOrderOperator:
 
     def test_order_zero_input_is_rejected(self):
         zero = TruncatedSeries.zero(RHO, 0)
-        with pytest.raises(OrderShortfall):
-            apply_second_order(1, 1, zero, zero, TruncatedSeries.constant(RHO, 1, 0))
+        for op in (apply_second_order, composed_second_order):
+            with pytest.raises(OrderShortfall):
+                op(1, 1, zero, zero, TruncatedSeries.constant(RHO, 1, 0))
 
     def test_solver_reproduces_the_exponential(self):
         # P' - P = 0 with a_0 = 1 forces a_j = a_(j-1) / j

@@ -1,5 +1,8 @@
 from fractions import Fraction as F
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -158,6 +161,25 @@ class TestCrossRouteReport:
         for name, route in rep.routes.items():
             assert route.poly == closed, (bg.label(), k, name)
         assert rep.constant_check is True
+
+    @pytest.mark.parametrize(
+        "bg, digest",
+        [
+            (
+                Background.quasi_einstein(3, F(1, 2), 1),
+                "0bcddd0ef6b8a12ae3c85f25df56f1282ac4911efc75eba00232a81fda50ad8b",
+            ),
+            (
+                Background.gover_leitner(4, F(3, 2)),
+                "64c43b19fa08dbe5b09e123a519f79c8156f7dc09b66fff51c2b39517f0fb036",
+            ),
+        ],
+        ids=("qe", "gl"),
+    )
+    def test_pinned_report_at_k32(self, bg, digest):
+        # sha256 of the whole report, every route's polynomial included
+        text = json.dumps(cross_route_report(bg, 32).to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_json_shape(self):
         data = cross_route_report(GL, 2).to_json()
