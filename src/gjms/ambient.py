@@ -119,11 +119,6 @@ def ambient_laplacian(bg: Background, func: HomogeneousFunction) -> HomogeneousF
     """One application of the ambient weighted Laplacian; weight drops by 2,
     the profile loses one valid order."""
     prof = func.profile
-    if prof.order < 1:
-        raise OrderShortfall(
-            "ambient Laplacian needs a profile of order >= 1; got order "
-            f"{prof.order}"
-        )
     n = prof.order
     w = func.weight
     gtr = bg.metric_trace(RHO, n)
@@ -231,16 +226,11 @@ def obstruction(bg: Background, k: int) -> GjmsPolynomial:
     return GjmsPolynomial(k, bg, "obstruction", poly)
 
 
-def random_admissible_perturbation(
-    rng: random.Random, order: int, max_sigma_degree: int = 2, span: int = 6
-) -> TruncatedSeries:
-    """Random Q*H perturbation profile: zero constant term, small rational
-    SigmaPoly coefficients."""
+def random_admissible_perturbation(rng: random.Random, order: int) -> TruncatedSeries:
+    """Random Q*H perturbation profile: zero constant term, coefficients of
+    sigma-degree at most 2 with rationals p/q, |p| <= 6, 1 <= q <= 4."""
     coeffs = [SigmaPoly.zero()]
     for _ in range(order):
-        poly = SigmaPoly(
-            Fraction(rng.randint(-span, span), rng.randint(1, 4))
-            for _ in range(rng.randint(1, max_sigma_degree + 1))
-        )
+        poly = SigmaPoly(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
         coeffs.append(poly)
     return TruncatedSeries(RHO, coeffs, order)

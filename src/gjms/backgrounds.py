@@ -57,7 +57,6 @@ class Background:
     d: int
     m: Fraction
     lam: Fraction | None = None
-    mu: Fraction | None = None
     # (accessor name, picture) -> the longest series built so far (_stored);
     # outside ==, hash and repr, so equal backgrounds stay equal
     _series: dict[tuple[str, str], TruncatedSeries] = field(
@@ -75,19 +74,16 @@ class Background:
             raise AlgebraError("d + m = 2 degenerates the weighted Schouten data")
         if self.kind == QUASI_EINSTEIN and self.lam is None:
             raise AlgebraError("quasi-Einstein background needs lambda")
-        if self.kind == GOVER_LEITNER:
-            if self.lam is not None:
-                raise AlgebraError("Gover-Leitner background has no lambda")
-            if self.mu != 1:
-                raise AlgebraError("Gover-Leitner background fixes mu = 1")
+        if self.kind == GOVER_LEITNER and self.lam is not None:
+            raise AlgebraError("Gover-Leitner background has no lambda")
 
     @classmethod
-    def quasi_einstein(cls, d: int, m: RatLike, lam: RatLike, mu: RatLike | None = None) -> "Background":
-        return cls(QUASI_EINSTEIN, d, rat(m), rat(lam), None if mu is None else rat(mu))
+    def quasi_einstein(cls, d: int, m: RatLike, lam: RatLike) -> "Background":
+        return cls(QUASI_EINSTEIN, d, rat(m), rat(lam))
 
     @classmethod
     def gover_leitner(cls, d: int, m: RatLike) -> "Background":
-        return cls(GOVER_LEITNER, d, rat(m), None, Fraction(1))
+        return cls(GOVER_LEITNER, d, rat(m))
 
     @property
     def dm(self) -> Fraction:
@@ -158,17 +154,13 @@ class Background:
         out: dict[str, Any] = {"kind": self.kind, "d": self.d, "m": rat_str(self.m)}
         if self.kind == QUASI_EINSTEIN:
             out["lambda"] = rat_str(self.lam)
-            if self.mu is not None:
-                out["mu"] = rat_str(self.mu)
         return out
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Background":
         kind = data["kind"]
         if kind == QUASI_EINSTEIN:
-            return cls.quasi_einstein(
-                int(data["d"]), data["m"], data["lambda"], data.get("mu")
-            )
+            return cls.quasi_einstein(int(data["d"]), data["m"], data["lambda"])
         if kind == GOVER_LEITNER:
             return cls.gover_leitner(int(data["d"]), data["m"])
         raise AlgebraError(f"unknown background kind {kind!r}")

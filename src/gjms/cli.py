@@ -32,9 +32,8 @@ from .ambient import (
 )
 from .backgrounds import Background, verify_spaceform_conditions
 from .core import AlgebraError, positive_k, rat, rat_str
-from .factorization import cross_route_report, route_polynomial
+from .factorization import RouteReport, cross_route_report, route_polynomial
 from .scattering import (
-    gjms_route_scattering,
     greens_log_coefficient,
     log_normalization,
     scattering_solve,
@@ -120,13 +119,14 @@ def cmd_table(args: argparse.Namespace) -> int:
     ds, ms, ks = _int_list(args.d), _rat_list(args.m), [positive_k(k) for k in _int_list(args.k)]
     lams = _rat_list(args.lam) if args.kind == "qe" else [None]
     grid = list(product(ds, ms, lams))
-    cells = []
+    backgrounds = []
     for d, m, lam in grid:
         try:
             bg = Background.quasi_einstein(d, m, lam) if args.kind == "qe" else Background.gover_leitner(d, m)
         except AlgebraError:
             continue
-        cells.extend(cross_route_report(bg, k) for k in ks if not beyond_paper_range(bg.dm, k))
+        backgrounds.append(bg)
+    cells = [cross_route_report(bg, k) for bg, k in _cells(backgrounds, ks)]
     if grid and ks and not cells:
         raise AlgebraError("no admissible cell: every background is invalid or every k exceeds (d+m)/2")
     status = 0 if all(cell.all_agree() for cell in cells) else 1
@@ -153,6 +153,11 @@ def _int_list(text: str) -> list[int]:
 
 def _rat_list(text: str) -> list[Fraction]:
     return [rat(part) for part in text.split(",") if part.strip()]
+
+
+def _cells(backgrounds, ks):
+    """The (background, k) pairs inside the paper's range, backgrounds outermost."""
+    return ((bg, k) for bg in backgrounds for k in ks if not beyond_paper_range(bg.dm, k))
 
 
 # -- verification suites -----------------------------------------------------
@@ -206,21 +211,24 @@ def verify_sl2(chk: Checker, kmax: int) -> None:
         chk.check(f"sl2 h-product at h=-(k-1) reproduces the route ratio at k={k}", lambda: route_ratio(k))
 
 
-def verify_ambient(chk: Checker, kmax: int, inject_fault: bool = False) -> None:
+def _witness(report: RouteReport, names) -> str:
+    """The errors of the named routes if any raised, otherwise their polynomials."""
+    errors = [f"{n}: {report.errors[n]}" for n in names if n in report.errors]
+    return "; ".join(errors or [f"{n}: {report.routes[n].poly}" for n in names])
+
+
+def verify_ambient(chk: Checker, kmax: int, report: Callable[[Background, int], RouteReport]) -> None:
     rng = random.Random(20240229)
 
-    def routes_agree(bg: Background, k: int, corrupt: bool) -> tuple[bool, str]:
-        report = cross_route_report(bg, k)
-        if report.errors:
-            return False, "; ".join(f"{n}: {e}" for n, e in sorted(report.errors.items()))
-        # the fault flag corrupts the first cell, a self-test of the harness
-        iterated = report.routes["iterated"].poly + (1 if corrupt else 0)
-        agree = all(iterated == report.routes[n].poly for n in ("factorization", "recursion", "obstruction"))
-        detail = "; ".join(f"{n}: {g.poly}" for n, g in sorted(report.routes.items()))
-        return agree and report.constant_check is True, detail
+    def routes_agree(bg: Background, k: int) -> tuple[bool, str]:
+        cell = report(bg, k)
+        return cell.all_agree() and cell.constant_check is True, _witness(cell, sorted(ROUTES))
 
-    def independent(bg: Background, k: int) -> bool:
-        base = gjms_iterated(bg, k).poly
+    def independent(bg: Background, k: int) -> bool | tuple[bool, str]:
+        cell = report(bg, k)
+        if "iterated" in cell.errors:
+            return False, _witness(cell, ("iterated",))
+        base = cell.routes["iterated"].poly
         return all(
             gjms_iterated(bg, k, random_admissible_perturbation(rng, k + 2)).poly == base for _ in range(3)
         )
@@ -229,18 +237,14 @@ def verify_ambient(chk: Checker, kmax: int, inject_fault: bool = False) -> None:
         image = ambient_laplacian(bg, harmonic_extension(bg, critical_weight(bg, 1) + Fraction(1, 3), 4))
         return all(image.profile.coeff(j).is_zero() for j in range(4))
 
-    corrupt = inject_fault
     for bg in VERIFY_MATRIX:
-        for k in range(1, kmax + 1):
-            if beyond_paper_range(bg.dm, k):
-                continue
-            chk.check(f"routes agree on {bg.label()} k={k}", lambda: routes_agree(bg, k, corrupt))
-            corrupt = False
+        for _, k in _cells((bg,), range(1, kmax + 1)):
+            chk.check(f"routes agree on {bg.label()} k={k}", lambda: routes_agree(bg, k))
             chk.check(f"extension independence on {bg.label()} k={k}", lambda: independent(bg, k))
         chk.check(f"harmonic extension closes to order 3 on {bg.label()}", lambda: closes(bg))
 
 
-def verify_scattering(chk: Checker, kmax: int) -> None:
+def verify_scattering(chk: Checker, kmax: int, report: Callable[[Background, int], RouteReport]) -> None:
     solve = cache(scattering_solve)
 
     def odd_vanish(bg: Background, k: int) -> bool:
@@ -248,20 +252,18 @@ def verify_scattering(chk: Checker, kmax: int) -> None:
         return all(v[j].is_zero() for j in range(1, 2 * k, 2) if j < bg.dm)
 
     def equals_iterated(bg: Background, k: int) -> tuple[bool, str]:
-        scat, iterated = gjms_route_scattering(bg, k).poly, gjms_iterated(bg, k).poly
-        return scat == iterated, f"scattering: {scat}; iterated: {iterated}"
+        cell = report(bg, k)
+        pair = ("iterated", "scattering")
+        return cell.agreement.get(pair, False), _witness(cell, pair)
 
     def monic(bg: Background, k: int) -> bool:
         normalized = solve(bg, k).log_coeff / log_normalization(k)
         return normalized.degree == k and abs(normalized.coeffs[-1]) == 1
 
-    for bg in VERIFY_MATRIX:
-        for k in range(1, min(kmax, 3) + 1):
-            if beyond_paper_range(bg.dm, k):
-                continue
-            chk.check(f"odd radial coefficients vanish on {bg.label()} k={k}", lambda: odd_vanish(bg, k))
-            chk.check(f"scattering route equals iterated on {bg.label()} k={k}", lambda: equals_iterated(bg, k))
-            chk.check(f"log coefficient over d_k is +/-monic degree {k} on {bg.label()}", lambda: monic(bg, k))
+    for bg, k in _cells(VERIFY_MATRIX, range(1, kmax + 1)):
+        chk.check(f"odd radial coefficients vanish on {bg.label()} k={k}", lambda: odd_vanish(bg, k))
+        chk.check(f"scattering route equals iterated on {bg.label()} k={k}", lambda: equals_iterated(bg, k))
+        chk.check(f"log coefficient over d_k is +/-monic degree {k} on {bg.label()}", lambda: monic(bg, k))
 
 
 def verify_green(chk: Checker, kmax: int) -> None:
@@ -269,25 +271,24 @@ def verify_green(chk: Checker, kmax: int) -> None:
         report = greens_log_coefficient(bg, k)
         return report.match, f"lp: {report.lp}; rhs: {report.rhs}"
 
-    for bg in GREEN_MATRIX:
-        for k in range(1, min(kmax, 2) + 1):
-            if beyond_paper_range(bg.dm, k):
-                continue
-            chk.check(f"log-coefficient pairing is symmetric on {bg.label()} k={k}", lambda: symmetric(bg, k))
+    for bg, k in _cells(GREEN_MATRIX, range(1, min(kmax, 2) + 1)):
+        chk.check(f"log-coefficient pairing is symmetric on {bg.label()} k={k}", lambda: symmetric(bg, k))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     kmax = positive_k(args.kmax)
     chk = Checker()
+    # one RouteReport per (background, k) cell, shared by the suites of this run
+    report = cache(cross_route_report)
     if args.suite in ("all", "sl2"):
         verify_sl2(chk, kmax)
     if args.suite in ("all", "ambient"):
-        verify_ambient(chk, kmax, inject_fault=args.inject_fault)
+        verify_ambient(chk, kmax, report)
     if args.suite in ("all", "scattering"):
-        verify_scattering(chk, kmax)
+        verify_scattering(chk, kmax, report)
     if args.suite in ("all", "green"):
         verify_green(chk, kmax)
-    if args.inject_fault and args.suite not in ("all", "ambient"):
+    if args.inject_fault:
         chk.check("fault-injection self-test hook", lambda: (False, "fault injected by request"))
     total = "all checks passed" if chk.failures == 0 else f"{chk.failures} check(s) FAILED"
     chk.out.write(f"summary: {total}\n")
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite; exit 0 iff all pass")
     ver.add_argument("suite", choices=("all", "sl2", "ambient", "scattering", "green"))
     ver.add_argument("--kmax", type=int, default=3)
-    ver.add_argument("--inject-fault", action="store_true", help="self-test hook: corrupt one check")
+    ver.add_argument("--inject-fault", action="store_true", help="self-test hook: add one failing check")
     ver.set_defaults(func=cmd_verify)
 
     tab = sub.add_parser("table", help="route-comparison table over a parameter grid")

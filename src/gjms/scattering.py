@@ -28,7 +28,7 @@ from typing import Any
 
 from .ambient import GjmsPolynomial
 from .backgrounds import Background
-from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, positive_k, rat, rat_str
+from .core import AlgebraError, RatLike, SigmaPoly, positive_k, rat, rat_str
 from .series import R, LogSeries, TruncatedSeries, apply_second_order, solve_order_by_order
 
 SCATTERING_SIGN = Fraction(-1)
@@ -63,8 +63,6 @@ def _ds_plain(
     """D_s applied to a log-free radial series; the result is valid one order
     lower than the input."""
     n = series.order
-    if n < 2:
-        raise OrderShortfall("applying the radial operator needs order >= 2")
     trace = bg.trace_term(R, n)
     lf = bg.laplacian_factor(R, n)
     c = (s - bg.dm) * trace - (SigmaPoly.sigma() * lf).mul_var()

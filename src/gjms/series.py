@@ -337,15 +337,15 @@ def solve_order_by_order(
     apply may lose at most one order, and the order-(j-1) coefficient of its
     result may depend on input coefficients through order j only, as for
     every operator of the apply_second_order form.  At level j apply is
-    therefore handed the partial series declared exact only through order
-    max(j, 2), not levels+1 (2 is the least order the radial operator
-    accepts), so level j costs O(j^2) coefficient products, not O(levels^2).
+    therefore handed the partial series declared exact only through order j,
+    not levels+1, so level j costs O(j^2) coefficient products, not
+    O(levels^2).
     The result is declared exact at order levels+1, so one more application
     reads the next residual.
     """
     coeffs: list[SigmaPoly] = [SigmaPoly.one()]
     for j in range(1, levels + 1):
-        partial = TruncatedSeries(var, coeffs, j - 1).as_exact(max(j, 2))
+        partial = TruncatedSeries(var, coeffs, j - 1).as_exact(j)
         residual = apply(partial).coeff(j - 1)
         div = divisor(j)
         if div == 0:

@@ -21,7 +21,7 @@ from gjms.ambient import (
     random_admissible_perturbation,
 )
 from gjms.backgrounds import Background
-from gjms.core import AlgebraError, SigmaPoly
+from gjms.core import AlgebraError, OrderShortfall, SigmaPoly
 from gjms.factorization import cross_route_report, gl_product, qe_product, route_polynomial
 from gjms.scattering import gjms_route_scattering, greens_log_coefficient, scattering_solve
 from gjms.sl2 import extract_Zk, verify_commutator_identity
@@ -60,6 +60,12 @@ class TestAmbientLaplacian:
     def test_order_bookkeeping(self):
         func = HomogeneousFunction(F(0), TruncatedSeries.constant(RHO, 1, 3))
         assert ambient_laplacian(QE, func).profile.order == 2
+
+    def test_order_zero_profile_is_a_shortfall(self):
+        # the floor is apply_second_order's: an order-0 profile has no valid P'
+        func = HomogeneousFunction(F(1), TruncatedSeries.constant(RHO, 1, 0))
+        with pytest.raises(OrderShortfall):
+            ambient_laplacian(QE, func)
 
     def test_homogeneity_identity(self):
         # Delta(Q*H) = Q*Delta(H) + 4*(w_H + (d+m+2)/2)*H with Q = 2*rho*t^2,

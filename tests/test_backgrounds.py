@@ -27,7 +27,7 @@ class TestConstruction:
         with pytest.raises(AlgebraError):
             Background("quasi_einstein", 3, F(2))  # missing lambda
         with pytest.raises(AlgebraError):
-            Background("gover_leitner", 3, F(2), lam=F(1), mu=F(1))
+            Background("gover_leitner", 3, F(2), lam=F(1))
         with pytest.raises(AlgebraError):
             Background("bogus", 3, F(2))
 

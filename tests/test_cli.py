@@ -3,10 +3,12 @@ import io
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from gjms import cli, factorization
+from gjms.ambient import GjmsPolynomial, beyond_paper_range
 from gjms.core import AlgebraError
 
 CLI = [sys.executable, "-m", "gjms.cli"]
@@ -112,6 +114,22 @@ class TestVerify:
         assert res.returncode == 0
 
     @pytest.mark.parametrize("suite", ["all", "sl2", "ambient", "scattering", "green"])
+    def test_fault_injection_adds_one_failing_line(self, suite, capsys):
+        assert cli.main(["verify", suite, "--kmax", "1", "--inject-fault"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if not line.startswith("ok  ")] == [
+            "FAIL fault-injection self-test hook",
+            "     fault injected by request",
+            "summary: 1 check(s) FAILED",
+        ]
+
+    def test_scattering_runs_to_kmax(self, capsys):
+        assert cli.main(["verify", "scattering", "--kmax", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "ok   scattering route equals iterated on QE(d=3, m=2, lambda=1) k=4\n" in out
+        assert "ok   odd radial coefficients vanish on GL(d=3, m=2) k=4\n" in out
+
+    @pytest.mark.parametrize("suite", ["all", "sl2", "ambient", "scattering", "green"])
     @pytest.mark.parametrize("kmax", ["0", "-1"])
     def test_nonpositive_kmax_is_usage_error(self, suite, kmax, capsys):
         code = cli.main(["verify", suite, "--kmax", kmax])
@@ -160,6 +178,57 @@ class TestVerifyFailures:
         assert line in out
         assert "injected defect" in out
         assert out.endswith("check(s) FAILED\n")
+
+    @staticmethod
+    def fail_lines(out: str) -> list[str]:
+        return [line for line in out.splitlines() if line.startswith("FAIL")]
+
+    def test_wrong_scattering_route_fails_routes_agree(self, monkeypatch, capsys):
+        # the scattering route is compared in "routes agree", not only in the scattering suite
+        real = factorization.gjms_route_scattering
+
+        def off_by_one(bg, k):
+            return GjmsPolynomial(k, bg, "scattering", real(bg, k).poly + (1 if k >= 4 else 0))
+
+        monkeypatch.setattr(factorization, "gjms_route_scattering", off_by_one)
+        code = cli.main(["verify", "ambient", "--kmax", "4"])
+        fails = self.fail_lines(capsys.readouterr().out)
+        assert code == 1
+        assert "FAIL routes agree on QE(d=3, m=2, lambda=1) k=4" in fails
+        assert all(line.startswith("FAIL routes agree on") and line.endswith(" k=4") for line in fails)
+
+    def test_wrong_polynomial_fails_routes_agree(self, monkeypatch, capsys):
+        # a route that returns a wrong polynomial without raising
+        real = factorization.gjms_recursion
+        monkeypatch.setattr(
+            factorization, "gjms_recursion", lambda bg, k: GjmsPolynomial(k, bg, "recursion", real(bg, k).poly + 1)
+        )
+        code = cli.main(["verify", "ambient", "--kmax", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert self.fail_lines(out) == [f"FAIL routes agree on {bg.label()} k=1" for bg in cli.VERIFY_MATRIX]
+        assert "     factorization: sigma - 15/2; iterated: sigma - 15/2; obstruction: sigma - 15/2; " \
+            "recursion: sigma - 13/2; scattering: sigma - 15/2\n" in out
+
+    def test_each_route_runs_once_per_cell(self, monkeypatch, capsys):
+        calls = Counter()
+
+        def counted(real, name):
+            def wrapper(bg, k, perturbation=None):
+                if perturbation is None:  # a perturbed extension is not the route
+                    calls[name, bg.label(), k] += 1
+                return real(bg, k) if perturbation is None else real(bg, k, perturbation)
+
+            return wrapper
+
+        for name in ("gjms_iterated", "gjms_route_scattering"):
+            for owner in (factorization, cli):  # every module that binds the route
+                if hasattr(owner, name):
+                    monkeypatch.setattr(owner, name, counted(getattr(owner, name), name))
+        assert cli.main(["verify", "all", "--kmax", "3"]) == 0
+        cells = [(bg.label(), k) for bg in cli.VERIFY_MATRIX for k in (1, 2, 3) if not beyond_paper_range(bg.dm, k)]
+        expected = Counter({(name, *cell): 1 for name in ("gjms_iterated", "gjms_route_scattering") for cell in cells})
+        assert calls == expected
 
     def test_checker_reports_any_exception(self):
         out = io.StringIO()

@@ -4,9 +4,10 @@ import pytest
 
 from gjms.ambient import gjms_iterated
 from gjms.backgrounds import Background
-from gjms.core import AlgebraError, SigmaPoly
+from gjms.core import AlgebraError, OrderShortfall, SigmaPoly
 from gjms.scattering import (
     SCATTERING_SIGN,
+    _ds_plain,
     apply_Ds,
     gjms_route_scattering,
     greens_log_coefficient,
@@ -52,6 +53,18 @@ class TestRadialOperator:
     def test_needs_r_series(self):
         with pytest.raises(AlgebraError):
             apply_Ds(QE, 3, LogSeries(TruncatedSeries.constant("rho", 1, 4)))
+
+    def test_order_zero_series_is_a_shortfall(self):
+        with pytest.raises(OrderShortfall):
+            _ds_plain(QE, QE.dm / 2 + 1, TruncatedSeries.constant(R, 1, 0))
+
+    def test_order_one_series_truncates_the_order_two_result(self):
+        series = TruncatedSeries(R, [1, F(2, 3), -5], 2)
+        for bg in (QE, GL):
+            s = bg.dm / 2 + 1
+            low = _ds_plain(bg, s, series.truncate(1))
+            assert low.order == 0
+            assert low == _ds_plain(bg, s, series).truncate(0)
 
 
 class TestScatteringSolve:
