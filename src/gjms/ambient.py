@@ -4,16 +4,18 @@ On the eigenfunction sector a weight-w homogeneous function is t^w * P(rho)
 with P a truncated series whose coefficients are polynomials in sigma, the
 eigenvalue of the base weighted Laplacian.  One application of the ambient
 weighted Laplacian maps it to t^(w-2) times the second-order operator
-a*rho*P'' + (b0 + rho*b1)*P' + c*P with
+a*rho*P'' + (b0 + rho*b1)*P' + c*P with c = c0 + w*c1 and
 
     a = -2,  b0 = 2w + d + m - 2,  b1 = -(Gtr + 2 MF),
-    c = sigma*LF + (w/2) Gtr + w MF,
+    c0 = sigma*LF,  c1 = Gtr/2 + MF,
 
 where Gtr = g^{ij} g'_{ij}, MF = (m/f) f', and LF is the sector scaling of
 the base Laplacian.  The iterated, extension and obstruction constructions
 apply this map; the jet recursion solves the same equation from its own
-coefficients (0, 0, -2T, sigma*LF + w T) in the drift trace T, with the
-principal part folded into the divisor 2j(k-j).
+coefficients a = b0 = 0, b1 = -2T, c0 = sigma*LF, c1 = T in the drift trace
+T, with the principal part folded into the divisor 2j(k-j).  Each Background
+prepares each operator once (b1, c0, c1 as integer rows) and every weight
+shares it.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ from typing import Any
 
 from .backgrounds import Background
 from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, positive_k, rat, rat_str
-from .series import (
-    RHO,
-    ObstructedWeight,
-    TruncatedSeries,
-    apply_second_order,
-    solve_order_by_order,
-)
+from .series import RHO, ObstructedWeight, SecondOrderOperator, TruncatedSeries, solve_order_by_order
 
 
 class RestrictionError(AlgebraError):
@@ -54,6 +50,7 @@ class HomogeneousFunction:
     def __post_init__(self):
         if self.profile.var != RHO:
             raise AlgebraError("homogeneous-function profiles live in rho")
+        object.__setattr__(self, "weight", rat(self.weight))
 
 
 @dataclass(frozen=True)
@@ -115,19 +112,21 @@ def check_k_restriction_dm(dm: RatLike, k: int, override: bool = False) -> None:
         )
 
 
+def _ambient_operator(bg: Background, picture: str, order: int) -> SecondOrderOperator:
+    """The operator for profiles to the given order, from coefficients to one
+    order below (order 0 has none: the accessors raise OrderShortfall)."""
+    gtr = bg.metric_trace(picture, order - 1)
+    mf = bg.measure_trace(picture, order - 1)
+    lf = bg.laplacian_factor(picture, order - 1)
+    return SecondOrderOperator(-(gtr + 2 * mf), SigmaPoly.sigma() * lf, Fraction(1, 2) * gtr + mf)
+
+
 def ambient_laplacian(bg: Background, func: HomogeneousFunction) -> HomogeneousFunction:
     """One application of the ambient weighted Laplacian; weight drops by 2,
     the profile loses one valid order."""
-    prof = func.profile
-    n = prof.order
-    w = func.weight
-    gtr = bg.metric_trace(RHO, n)
-    mf = bg.measure_trace(RHO, n)
-    lf = bg.laplacian_factor(RHO, n)
-    b1 = -(gtr + 2 * mf)
-    c = SigmaPoly.sigma() * lf + (w / 2) * gtr + w * mf
-    out = apply_second_order(-2, 2 * w + bg.dm - 2, b1, c, prof)
-    return HomogeneousFunction(w - 2, out)
+    prof, w = func.profile, func.weight
+    op = bg.grown(_ambient_operator, RHO, prof.order)
+    return HomogeneousFunction(w - 2, op.apply(-2, 2 * w + bg.dm - 2, w, prof))
 
 
 def _profile_from_perturbation(
@@ -173,17 +172,21 @@ def gjms_iterated(
     return GjmsPolynomial(k, bg, "iterated", poly)
 
 
+def _recursion_operator(bg: Background, picture: str, order: int) -> SecondOrderOperator:
+    """Like ``_ambient_operator``, from the drift trace alone."""
+    t = bg.trace_term(picture, order - 1)
+    return SecondOrderOperator(-2 * t, SigmaPoly.sigma() * bg.laplacian_factor(picture, order - 1), t)
+
+
 def gjms_recursion(bg: Background, k: int) -> GjmsPolynomial:
     """Jet-recursion route: solve the profile jets order by order, then read
     the operator off the order-(k-1) jet with normalization c_k."""
     positive_k(k)
     w = critical_weight(bg, k)
-    t = bg.trace_term(RHO, k)
-    b1 = -2 * t
-    c = SigmaPoly.sigma() * bg.laplacian_factor(RHO, k) + w * t
+    op = bg.grown(_recursion_operator, RHO, k)
 
     def apply(prof: TruncatedSeries) -> TruncatedSeries:
-        return apply_second_order(0, 0, b1, c, prof)
+        return op.apply(0, 0, w, prof)
 
     jets = solve_order_by_order(apply, lambda j: 2 * j * (k - j), k - 1, RHO)
     poly = factorial(k - 1) * apply(jets).coeff(k - 1) / jet_normalization(k)

@@ -16,36 +16,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
 
-from .core import AlgebraError, RatLike, SigmaPoly, rat, rat_str
+from .core import AlgebraError, RatLike, rat, rat_str
 from .series import R, RHO, TruncatedSeries
 
 QUASI_EINSTEIN = "quasi_einstein"
 GOVER_LEITNER = "gover_leitner"
 
+T = TypeVar("T")
 Accessor = Callable[["Background", str, int], TruncatedSeries]
 
 
 def _stored(build: Accessor) -> Accessor:
-    """Keep, per Background instance and picture, the longest series ``build``
-    has made, and serve a lower order by truncation.
-
-    A longer request rebuilds at max(order, 2 * held order): the
-    order-by-order solves ask for orders 2, 3, ..., n in turn, so doubling
-    needs O(log n) builds instead of n.  Coefficients never depend on the
-    order they were built at, so every answer equals a fresh build's.
-    """
-
-    name = build.__name__
+    """An accessor that keeps, per Background instance and picture, the
+    longest series ``build`` has made (``Background.grown``) and serves a
+    lower order by truncation.  Coefficients never depend on the order they
+    were built at, so every answer equals a fresh build's."""
 
     @wraps(build)
     def accessor(self: "Background", picture: str, order: int) -> TruncatedSeries:
-        key = (name, picture)
-        held = self._series.get(key)
-        if held is None or held.order < order:
-            grown = order if held is None else max(order, 2 * held.order)
-            held = self._series[key] = build(self, picture, grown)
+        held = self.grown(build, picture, order)
         return held if held.order == order else held.truncate(order)
 
     return accessor
@@ -57,9 +48,9 @@ class Background:
     d: int
     m: Fraction
     lam: Fraction | None = None
-    # (accessor name, picture) -> the longest series built so far (_stored);
-    # outside ==, hash and repr, so equal backgrounds stay equal
-    _series: dict[tuple[str, str], TruncatedSeries] = field(
+    # (builder, picture) -> the longest result built so far (grown); outside
+    # ==, hash and repr, so equal backgrounds stay equal
+    _built: dict[tuple[Callable, str], Any] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -89,6 +80,22 @@ class Background:
     def dm(self) -> Fraction:
         return self.d + self.m
 
+    def grown(self, build: Callable[["Background", str, int], T], picture: str, order: int) -> T:
+        """The longest ``build(self, picture, n)`` made so far on this
+        instance, built anew when its ``order`` is below ``order``.
+
+        A longer request rebuilds at max(order, 2 * held order): the
+        order-by-order solves ask for orders 2, 3, ..., n in turn, so doubling
+        needs O(log n) builds instead of n.  Stores the expansion accessors'
+        series and the routes' prepared operators.
+        """
+        key = (build, picture)
+        held = self._built.get(key)
+        if held is None or held.order < order:
+            n = order if held is None else max(order, 2 * held.order)
+            held = self._built[key] = build(self, picture, n)
+        return held
+
     def label(self) -> str:
         if self.kind == QUASI_EINSTEIN:
             return f"QE(d={self.d}, m={rat_str(self.m)}, lambda={rat_str(self.lam)})"
@@ -114,10 +121,11 @@ class Background:
 
     # -- expansion accessors ------------------------------------------------
     #
-    # The four that every operator application reads are stored per instance
-    # and picture: the longest series built so far serves any lower order by
+    # The four that the routes' operators read are stored per instance and
+    # picture: the longest series built so far serves any lower order by
     # truncation, and a longer request rebuilds at max(order, 2 * held order)
-    # (_stored).  density_factor is read once per Green pairing, not stored.
+    # (_stored, grown).  density_factor is read once per Green pairing, not
+    # stored.
 
     @_stored
     def metric_trace(self, picture: str, order: int) -> TruncatedSeries:

@@ -34,6 +34,7 @@ from .backgrounds import Background, verify_spaceform_conditions
 from .core import AlgebraError, positive_k, rat, rat_str
 from .factorization import RouteReport, cross_route_report, route_polynomial
 from .scattering import (
+    ScatteringSolution,
     greens_log_coefficient,
     log_normalization,
     scattering_solve,
@@ -244,9 +245,12 @@ def verify_ambient(chk: Checker, kmax: int, report: Callable[[Background, int], 
         chk.check(f"harmonic extension closes to order 3 on {bg.label()}", lambda: closes(bg))
 
 
-def verify_scattering(chk: Checker, kmax: int, report: Callable[[Background, int], RouteReport]) -> None:
-    solve = cache(scattering_solve)
-
+def verify_scattering(
+    chk: Checker,
+    kmax: int,
+    report: Callable[[Background, int], RouteReport],
+    solve: Callable[[Background, int], ScatteringSolution],
+) -> None:
     def odd_vanish(bg: Background, k: int) -> bool:
         v = solve(bg, k).v_coeffs
         return all(v[j].is_zero() for j in range(1, 2 * k, 2) if j < bg.dm)
@@ -266,9 +270,9 @@ def verify_scattering(chk: Checker, kmax: int, report: Callable[[Background, int
         chk.check(f"log coefficient over d_k is +/-monic degree {k} on {bg.label()}", lambda: monic(bg, k))
 
 
-def verify_green(chk: Checker, kmax: int) -> None:
+def verify_green(chk: Checker, kmax: int, solve: Callable[[Background, int], ScatteringSolution]) -> None:
     def symmetric(bg: Background, k: int) -> tuple[bool, str]:
-        report = greens_log_coefficient(bg, k)
+        report = greens_log_coefficient(solve(bg, k))
         return report.match, f"lp: {report.lp}; rhs: {report.rhs}"
 
     for bg, k in _cells(GREEN_MATRIX, range(1, min(kmax, 2) + 1)):
@@ -278,16 +282,17 @@ def verify_green(chk: Checker, kmax: int) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     kmax = positive_k(args.kmax)
     chk = Checker()
-    # one RouteReport per (background, k) cell, shared by the suites of this run
-    report = cache(cross_route_report)
+    # one RouteReport and one radial solution per (background, k) cell,
+    # shared by the suites of this run
+    report, solve = cache(cross_route_report), cache(scattering_solve)
     if args.suite in ("all", "sl2"):
         verify_sl2(chk, kmax)
     if args.suite in ("all", "ambient"):
         verify_ambient(chk, kmax, report)
     if args.suite in ("all", "scattering"):
-        verify_scattering(chk, kmax, report)
+        verify_scattering(chk, kmax, report, solve)
     if args.suite in ("all", "green"):
-        verify_green(chk, kmax)
+        verify_green(chk, kmax, solve)
     if args.inject_fault:
         chk.check("fault-injection self-test hook", lambda: (False, "fault injected by request"))
     total = "all checks passed" if chk.failures == 0 else f"{chk.failures} check(s) FAILED"

@@ -14,7 +14,7 @@ from .ambient import (
     iterated_vs_obstruction_constant,
     obstruction,
 )
-from .backgrounds import GOVER_LEITNER, QUASI_EINSTEIN, Background
+from .backgrounds import QUASI_EINSTEIN, Background
 from .core import AlgebraError, RatLike, SigmaPoly, positive_k, rat
 from .scattering import gjms_route_scattering
 

@@ -3,14 +3,15 @@
 With g_+ = r^-2 (dr^2 + g_r) and f_+ = r^-1 f_r, conjugating the radial
 eigenvalue operator by r^((d+m)/2 - k) and negating yields, on the
 eigenfunction sector, the second-order operator a*r*P'' + (b0 + r*b1)*P' + c*P
-with
+with c = c0 + (s - d - m)*c1 and
 
-    a = -1,  b0 = 2s - d - m - 1,  b1 = -T,  c = (s - d - m) T - r*sigma*LF,
+    a = -1,  b0 = 2s - d - m - 1,  b1 = -T,  c0 = -r*sigma*LF,  c1 = T,
 
 where s = (d+m)/2 + k, T is the r-picture drift trace, and LF the sector
-scaling of the base Laplacian.  The expansion is solved order by order with
-divisor j(2k-j); the order-2k log coefficient reproduces the ambient operator
-up to the normalization d_k and a global sign.
+scaling of the base Laplacian.  Each Background prepares the operator once
+(b1, c0, c1 as integer rows) and every s shares it.  The expansion is solved
+order by order with divisor j(2k-j); the order-2k log coefficient reproduces
+the ambient operator up to the normalization d_k and a global sign.
 
 Sign pinning: the whole package uses the trace-convention weighted Laplacian
 (the one the ambient formula forces), under which the log coefficient comes
@@ -29,7 +30,7 @@ from typing import Any
 from .ambient import GjmsPolynomial
 from .backgrounds import Background
 from .core import AlgebraError, RatLike, SigmaPoly, positive_k, rat, rat_str
-from .series import R, LogSeries, TruncatedSeries, apply_second_order, solve_order_by_order
+from .series import R, LogSeries, SecondOrderOperator, TruncatedSeries, solve_order_by_order
 
 SCATTERING_SIGN = Fraction(-1)
 
@@ -57,16 +58,21 @@ class ScatteringSolution:
         }
 
 
+def _radial_operator(bg: Background, picture: str, order: int) -> SecondOrderOperator:
+    """The operator for series to the given order, from coefficients to one
+    order below (order 0 has none: the accessors raise OrderShortfall)."""
+    trace = bg.trace_term(picture, order - 1)
+    lf = bg.laplacian_factor(picture, order - 1)
+    return SecondOrderOperator(-trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
+
+
 def _ds_plain(
     bg: Background, s: Fraction, series: TruncatedSeries
 ) -> TruncatedSeries:
     """D_s applied to a log-free radial series; the result is valid one order
     lower than the input."""
-    n = series.order
-    trace = bg.trace_term(R, n)
-    lf = bg.laplacian_factor(R, n)
-    c = (s - bg.dm) * trace - (SigmaPoly.sigma() * lf).mul_var()
-    return apply_second_order(-1, 2 * s - bg.dm - 1, -trace, c, series)
+    op = bg.grown(_radial_operator, R, series.order)
+    return op.apply(-1, 2 * s - bg.dm - 1, s - bg.dm, series)
 
 
 def apply_Ds(bg: Background, s: RatLike, u: LogSeries) -> LogSeries:
@@ -143,16 +149,17 @@ class GreensLogReport:
         }
 
 
-def greens_log_coefficient(bg: Background, k: int) -> GreensLogReport:
+def greens_log_coefficient(sol: ScatteringSolution) -> GreensLogReport:
     """log-epsilon coefficient of the boundary pairing
-    -eps^(1-d-m) * U(eps) U'(eps) * density(eps), diagonal eigenfunction case.
+    -eps^(1-d-m) * U(eps) U'(eps) * density(eps), diagonal eigenfunction case,
+    for the radial solution ``sol`` of ``scattering_solve``.
 
     The epsilon^0 coefficient of the full expression sits at order 2k of the
     series left after stripping the r^(2a-1) prefactor (a = (d+m)/2 - k).
     The identity lp = -(d+m) p_{2k} A holds independently of the global sign
     convention.
     """
-    sol = scattering_solve(bg, k)
+    bg, k = sol.background, sol.k
     a = bg.dm / 2 - k
     order = 2 * k
     # v_{2k} is undetermined; padding W with zeros beyond order 2k-1 is safe

@@ -41,13 +41,11 @@ def _as_sp(value: CoeffLike) -> SigmaPoly:
     return value if isinstance(value, SigmaPoly) else SigmaPoly.const(rat(value))
 
 
-def _integer_rows(
-    coeffs: Iterable[SigmaPoly], *scalars: Fraction
-) -> tuple[int, list[list[int]]]:
-    """The lcm D of every coefficient's and scalar's denominator, and one row
+def _integer_rows(coeffs: Iterable[SigmaPoly]) -> tuple[int, list[list[int]]]:
+    """The lcm D of every coefficient's denominator, and one row
     [D * sigma-coefficient as int, ...] per coefficient (empty for zero)."""
     rows = [c.coeffs for c in coeffs]
-    d = lcm(*(x.denominator for x in scalars), *(x.denominator for cs in rows for x in cs))
+    d = lcm(*(x.denominator for cs in rows for x in cs))
     return d, [[x.numerator * (d // x.denominator) for x in cs] for cs in rows]
 
 
@@ -274,50 +272,64 @@ class TruncatedSeries:
         return f"<{body or '0'} + O({self.var}^{self.order + 1})>"
 
 
-def apply_second_order(
-    a: RatLike,
-    b0: RatLike,
-    b1: TruncatedSeries,
-    c: TruncatedSeries,
-    p: TruncatedSeries,
-) -> TruncatedSeries:
-    """a*v*P'' + (b0 + v*b1)*P' + c*P for the series variable v, with rational
-    a, b0 and series coefficients b1, c; valid one order below P.
+class SecondOrderOperator:
+    """a*v*P'' + (b0 + v*b1)*P' + (c0 + x*c1)*P for the series variable v,
+    with series coefficients b1, c0, c1 prepared once and rational a, b0, x
+    given per application; valid one order below P.
 
-    One integer-row pass: for P of order N, b1 valid to order N-2 and c to
-    order N-1, the order-t coefficient (t < N) is
+    Preparing scales b1, c0 and c1 to integer rows over one denominator D.
+    For P of order N (at most ``order``: b1 read to order N-2, c0 and c1 to
+    N-1), the order-t coefficient (t < N) of an application is
 
-      out_t = (a*t + b0)*(t+1)*p_(t+1) + sum_(i+j=t) (j*b1_i + c_i)*p_j.
+      out_t = (a*t + b0)*(t+1)*p_(t+1) + sum_(i+j=t) (j*b1_i + c_i)*p_j,
 
-    a, b0, b1 and c are scaled to ints over one common denominator D and P
-    over its own Dp, the convolution runs on the ints, and each output
-    coefficient is one Fraction(num, D*Dp), normalized once.
+    with c = c0 + x*c1.  Each application scales a, b0 and x to ints over
+    D*E, E the lcm of their denominators, forms c's rows with int operations,
+    runs one convolution against P scaled to ints over its own Dp, and makes
+    each output coefficient one Fraction(num, D*E*Dp), normalized once.
     """
-    n = p.order
-    if n == 0:
-        raise OrderShortfall("cannot differentiate an order-0 series")
-    for coeff, need in ((b1, n - 2), (c, n - 1)):
-        p._common(coeff)
-        if coeff.order < need:
-            raise OrderShortfall(
-                f"operator coefficient valid to order {coeff.order}; need order >= {need}"
-            )
-    a, b0 = rat(a), rat(b0)
-    d, rows = _integer_rows(b1.coeffs[: n - 1] + c.coeffs[:n], a, b0)
-    bs, cs = rows[: n - 1] + [[]], rows[n - 1 :]
-    dp, ps = _integer_rows(p.coeffs)
-    ai, b0i = a.numerator * (d // a.denominator), b0.numerator * (d // b0.denominator)
-    width = max(map(len, rows)) + max(map(len, ps))
-    out = []
-    for t in range(n):
-        row = [0] * width
-        _add_product(row, [(ai * t + b0i) * (t + 1)], ps[t + 1])
-        for j in range(t + 1):
-            if ps[j]:
-                w = [j * x + y for x, y in zip_longest(bs[t - j], cs[t - j], fillvalue=0)]
-                _add_product(row, w, ps[j])
-        out.append(row)
-    return TruncatedSeries(p.var, _fraction_rows(out, d * dp), n - 1)
+
+    __slots__ = ("var", "order", "_den", "_b1", "_c0", "_c1")
+
+    def __init__(self, b1: TruncatedSeries, c0: TruncatedSeries, c1: TruncatedSeries):
+        b1._common(c0)
+        b1._common(c1)
+        self.var = b1.var
+        n = self.order = min(b1.order + 2, c0.order + 1, c1.order + 1)
+        self._den, rows = _integer_rows(b1.coeffs[: n - 1] + c0.coeffs[:n] + c1.coeffs[:n])
+        self._b1, self._c0, self._c1 = rows[: n - 1], rows[n - 1 : 2 * n - 1], rows[2 * n - 1 :]
+
+    def apply(self, a: RatLike, b0: RatLike, x: RatLike, p: TruncatedSeries) -> TruncatedSeries:
+        n = p.order
+        if n == 0:
+            raise OrderShortfall("cannot differentiate an order-0 series")
+        if p.var != self.var:
+            raise VariableMismatch(f"cannot apply an operator in {self.var!r} to a series in {p.var!r}")
+        if n > self.order:
+            raise OrderShortfall(f"operator prepared to order {self.order}; need order >= {n}")
+        a, b0, x = rat(a), rat(b0), rat(x)
+        e = lcm(a.denominator, b0.denominator, x.denominator)
+        d = self._den * e
+        ai, b0i = a.numerator * (d // a.denominator), b0.numerator * (d // b0.denominator)
+        xi = x.numerator * (e // x.denominator)
+        bs = self._b1[: n - 1] if e == 1 else [[e * u for u in b] for b in self._b1[: n - 1]]
+        bs.append([])
+        cs = [
+            [e * u + xi * v for u, v in zip_longest(c0, c1, fillvalue=0)]
+            for c0, c1 in zip(self._c0[:n], self._c1[:n])
+        ]
+        dp, ps = _integer_rows(p.coeffs)
+        width = max(map(len, bs + cs)) + max(map(len, ps))
+        out = []
+        for t in range(n):
+            row = [0] * width
+            _add_product(row, [(ai * t + b0i) * (t + 1)], ps[t + 1])
+            for j in range(t + 1):
+                if ps[j]:
+                    w = [j * u + v for u, v in zip_longest(bs[t - j], cs[t - j], fillvalue=0)]
+                    _add_product(row, w, ps[j])
+            out.append(row)
+        return TruncatedSeries(p.var, _fraction_rows(out, d * dp), n - 1)
 
 
 def solve_order_by_order(
@@ -336,7 +348,7 @@ def solve_order_by_order(
 
     apply may lose at most one order, and the order-(j-1) coefficient of its
     result may depend on input coefficients through order j only, as for
-    every operator of the apply_second_order form.  At level j apply is
+    every application of a SecondOrderOperator.  At level j apply is
     therefore handed the partial series declared exact only through order j,
     not levels+1, so level j costs O(j^2) coefficient products, not
     O(levels^2).

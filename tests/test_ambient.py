@@ -57,15 +57,28 @@ class TestAmbientLaplacian:
         assert image.profile.coeff(0) == SigmaPoly.const(2 * 1 + 5 - 2)
         assert image.profile.coeff(1) == SIGMA
 
+    def test_int_and_fraction_weights_give_equal_images(self):
+        bg = Background.quasi_einstein(3, 1, 1)
+        for w in (1, 0, -3):
+            prof = TruncatedSeries.constant(RHO, 1, 3)
+            as_int = ambient_laplacian(bg, HomogeneousFunction(w, prof))
+            as_fraction = ambient_laplacian(bg, HomogeneousFunction(F(w), prof))
+            assert as_int == as_fraction
+            assert type(as_int.weight) is F and type(HomogeneousFunction(w, prof).weight) is F
+
     def test_order_bookkeeping(self):
         func = HomogeneousFunction(F(0), TruncatedSeries.constant(RHO, 1, 3))
         assert ambient_laplacian(QE, func).profile.order == 2
 
     def test_order_zero_profile_is_a_shortfall(self):
-        # the floor is apply_second_order's: an order-0 profile has no valid P'
+        # an order-0 profile has no valid P': a fresh background fails
+        # preparing the operator, a used one applying it
+        used = Background.quasi_einstein(3, 2, 1)
+        ambient_laplacian(used, HomogeneousFunction(F(1), TruncatedSeries.constant(RHO, 1, 2)))
         func = HomogeneousFunction(F(1), TruncatedSeries.constant(RHO, 1, 0))
-        with pytest.raises(OrderShortfall):
-            ambient_laplacian(QE, func)
+        for bg in (Background.quasi_einstein(3, 2, 1), used):
+            with pytest.raises(OrderShortfall):
+                ambient_laplacian(bg, func)
 
     def test_homogeneity_identity(self):
         # Delta(Q*H) = Q*Delta(H) + 4*(w_H + (d+m+2)/2)*H with Q = 2*rho*t^2,
@@ -105,7 +118,7 @@ class TestRestriction:
             lambda k: obstruction(QE, k),
             lambda k: scattering_solve(QE, k),
             lambda k: gjms_route_scattering(QE, k),
-            lambda k: greens_log_coefficient(QE, k),
+            lambda k: greens_log_coefficient(scattering_solve(QE, k)),
             lambda k: qe_product(3, 2, 1, k),
             lambda k: gl_product(3, 2, k),
             lambda k: route_polynomial(QE, k, "iterated"),

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from gjms import cli, factorization
+from gjms import cli, factorization, scattering
 from gjms.ambient import GjmsPolynomial, beyond_paper_range
 from gjms.core import AlgebraError
 
@@ -229,6 +229,25 @@ class TestVerifyFailures:
         cells = [(bg.label(), k) for bg in cli.VERIFY_MATRIX for k in (1, 2, 3) if not beyond_paper_range(bg.dm, k)]
         expected = Counter({(name, *cell): 1 for name in ("gjms_iterated", "gjms_route_scattering") for cell in cells})
         assert calls == expected
+
+    def test_each_cell_solves_the_radial_expansion_twice(self, monkeypatch, capsys):
+        # once inside the cell's scattering route, once for the scattering and
+        # Green suites together
+        calls = Counter()
+
+        def counted(real):
+            def wrapper(bg, k):
+                calls[bg.label(), k] += 1
+                return real(bg, k)
+
+            return wrapper
+
+        for owner in (scattering, cli):  # every module that binds the solve
+            monkeypatch.setattr(owner, "scattering_solve", counted(getattr(owner, "scattering_solve")))
+        assert cli.main(["verify", "all", "--kmax", "3"]) == 0
+        cells = [(bg.label(), k) for bg in cli.VERIFY_MATRIX for k in (1, 2, 3) if not beyond_paper_range(bg.dm, k)]
+        assert calls == Counter({cell: 2 for cell in cells})
+        assert sum(calls.values()) == 34
 
     def test_checker_reports_any_exception(self):
         out = io.StringIO()

@@ -11,8 +11,8 @@ from gjms.series import (
     R,
     LogSeries,
     ObstructedWeight,
+    SecondOrderOperator,
     TruncatedSeries,
-    apply_second_order,
     solve_order_by_order,
 )
 
@@ -324,10 +324,11 @@ class TestKernelsMatchReferences:
         st.integers(0, 7),
     )
     def test_solver_matches_the_full_order_solve(self, a, b0, b1, c, shift, levels):
-        # like the routes' operators, apply rebuilds its coefficients at the
-        # order of its input
+        # like the routes' operators, one preparation serves every level
+        op = SecondOrderOperator(b1, c, c)
+
         def apply(p):
-            return apply_second_order(a, b0, b1.truncate(p.order), c.truncate(p.order), p)
+            return op.apply(a, b0, shift, p)
 
         def divisor(j):
             return j * (j + shift)
@@ -336,85 +337,110 @@ class TestKernelsMatchReferences:
 
 
 small_polys = st.lists(rationals, max_size=3).map(SigmaPoly)
+scalars = st.one_of(st.just(F(0)), rationals)
 
 
 @st.composite
 def operator_inputs(draw):
-    """(a, b0, b1, c, P): P of order 1..10 in either variable, zero included;
-    b1 and c of sigma-degree <= 2, valid to orders N-2 and N-1 or above."""
+    """(a, b0, x, b1, c0, c1, P): P of order 1..10 in either variable, zero
+    included; b1, c0 and c1 of sigma-degree <= 2, zero included, valid to
+    orders N-2, N-1 and N-1 or above."""
     var = draw(st.sampled_from([RHO, R]))
     n = draw(st.integers(1, 10))
 
     def series(polys, order):
         return TruncatedSeries(var, draw(st.lists(polys, max_size=order + 1)), order)
 
-    a = draw(st.one_of(st.just(F(0)), rationals))
-    b0 = draw(rationals)
+    a, b0, x = draw(scalars), draw(rationals), draw(scalars)
     b1 = series(small_polys, draw(st.integers(max(n - 2, 0), n + 2)))
-    c = series(small_polys, draw(st.integers(n - 1, n + 2)))
-    return a, b0, b1, c, series(sigma_polys, n)
+    c0 = series(small_polys, draw(st.integers(n - 1, n + 2)))
+    c1 = series(small_polys, draw(st.integers(n - 1, n + 2)))
+    return a, b0, x, b1, c0, c1, series(sigma_polys, n)
 
 
 class TestSecondOrderOperator:
     @settings(max_examples=100, deadline=None)
     @given(operator_inputs())
     def test_kernel_matches_the_composed_operator(self, args):
-        out, ref = apply_second_order(*args), composed_second_order(*args)
-        assert out.order == ref.order == args[-1].order - 1
+        a, b0, x, b1, c0, c1, p = args
+        out = SecondOrderOperator(b1, c0, c1).apply(a, b0, x, p)
+        ref = composed_second_order(a, b0, b1, c0 + x * c1, p)
+        assert out.order == ref.order == p.order - 1
         assert out.coeffs == ref.coeffs
+
+    @settings(max_examples=50, deadline=None)
+    @given(operator_inputs())
+    def test_a_longer_preparation_serves_every_shorter_series(self, args):
+        a, b0, x, b1, c0, c1, p = args
+        op = SecondOrderOperator(b1, c0, c1)
+        for n in range(1, p.order + 1):
+            # prepared from the shortest coefficients an order-n P needs
+            fresh = SecondOrderOperator(b1.truncate(max(n - 2, 0)), c0.truncate(n - 1), c1.truncate(n - 1))
+            assert fresh.order == n
+            q = p.truncate(n)
+            assert op.apply(a, b0, x, q) == fresh.apply(a, b0, x, q)
 
     @pytest.mark.parametrize("b1_order, c_order", [(2, 4), (3, 3)])
     def test_short_coefficients_are_rejected(self, b1_order, c_order):
-        # P of order 5 needs b1 to order 3 and c to order 4
+        # P of order 5 needs b1 to order 3 and c0, c1 to order 4
         p = TruncatedSeries(RHO, [1, 2, 3], 5)
         b1, c = TruncatedSeries.zero(RHO, b1_order), TruncatedSeries.constant(RHO, 1, c_order)
-        for op in (apply_second_order, composed_second_order):
+        zero = TruncatedSeries.zero(RHO, 4)
+        for c0, c1 in ((c, zero), (zero, c)):
             with pytest.raises(OrderShortfall):
-                op(1, 1, b1, c, p)
+                SecondOrderOperator(b1, c0, c1).apply(1, 1, 1, p)
+        with pytest.raises(OrderShortfall):
+            composed_second_order(1, 1, b1, c, p)
 
     def test_mixed_variables_are_rejected(self):
         p = TruncatedSeries(RHO, [1, 2, 3], 4)
         rho, r = TruncatedSeries.zero(RHO, 4), TruncatedSeries.zero(R, 4)
+        for b1, c0, c1 in ((r, rho, rho), (rho, r, rho), (rho, rho, r)):
+            with pytest.raises(VariableMismatch):
+                SecondOrderOperator(b1, c0, c1)
         for b1, c in ((r, rho), (rho, r)):
-            for op in (apply_second_order, composed_second_order):
-                with pytest.raises(VariableMismatch):
-                    op(1, 1, b1, c, p)
+            with pytest.raises(VariableMismatch):
+                composed_second_order(1, 1, b1, c, p)
+        with pytest.raises(VariableMismatch):
+            SecondOrderOperator(r, r, r).apply(1, 1, 1, p)
 
     def test_on_a_monomial(self):
-        # P = v^3: a v P'' + (b0 + v b1) P' + c P = (6a + 3b0) v^2 + (3b1 + c) v^3
+        # P = v^3: a v P'' + (b0 + v b1) P' + c P = (6a + 3b0) v^2 + (3b1 + c) v^3,
+        # with c = (sigma - 4) + (1/2) * 8 = sigma
         p = TruncatedSeries(RHO, [0, 0, 0, 1], 5)
         b1 = TruncatedSeries.constant(RHO, 5, 5)
-        c = TruncatedSeries.constant(RHO, SigmaPoly.sigma(), 5)
-        out = apply_second_order(2, 3, b1, c, p)
+        c0 = TruncatedSeries.constant(RHO, SigmaPoly([-4, 1]), 5)
+        c1 = TruncatedSeries.constant(RHO, 8, 5)
+        out = SecondOrderOperator(b1, c0, c1).apply(2, 3, F(1, 2), p)
         assert out.order == 4
         assert out.coeffs == (0, 0, 21, SigmaPoly([15, 1]), 0)
 
     def test_order_one_input_drops_the_second_derivative(self):
         p = TruncatedSeries(RHO, [1, 1], 1)
         zero = TruncatedSeries.zero(RHO, 1)
-        out = apply_second_order(7, 2, zero, zero, p)
+        out = SecondOrderOperator(zero, zero, zero).apply(7, 2, 5, p)
         assert out.order == 0 and out.coeff(0) == 2
 
     def test_order_zero_input_is_rejected(self):
         zero = TruncatedSeries.zero(RHO, 0)
-        for op in (apply_second_order, composed_second_order):
-            with pytest.raises(OrderShortfall):
-                op(1, 1, zero, zero, TruncatedSeries.constant(RHO, 1, 0))
+        one = TruncatedSeries.constant(RHO, 1, 0)
+        with pytest.raises(OrderShortfall):
+            SecondOrderOperator(zero, zero, zero).apply(1, 1, 1, one)
+        with pytest.raises(OrderShortfall):
+            composed_second_order(1, 1, zero, zero, one)
 
     def test_solver_reproduces_the_exponential(self):
         # P' - P = 0 with a_0 = 1 forces a_j = a_(j-1) / j
-        minus_one = TruncatedSeries.constant(R, -1, 8)
-        zero = TruncatedSeries.zero(R, 8)
-        sol = solve_order_by_order(
-            lambda p: apply_second_order(0, 1, zero, minus_one, p), lambda j: j, 6, R
-        )
+        op = SecondOrderOperator(TruncatedSeries.zero(R, 8), TruncatedSeries.zero(R, 8), TruncatedSeries.constant(R, 1, 8))
+        sol = solve_order_by_order(lambda p: op.apply(0, 1, -1, p), lambda j: j, 6, R)
         assert sol.order == 7
         assert [c.coeff(0) for c in sol.coeffs] == [F(1, factorial(j)) for j in range(7)] + [0]
 
     def test_solver_raises_at_a_zero_divisor(self):
         zero = TruncatedSeries.zero(RHO, 8)
+        op = SecondOrderOperator(zero, zero, zero)
         with pytest.raises(ObstructedWeight) as exc:
-            solve_order_by_order(lambda p: apply_second_order(0, 1, zero, zero, p), lambda j: j - 3, 6, RHO)
+            solve_order_by_order(lambda p: op.apply(0, 1, 0, p), lambda j: j - 3, 6, RHO)
         assert exc.value.level == 3
 
 

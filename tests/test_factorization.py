@@ -7,6 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from collections import Counter
+
+from gjms import ambient, scattering
 from gjms.ambient import ROUTES, RestrictionError, beyond_paper_range, gjms_iterated
 from gjms.backgrounds import Background
 from gjms.core import SigmaPoly
@@ -186,3 +189,30 @@ class TestCrossRouteReport:
         assert data["all_agree"] is True
         assert data["routes"]["factorization"] == ["-15/16", "-1/2", "1"]
         assert data["agreement"]["iterated~scattering"] is True
+
+
+class TestPreparedOperators:
+    @pytest.mark.parametrize("k", [4, 12])
+    def test_each_operator_is_prepared_log_k_times(self, monkeypatch, k):
+        # each Background prepares each route's operator per picture, growing
+        # by doubling; the weight, s and level are per-application scalars
+        builds = Counter()
+
+        def counted(real, name):
+            def build(bg, picture, order):
+                builds[name, picture] += 1
+                return real(bg, picture, order)
+
+            return build
+
+        for owner, name in ((ambient, "_ambient_operator"), (ambient, "_recursion_operator"), (scattering, "_radial_operator")):
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name), name))
+        bg = Background.quasi_einstein(3, F(1, 2), 1)  # fresh: nothing stored yet
+        assert cross_route_report(bg, k).all_agree()
+        assert set(builds) == {("_ambient_operator", "rho"), ("_recursion_operator", "rho"), ("_radial_operator", "r")}
+        # the radial solve reads orders 1..2k; doubling from 1 needs at most
+        # bit_length(2k) + 1 builds
+        assert all(n <= (2 * k).bit_length() + 1 for n in builds.values()), builds
+        # the iterated route runs first, at the highest order the ambient
+        # operator sees, and its k weights share that one preparation
+        assert builds["_ambient_operator", "rho"] == 1

@@ -1,0 +1,49 @@
+"""Source hygiene checks over the package's own modules."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gjms"
+MODULES = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def imports(tree: ast.Module):
+    """(bound name, line, source module or None) for each name a module imports;
+    the source is the sibling module name for a relative import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno, None
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            source = node.module if node.level == 1 else None
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno, source
+
+
+def unread_imports(name: str, modules: dict[str, ast.Module]) -> list[str]:
+    """Names module ``name`` imports and never reads.  Re-exporting is a use:
+    a name listed in ``__all__`` or imported from this module by a sibling
+    counts as read."""
+    tree = modules[name]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(elt.value for elt in node.value.elts if isinstance(elt, ast.Constant))
+    for other in modules.values():
+        read.update(bound for bound, _, source in imports(other) if source == name)
+    return [f"{bound} (line {line})" for bound, line, _ in imports(tree) if bound not in read]
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_every_imported_name_is_read(name):
+    assert unread_imports(name, MODULES) == []
+
+
+def test_the_scan_finds_an_unread_import():
+    modules = {
+        "a": ast.parse("from .b import c, d, e\nimport f.g\nimport h as i\n__all__ = ['d']\nprint(i)\n"),
+        "b": ast.parse("from .a import c\nfrom .c import e\n"),
+    }
+    assert unread_imports("a", modules) == ["e (line 1)", "f (line 2)"]
