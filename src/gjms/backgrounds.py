@@ -55,6 +55,9 @@ class Background:
     )
 
     def __post_init__(self):
+        object.__setattr__(self, "m", rat(self.m))
+        if self.lam is not None:
+            object.__setattr__(self, "lam", rat(self.lam))
         if self.kind not in (QUASI_EINSTEIN, GOVER_LEITNER):
             raise AlgebraError(f"unknown background kind {self.kind!r}")
         if not isinstance(self.d, int) or self.d < 2:
@@ -70,11 +73,11 @@ class Background:
 
     @classmethod
     def quasi_einstein(cls, d: int, m: RatLike, lam: RatLike) -> "Background":
-        return cls(QUASI_EINSTEIN, d, rat(m), rat(lam))
+        return cls(QUASI_EINSTEIN, d, m, lam)
 
     @classmethod
     def gover_leitner(cls, d: int, m: RatLike) -> "Background":
-        return cls(GOVER_LEITNER, d, rat(m))
+        return cls(GOVER_LEITNER, d, m)
 
     @property
     def dm(self) -> Fraction:

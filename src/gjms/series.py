@@ -283,13 +283,20 @@ class SecondOrderOperator:
 
       out_t = (a*t + b0)*(t+1)*p_(t+1) + sum_(i+j=t) (j*b1_i + c_i)*p_j,
 
-    with c = c0 + x*c1.  Each application scales a, b0 and x to ints over
-    D*E, E the lcm of their denominators, forms c's rows with int operations,
-    runs one convolution against P scaled to ints over its own Dp, and makes
-    each output coefficient one Fraction(num, D*E*Dp), normalized once.
+    with c = c0 + x*c1.  The first application with given (a, b0, x) scales
+    them to ints over D*E, E the lcm of their denominators, and forms c's rows
+    with int operations; every application runs one convolution against P
+    scaled to ints over its own Dp and makes each output coefficient one
+    Fraction(num, D*E*Dp), normalized once.
+
+    Row t depends on p_0..p_(t+1) only.  The operator remembers its last
+    application: the next one with the same (a, b0, x) keeps the output rows
+    0..L-2, L the length of the prefix its P shares with the last P, and
+    convolves from row L-1 on.  An order-by-order solve adds one coefficient
+    a level, so each level computes two rows.
     """
 
-    __slots__ = ("var", "order", "_den", "_b1", "_c0", "_c1")
+    __slots__ = ("var", "order", "_den", "_b1", "_c0", "_c1", "_last")
 
     def __init__(self, b1: TruncatedSeries, c0: TruncatedSeries, c1: TruncatedSeries):
         b1._common(c0)
@@ -298,6 +305,9 @@ class SecondOrderOperator:
         n = self.order = min(b1.order + 2, c0.order + 1, c1.order + 1)
         self._den, rows = _integer_rows(b1.coeffs[: n - 1] + c0.coeffs[:n] + c1.coeffs[:n])
         self._b1, self._c0, self._c1 = rows[: n - 1], rows[n - 1 : 2 * n - 1], rows[2 * n - 1 :]
+        # the last application: (a, b0, x), P's coefficients, the output
+        # coefficients, and (D*E, a, b0, e*b1, c, widest row) as ints
+        self._last = None
 
     def apply(self, a: RatLike, b0: RatLike, x: RatLike, p: TruncatedSeries) -> TruncatedSeries:
         n = p.order
@@ -307,21 +317,31 @@ class SecondOrderOperator:
             raise VariableMismatch(f"cannot apply an operator in {self.var!r} to a series in {p.var!r}")
         if n > self.order:
             raise OrderShortfall(f"operator prepared to order {self.order}; need order >= {n}")
-        a, b0, x = rat(a), rat(b0), rat(x)
-        e = lcm(a.denominator, b0.denominator, x.denominator)
-        d = self._den * e
-        ai, b0i = a.numerator * (d // a.denominator), b0.numerator * (d // b0.denominator)
-        xi = x.numerator * (e // x.denominator)
-        bs = self._b1[: n - 1] if e == 1 else [[e * u for u in b] for b in self._b1[: n - 1]]
-        bs.append([])
-        cs = [
-            [e * u + xi * v for u, v in zip_longest(c0, c1, fillvalue=0)]
-            for c0, c1 in zip(self._c0[:n], self._c1[:n])
-        ]
+        key = rat(a), rat(b0), rat(x)
+        if self._last is None or self._last[0] != key:
+            a, b0, x = key
+            e = lcm(a.denominator, b0.denominator, x.denominator)
+            d = self._den * e
+            xi = x.numerator * (e // x.denominator)
+            bs = (self._b1 if e == 1 else [[e * u for u in b] for b in self._b1]) + [[]]
+            cs = [
+                [e * u + xi * v for u, v in zip_longest(c0, c1, fillvalue=0)]
+                for c0, c1 in zip(self._c0, self._c1)
+            ]
+            ai, b0i = a.numerator * (d // a.denominator), b0.numerator * (d // b0.denominator)
+            self._last = key, (), (), (d, ai, b0i, bs, cs, max(map(len, bs + cs)))
+        _, held, kept, weight = self._last
+        d, ai, b0i, bs, cs, span = weight
+        same = 0
+        for u, v in zip(held, p.coeffs):
+            if u is not v and u != v:
+                break
+            same += 1
+        kept = kept[: max(same - 1, 0)]
         dp, ps = _integer_rows(p.coeffs)
-        width = max(map(len, bs + cs)) + max(map(len, ps))
+        width = span + max(map(len, ps))
         out = []
-        for t in range(n):
+        for t in range(len(kept), n):
             row = [0] * width
             _add_product(row, [(ai * t + b0i) * (t + 1)], ps[t + 1])
             for j in range(t + 1):
@@ -329,7 +349,9 @@ class SecondOrderOperator:
                     w = [j * u + v for u, v in zip_longest(bs[t - j], cs[t - j], fillvalue=0)]
                     _add_product(row, w, ps[j])
             out.append(row)
-        return TruncatedSeries(p.var, _fraction_rows(out, d * dp), n - 1)
+        out = kept + tuple(_fraction_rows(out, d * dp))
+        self._last = key, p.coeffs, out, weight
+        return TruncatedSeries(p.var, out, n - 1)
 
 
 def solve_order_by_order(
@@ -350,8 +372,9 @@ def solve_order_by_order(
     result may depend on input coefficients through order j only, as for
     every application of a SecondOrderOperator.  At level j apply is
     therefore handed the partial series declared exact only through order j,
-    not levels+1, so level j costs O(j^2) coefficient products, not
-    O(levels^2).
+    not levels+1; it shares a_0..a_(j-2) with the last level's, so an
+    operator that remembers its last application recomputes two rows and
+    level j costs O(j) coefficient products.
     The result is declared exact at order levels+1, so one more application
     reads the next residual.
     """

@@ -182,7 +182,7 @@ def test_criterion_6_scattering_route():
         if k > 3:
             continue
         sol = scattering_solve(bg, k)
-        if any(not sol.v_coeffs[j].is_zero() for j in range(1, 2 * k, 2) if j < bg.dm):
+        if any(not sol.v_coeffs[j].is_zero() for j in range(1, 2 * k, 2)):
             ok = False
             detail = f"odd coefficient survives on {bg.label()} k={k}"
             break

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gjms.backgrounds import Background, verify_spaceform_conditions
 from gjms.core import AlgebraError
+from gjms.factorization import cross_route_report
 from gjms.series import R, RHO, TruncatedSeries
 
 QE = Background.quasi_einstein(3, 2, 1)
@@ -42,6 +43,25 @@ class TestConstruction:
     def test_fractional_m(self):
         bg = Background.quasi_einstein(4, F(7, 3), F(1, 2))
         assert bg.dm == F(19, 3)
+
+    @pytest.mark.parametrize(
+        "direct, made",
+        [
+            (Background("quasi_einstein", 3, "1/2", 1), Background.quasi_einstein(3, F(1, 2), 1)),
+            (Background("quasi_einstein", 3, 2, " -1/3 "), Background.quasi_einstein(3, 2, F(-1, 3))),
+            (Background("gover_leitner", 3, "3/2"), Background.gover_leitner(3, F(3, 2))),
+        ],
+    )
+    def test_direct_construction_coerces_m_and_lambda(self, direct, made):
+        assert direct == made and hash(direct) == hash(made) and repr(direct) == repr(made)
+        assert type(direct.m) is F and (direct.lam is None or type(direct.lam) is F)
+        assert cross_route_report(direct, 2).all_agree()
+
+    @pytest.mark.parametrize("m, lam", [(0.5, None), (F(1, 2), 1.0), (2, 0.5)])
+    def test_float_parameters_are_rejected(self, m, lam):
+        kind = "gover_leitner" if lam is None else "quasi_einstein"
+        with pytest.raises(TypeError):
+            Background(kind, 3, m, lam)
 
 
 class TestExpansionData:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -248,6 +249,23 @@ class TestVerifyFailures:
         cells = [(bg.label(), k) for bg in cli.VERIFY_MATRIX for k in (1, 2, 3) if not beyond_paper_range(bg.dm, k)]
         assert calls == Counter({cell: 2 for cell in cells})
         assert sum(calls.values()) == 34
+
+    def test_every_odd_radial_coefficient_is_checked(self, monkeypatch, capsys):
+        # v_5 on QE(3, 2, 1) sits at j = 5 = d+m, which an earlier filter skipped
+        real, bg = cli.scattering_solve, cli.VERIFY_MATRIX[0]
+
+        def surviving_v5(cell, k):
+            sol = real(cell, k)
+            if (cell, k) != (bg, 3):
+                return sol
+            v = list(sol.v_coeffs)
+            v[5] = v[5] + 1
+            return dataclasses.replace(sol, v_coeffs=tuple(v))
+
+        monkeypatch.setattr(cli, "scattering_solve", surviving_v5)
+        code = cli.main(["verify", "scattering", "--kmax", "3"])
+        assert code == 1
+        assert self.fail_lines(capsys.readouterr().out) == [f"FAIL odd radial coefficients vanish on {bg.label()} k=3"]
 
     def test_checker_reports_any_exception(self):
         out = io.StringIO()

@@ -380,6 +380,28 @@ class TestSecondOrderOperator:
             q = p.truncate(n)
             assert op.apply(a, b0, x, q) == fresh.apply(a, b0, x, q)
 
+    @settings(max_examples=150, deadline=None)
+    @given(operator_inputs(), st.tuples(scalars, rationals, scalars), st.data())
+    def test_a_remembered_application_equals_a_fresh_one(self, args, other, data):
+        # one operator applied in turn to series that share a prefix with the
+        # last one (or not), under a repeated or a changed (a, b0, x)
+        a, b0, x, b1, c0, c1, p = args
+        op = SecondOrderOperator(b1, c0, c1)
+        coeffs = list(p.coeffs)
+        for _ in range(data.draw(st.integers(1, 8))):
+            step = data.draw(st.sampled_from(["again", "edit", "grow", "shrink", "copy"]))
+            if step == "edit":
+                coeffs[data.draw(st.integers(0, len(coeffs) - 1))] = data.draw(sigma_polys)
+            elif step == "grow" and len(coeffs) <= op.order:
+                coeffs.append(data.draw(sigma_polys))
+            elif step == "shrink" and len(coeffs) > 2:
+                del coeffs[data.draw(st.integers(2, len(coeffs) - 1)) :]
+            elif step == "copy":  # equal coefficients, none identical
+                coeffs = [SigmaPoly(c.coeffs) for c in coeffs]
+            q = TruncatedSeries(p.var, coeffs, len(coeffs) - 1)
+            weight = data.draw(st.sampled_from([(a, b0, x), other]))
+            assert op.apply(*weight, q) == SecondOrderOperator(b1, c0, c1).apply(*weight, q)
+
     @pytest.mark.parametrize("b1_order, c_order", [(2, 4), (3, 3)])
     def test_short_coefficients_are_rejected(self, b1_order, c_order):
         # P of order 5 needs b1 to order 3 and c0, c1 to order 4

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from collections import Counter
 
-from gjms import ambient, scattering
+from gjms import ambient, scattering, series
 from gjms.ambient import ROUTES, RestrictionError, beyond_paper_range, gjms_iterated
 from gjms.backgrounds import Background
 from gjms.core import SigmaPoly
@@ -216,3 +216,23 @@ class TestPreparedOperators:
         # the iterated route runs first, at the highest order the ambient
         # operator sees, and its k weights share that one preparation
         assert builds["_ambient_operator", "rho"] == 1
+
+    @pytest.mark.parametrize("route", ["recursion", "obstruction", "scattering"])
+    def test_doubling_k_at_most_doubles_the_rows_a_solve_builds(self, monkeypatch, route):
+        # each level of an order-by-order solve computes the two output rows
+        # its new coefficient reaches, so a solve to k builds O(k) rows of
+        # series products and operator images, not O(k^2)
+        rows = []
+
+        def counted(out, den):
+            rows.append(len(out))
+            return fraction_rows(out, den)
+
+        fraction_rows = series._fraction_rows
+        monkeypatch.setattr(series, "_fraction_rows", counted)
+        built = []
+        for k in (12, 24):
+            rows.clear()
+            route_polynomial(Background.quasi_einstein(3, F(1, 2), 1), k, route)
+            built.append(sum(rows))
+        assert built[1] <= 2.25 * built[0], built
