@@ -18,12 +18,11 @@ from .factorization import RouteReport, cross_route_report, gl_product, qe_produ
 from .scattering import (
     GreensLogReport,
     ScatteringSolution,
-    apply_Ds,
     gjms_route_scattering,
     greens_log_coefficient,
     scattering_solve,
 )
-from .series import LogSeries, TruncatedSeries
+from .series import TruncatedSeries
 from .sl2 import NcPoly, extract_Zk, verify_commutator_identity
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "GjmsPolynomial",
     "GreensLogReport",
     "HomogeneousFunction",
-    "LogSeries",
     "NcPoly",
     "ObstructedWeight",
     "OrderShortfall",
@@ -44,7 +42,6 @@ __all__ = [
     "TruncatedSeries",
     "VariableMismatch",
     "ambient_laplacian",
-    "apply_Ds",
     "cross_route_report",
     "extract_Zk",
     "gjms_iterated",

@@ -11,10 +11,14 @@ a*rho*P'' + (b0 + rho*b1)*P' + c*P with c = c0 + w*c1 and
 
 where Gtr = g^{ij} g'_{ij}, MF = (m/f) f', and LF is the sector scaling of
 the base Laplacian.  The iterated, extension and obstruction constructions
-apply this map; the jet recursion solves the same equation from its own
-coefficients a = b0 = 0, b1 = -2T, c0 = sigma*LF, c1 = T in the drift trace
-T, with the principal part folded into the divisor 2j(k-j).  Each Background
-prepares each operator once (b1, c0, c1 as integer rows) and every weight
+apply this map.  The jet recursion applies the same operator without its
+principal part (a = b0 = 0), folded into the divisor 2j(k-j) instead, so it
+solves the obstruction route's jets: its polynomial is the raw obstruction
+polynomial times (k-1)! 2^(k-1) / c_k.
+
+Every coefficient's denominator divides the unit u = c^2 q, so each
+Background prepares the operator once, as the polynomials u, u*b1, u*c0 and
+u*c1 read off the accessors at a fixed window, and every weight and order
 shares it.
 """
 
@@ -26,9 +30,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Any
 
-from .backgrounds import Background
+from .backgrounds import WINDOW, Background
 from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, positive_k, rat, rat_str
-from .series import RHO, ObstructedWeight, SecondOrderOperator, TruncatedSeries, solve_order_by_order
+from .series import RHO, ObstructedWeight, PolynomialOperator, TruncatedSeries, solve_order_by_order
 
 
 class RestrictionError(AlgebraError):
@@ -112,20 +116,19 @@ def check_k_restriction_dm(dm: RatLike, k: int, override: bool = False) -> None:
         )
 
 
-def _ambient_operator(bg: Background, picture: str, order: int) -> SecondOrderOperator:
-    """The operator for profiles to the given order, from coefficients to one
-    order below (order 0 has none: the accessors raise OrderShortfall)."""
-    gtr = bg.metric_trace(picture, order - 1)
-    mf = bg.measure_trace(picture, order - 1)
-    lf = bg.laplacian_factor(picture, order - 1)
-    return SecondOrderOperator(-(gtr + 2 * mf), SigmaPoly.sigma() * lf, Fraction(1, 2) * gtr + mf)
+def _ambient_operator(bg: Background, picture: str) -> PolynomialOperator:
+    """The operator from the accessors read at the picture's window."""
+    n = WINDOW[picture]
+    gtr, mf = bg.metric_trace(picture, n), bg.measure_trace(picture, n)
+    lf = bg.laplacian_factor(picture, n)
+    return PolynomialOperator(bg.unit(picture, n), -(gtr + 2 * mf), SigmaPoly.sigma() * lf, Fraction(1, 2) * gtr + mf)
 
 
 def ambient_laplacian(bg: Background, func: HomogeneousFunction) -> HomogeneousFunction:
     """One application of the ambient weighted Laplacian; weight drops by 2,
     the profile loses one valid order."""
     prof, w = func.profile, func.weight
-    op = bg.grown(_ambient_operator, RHO, prof.order)
+    op = bg.prepared(_ambient_operator, RHO)
     return HomogeneousFunction(w - 2, op.apply(-2, 2 * w + bg.dm - 2, w, prof))
 
 
@@ -172,18 +175,13 @@ def gjms_iterated(
     return GjmsPolynomial(k, bg, "iterated", poly)
 
 
-def _recursion_operator(bg: Background, picture: str, order: int) -> SecondOrderOperator:
-    """Like ``_ambient_operator``, from the drift trace alone."""
-    t = bg.trace_term(picture, order - 1)
-    return SecondOrderOperator(-2 * t, SigmaPoly.sigma() * bg.laplacian_factor(picture, order - 1), t)
-
-
 def gjms_recursion(bg: Background, k: int) -> GjmsPolynomial:
-    """Jet-recursion route: solve the profile jets order by order, then read
-    the operator off the order-(k-1) jet with normalization c_k."""
+    """Jet-recursion route: solve the profile jets order by order with the
+    ambient operator's lower-order part, then read the operator off the
+    order-(k-1) jet with normalization c_k."""
     positive_k(k)
     w = critical_weight(bg, k)
-    op = bg.grown(_recursion_operator, RHO, k)
+    op = bg.prepared(_ambient_operator, RHO)
 
     def apply(prof: TruncatedSeries) -> TruncatedSeries:
         return op.apply(0, 0, w, prof)

@@ -24,6 +24,11 @@ from .series import R, RHO, TruncatedSeries
 QUASI_EINSTEIN = "quasi_einstein"
 GOVER_LEITNER = "gover_leitner"
 
+# The order at which the routes' operators read the accessors.  Times the
+# unit, every coefficient is a polynomial of degree at most 3 in rho and 6 in
+# r; PolynomialOperator checks that the upper half of the window vanishes.
+WINDOW = {RHO: 8, R: 16}
+
 T = TypeVar("T")
 Accessor = Callable[["Background", str, int], TruncatedSeries]
 
@@ -48,7 +53,8 @@ class Background:
     d: int
     m: Fraction
     lam: Fraction | None = None
-    # (builder, picture) -> the longest result built so far (grown); outside
+    # (builder, picture) -> the longest series built so far (grown) or the
+    # prepared operator; outside
     # ==, hash and repr, so equal backgrounds stay equal
     _built: dict[tuple[Callable, str], Any] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -83,14 +89,14 @@ class Background:
     def dm(self) -> Fraction:
         return self.d + self.m
 
-    def grown(self, build: Callable[["Background", str, int], T], picture: str, order: int) -> T:
-        """The longest ``build(self, picture, n)`` made so far on this
+    def grown(self, build: Accessor, picture: str, order: int) -> TruncatedSeries:
+        """The longest series ``build(self, picture, n)`` made so far on this
         instance, built anew when its ``order`` is below ``order``.
 
-        A longer request rebuilds at max(order, 2 * held order): the
-        order-by-order solves ask for orders 2, 3, ..., n in turn, so doubling
-        needs O(log n) builds instead of n.  Stores the expansion accessors'
-        series and the routes' prepared operators.
+        A longer request rebuilds at max(order, 2 * held order), so a caller
+        asking for orders 2, 3, ..., n in turn needs O(log n) builds instead
+        of n.  Stores the expansion accessors' series; the routes' operators
+        have no order and are ``prepared`` once.
         """
         key = (build, picture)
         held = self._built.get(key)
@@ -98,6 +104,14 @@ class Background:
             n = order if held is None else max(order, 2 * held.order)
             held = self._built[key] = build(self, picture, n)
         return held
+
+    def prepared(self, build: Callable[["Background", str], T], picture: str) -> T:
+        """``build(self, picture)``, made once per instance and picture: the
+        routes' operators."""
+        key = (build, picture)
+        if key not in self._built:
+            self._built[key] = build(self, picture)
+        return self._built[key]
 
     def label(self) -> str:
         if self.kind == QUASI_EINSTEIN:
@@ -122,13 +136,19 @@ class Background:
             raise AlgebraError(f"unknown picture {picture!r}")
         return factor.as_exact(order)
 
+    def unit(self, picture: str, order: int) -> TruncatedSeries:
+        """u = c^2 q, a polynomial: the denominator of every expansion
+        accessor's series divides it."""
+        c = self._factor("c", picture, order)
+        return c * c * self._factor("q", picture, order)
+
     # -- expansion accessors ------------------------------------------------
     #
     # The four that the routes' operators read are stored per instance and
     # picture: the longest series built so far serves any lower order by
     # truncation, and a longer request rebuilds at max(order, 2 * held order)
-    # (_stored, grown).  density_factor is read once per Green pairing, not
-    # stored.
+    # (_stored, grown).  The operators read them once, at WINDOW.
+    # density_factor is read once per Green pairing, not stored.
 
     @_stored
     def metric_trace(self, picture: str, order: int) -> TruncatedSeries:

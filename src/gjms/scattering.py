@@ -8,10 +8,12 @@ with c = c0 + (s - d - m)*c1 and
     a = -1,  b0 = 2s - d - m - 1,  b1 = -T,  c0 = -r*sigma*LF,  c1 = T,
 
 where s = (d+m)/2 + k, T is the r-picture drift trace, and LF the sector
-scaling of the base Laplacian.  Each Background prepares the operator once
-(b1, c0, c1 as integer rows) and every s shares it.  The expansion is solved
-order by order with divisor j(2k-j); the order-2k log coefficient reproduces
-the ambient operator up to the normalization d_k and a global sign.
+scaling of the base Laplacian.  Each Background prepares the operator once,
+as the polynomials u, u*b1, u*c0 and u*c1 in the unit u = c^2 q read off the
+accessors at a fixed window, and every s and order shares it.  The expansion
+is solved order by order with divisor j(2k-j); the order-2k log coefficient
+reproduces the ambient operator up to the normalization d_k and a global
+sign.
 
 Sign pinning: the whole package uses the trace-convention weighted Laplacian
 (the one the ambient formula forces), under which the log coefficient comes
@@ -28,9 +30,9 @@ from math import factorial
 from typing import Any
 
 from .ambient import GjmsPolynomial
-from .backgrounds import Background
-from .core import AlgebraError, RatLike, SigmaPoly, positive_k, rat, rat_str
-from .series import R, LogSeries, SecondOrderOperator, TruncatedSeries, solve_order_by_order
+from .backgrounds import WINDOW, Background
+from .core import SigmaPoly, positive_k, rat_str
+from .series import R, PolynomialOperator, TruncatedSeries, solve_order_by_order
 
 SCATTERING_SIGN = Fraction(-1)
 
@@ -58,45 +60,18 @@ class ScatteringSolution:
         }
 
 
-def _radial_operator(bg: Background, picture: str, order: int) -> SecondOrderOperator:
-    """The operator for series to the given order, from coefficients to one
-    order below (order 0 has none: the accessors raise OrderShortfall)."""
-    trace = bg.trace_term(picture, order - 1)
-    lf = bg.laplacian_factor(picture, order - 1)
-    return SecondOrderOperator(-trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
+def _radial_operator(bg: Background, picture: str) -> PolynomialOperator:
+    """The operator from the accessors read at the picture's window."""
+    n = WINDOW[picture]
+    trace, lf = bg.trace_term(picture, n), bg.laplacian_factor(picture, n)
+    return PolynomialOperator(bg.unit(picture, n), -trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
 
 
-def _ds_plain(
-    bg: Background, s: Fraction, series: TruncatedSeries
-) -> TruncatedSeries:
+def _ds_plain(bg: Background, s: Fraction, series: TruncatedSeries) -> TruncatedSeries:
     """D_s applied to a log-free radial series; the result is valid one order
     lower than the input."""
-    op = bg.grown(_radial_operator, R, series.order)
+    op = bg.prepared(_radial_operator, R)
     return op.apply(-1, 2 * s - bg.dm - 1, s - bg.dm, series)
-
-
-def apply_Ds(bg: Background, s: RatLike, u: LogSeries) -> LogSeries:
-    """Apply the radial operator to regular + logpart*log(r).
-
-    Derivatives hitting the log produce the cross terms
-    -2 P' + (2s-d-m) P/r - T P in the regular part; the log part is mapped by
-    the plain operator.  P must be divisible by r.
-    """
-    s = rat(s)
-    if u.var != R:
-        raise AlgebraError("the radial operator acts on r-series")
-    d, m = bg.d, bg.m
-    n = u.order
-    reg = _ds_plain(bg, s, u.regular)
-    if u.logpart.is_zero():
-        return LogSeries(reg)
-    logpart = _ds_plain(bg, s, u.logpart)
-    trace = bg.trace_term(R, n)
-    p = u.logpart
-    cross = -2 * p.derivative()
-    cross = cross + (2 * s - d - m) * p.div_var()
-    cross = cross - (trace * p).truncate(n - 1)
-    return LogSeries(reg + cross.truncate(n - 1), logpart)
 
 
 def scattering_solve(bg: Background, k: int) -> ScatteringSolution:
@@ -109,19 +84,6 @@ def scattering_solve(bg: Background, k: int) -> ScatteringSolution:
     )
     log_coeff = _ds_plain(bg, s, v).coeff(2 * k - 1) / (2 * k)
     return ScatteringSolution(k, s, bg, v.coeffs[: 2 * k], log_coeff)
-
-
-def residual_with_log(bg: Background, sol: ScatteringSolution) -> LogSeries:
-    """Apply the radial operator to V_{2k-1} + p_{2k} r^{2k} log r.
-
-    Both parts of the result vanish through order 2k-1: the log term's
-    first-derivative contribution cancels the regular obstruction.
-    """
-    order = 2 * sol.k + 2
-    regular = TruncatedSeries(R, sol.v_coeffs, len(sol.v_coeffs) - 1).as_exact(order)
-    log_coeffs = [SigmaPoly.zero()] * (2 * sol.k) + [sol.log_coeff]
-    logpart = TruncatedSeries(R, log_coeffs, 2 * sol.k).as_exact(order)
-    return apply_Ds(bg, sol.s, LogSeries(regular, logpart))
 
 
 def gjms_route_scattering(bg: Background, k: int) -> GjmsPolynomial:

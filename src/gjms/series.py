@@ -1,10 +1,16 @@
-"""Truncated power series (and series with a log part) over SigmaPoly.
+"""Truncated power series over SigmaPoly, the polynomial second-order
+operator every route applies, and the order-by-order solver.
 
 Order bookkeeping is pessimistic: every operation records the minimum valid
 order of its result, and any read beyond that order raises OrderShortfall.
 Multiplication by the series variable genuinely gains one order; nothing else
 does.  ``as_exact`` is the one explicit escape hatch, for series that are
 known to be polynomials (all higher coefficients identically zero).
+
+A ``PolynomialOperator`` has no order.  Its coefficients are rational
+functions whose denominators divide a polynomial unit u, so it keeps u times
+each of them as a polynomial, applies u*L at O(deg) products a coefficient and
+divides by u with a recurrence of at most deg(u) terms.
 """
 
 from __future__ import annotations
@@ -272,41 +278,57 @@ class TruncatedSeries:
         return f"<{body or '0'} + O({self.var}^{self.order + 1})>"
 
 
-class SecondOrderOperator:
+class PolynomialOperator:
     """a*v*P'' + (b0 + v*b1)*P' + (c0 + x*c1)*P for the series variable v,
-    with series coefficients b1, c0, c1 prepared once and rational a, b0, x
-    given per application; valid one order below P.
+    with rational a, b0 and x given per application and series b1, c0, c1
+    whose denominators divide a polynomial unit u (u_0 = 1, free of sigma).
+    The operator has no order: an application returns P's full image, valid
+    one order below P.
 
-    Preparing scales b1, c0 and c1 to integer rows over one denominator D.
-    For P of order N (at most ``order``: b1 read to order N-2, c0 and c1 to
-    N-1), the order-t coefficient (t < N) of an application is
+    Preparing multiplies u into b1, c0 and c1, raises AlgebraError unless the
+    upper half of each product (and of u) vanishes at the order the series
+    are given, and keeps u, u*b1, u*c0 and u*c1 as integer rows over one
+    denominator D.  An application computes M = u*L*P row by row,
 
-      out_t = (a*t + b0)*(t+1)*p_(t+1) + sum_(i+j=t) (j*b1_i + c_i)*p_j,
+      M_t = sum_i u_i*(a*s + b0)*(s+1)*p_(s+1) + (s*(u*b1)_i + (u*c)_i)*p_s,
 
-    with c = c0 + x*c1.  The first application with given (a, b0, x) scales
-    them to ints over D*E, E the lcm of their denominators, and forms c's rows
-    with int operations; every application runs one convolution against P
-    scaled to ints over its own Dp and makes each output coefficient one
-    Fraction(num, D*E*Dp), normalized once.
+    s = t - i and c = c0 + x*c1, at O(deg) int row products a row, then
+    divides by u.  With ~u = Du*u integral and Z_t = Du^t*D*E*Dp*out_t (E the
+    lcm of a's, b0's and x's denominators, Dp that of P's coefficients),
+
+      Z_t = Du^t*(D*E*Dp*M_t) - sum_(i>=1) ~u_i*Du^(i-1)*Z_(t-i)
+
+    stays in ints, and each output coefficient is one Fraction(Z_t, Du^t*D*E*Dp).
 
     Row t depends on p_0..p_(t+1) only.  The operator remembers its last
     application: the next one with the same (a, b0, x) keeps the output rows
-    0..L-2, L the length of the prefix its P shares with the last P, and
-    convolves from row L-1 on.  An order-by-order solve adds one coefficient
-    a level, so each level computes two rows.
+    0..L-2, L the length of the prefix its P shares with the last P, rebuilds
+    the Z rows the division reads from them, scales to ints only the
+    coefficients of P that the remaining rows read, and computes from row
+    L-1 on.  An order-by-order solve adds one coefficient a level, so each
+    level computes two rows.
     """
 
-    __slots__ = ("var", "order", "_den", "_b1", "_c0", "_c1", "_last")
+    __slots__ = ("var", "_den", "_du", "_u", "_b1", "_c0", "_c1", "_div", "_last")
 
-    def __init__(self, b1: TruncatedSeries, c0: TruncatedSeries, c1: TruncatedSeries):
-        b1._common(c0)
-        b1._common(c1)
-        self.var = b1.var
-        n = self.order = min(b1.order + 2, c0.order + 1, c1.order + 1)
-        self._den, rows = _integer_rows(b1.coeffs[: n - 1] + c0.coeffs[:n] + c1.coeffs[:n])
-        self._b1, self._c0, self._c1 = rows[: n - 1], rows[n - 1 : 2 * n - 1], rows[2 * n - 1 :]
+    def __init__(self, u: TruncatedSeries, b1: TruncatedSeries, c0: TruncatedSeries, c1: TruncatedSeries):
+        polys = [u] + [u * s for s in (b1, c0, c1)]
+        if u.coeffs[0] != SigmaPoly.one() or any(c.degree for c in u.coeffs):
+            raise AlgebraError("the unit needs constant term 1 and no sigma")
+        h = min(p.order for p in polys) // 2 + 1
+        if any(not c.is_zero() for p in polys for c in p.coeffs[h:]):
+            raise AlgebraError(f"operator coefficients times the unit are not polynomials of degree < {h}")
+        self.var = u.var
+        self._den, rows = _integer_rows(c for p in polys for c in p.coeffs[:h])
+        while not any(rows[h - 1 :: h]):  # drop the rows every polynomial leaves zero
+            del rows[h - 1 :: h]
+            h -= 1
+        self._u = [r[0] if r else 0 for r in rows[:h]]
+        self._b1, self._c0, self._c1 = rows[h : 2 * h], rows[2 * h : 3 * h], rows[3 * h :]
+        self._du, us = _integer_rows(u.coeffs[:h])
+        self._div = [(i, -r[0] * self._du ** (i - 1)) for i, r in enumerate(us) if i and r]
         # the last application: (a, b0, x), P's coefficients, the output
-        # coefficients, and (D*E, a, b0, e*b1, c, widest row) as ints
+        # coefficients, Dp, and (a*E, b0*E, D*E*u*b1, D*E*u*c, D*E) as ints
         self._last = None
 
     def apply(self, a: RatLike, b0: RatLike, x: RatLike, p: TruncatedSeries) -> TruncatedSeries:
@@ -315,42 +337,53 @@ class SecondOrderOperator:
             raise OrderShortfall("cannot differentiate an order-0 series")
         if p.var != self.var:
             raise VariableMismatch(f"cannot apply an operator in {self.var!r} to a series in {p.var!r}")
-        if n > self.order:
-            raise OrderShortfall(f"operator prepared to order {self.order}; need order >= {n}")
         key = rat(a), rat(b0), rat(x)
         if self._last is None or self._last[0] != key:
             a, b0, x = key
             e = lcm(a.denominator, b0.denominator, x.denominator)
-            d = self._den * e
             xi = x.numerator * (e // x.denominator)
-            bs = (self._b1 if e == 1 else [[e * u for u in b] for b in self._b1]) + [[]]
-            cs = [
-                [e * u + xi * v for u, v in zip_longest(c0, c1, fillvalue=0)]
-                for c0, c1 in zip(self._c0, self._c1)
-            ]
-            ai, b0i = a.numerator * (d // a.denominator), b0.numerator * (d // b0.denominator)
-            self._last = key, (), (), (d, ai, b0i, bs, cs, max(map(len, bs + cs)))
-        _, held, kept, weight = self._last
-        d, ai, b0i, bs, cs, span = weight
+            bs = [[e * v for v in b] for b in self._b1]
+            cs = [[e * v + xi * w for v, w in zip_longest(c0, c1, fillvalue=0)] for c0, c1 in zip(self._c0, self._c1)]
+            ints = a.numerator * (e // a.denominator), b0.numerator * (e // b0.denominator), bs, cs, self._den * e
+            self._last = key, (), (), 1, ints
+        _, held, kept, dp, (ai, b0i, bs, cs, de) = self._last
         same = 0
-        for u, v in zip(held, p.coeffs):
-            if u is not v and u != v:
+        for v, w in zip(held, p.coeffs):
+            if v is not w and v != w:
                 break
             same += 1
-        kept = kept[: max(same - 1, 0)]
-        dp, ps = _integer_rows(p.coeffs)
-        width = span + max(map(len, ps))
+        start = min(max(same - 1, 0), len(kept))
+        kept, reach, du = kept[:start], len(self._u) - 1, self._du
+        lo = max(start - reach, 0)
+        dp = lcm(dp if start else 1, *(v.denominator for c in p.coeffs[lo:] for v in c.coeffs))
+        ps = [[v.numerator * (dp // v.denominator) for v in c.coeffs] for c in p.coeffs[lo:]]
+        zs = {}
+        for t in range(max(start - reach, 0), start):
+            s = du**t * de * dp
+            zs[t] = [v.numerator * (s // v.denominator) for v in kept[t].coeffs]
+        width = max(map(len, bs + cs), default=0) + max(map(len, ps))
         out = []
-        for t in range(len(kept), n):
+        for t in range(start, n):
             row = [0] * width
-            _add_product(row, [(ai * t + b0i) * (t + 1)], ps[t + 1])
-            for j in range(t + 1):
-                if ps[j]:
-                    w = [j * u + v for u, v in zip_longest(bs[t - j], cs[t - j], fillvalue=0)]
-                    _add_product(row, w, ps[j])
-            out.append(row)
-        out = kept + tuple(_fraction_rows(out, d * dp))
-        self._last = key, p.coeffs, out, weight
+            for i in range(min(t, reach) + 1):
+                s = t - i
+                if self._u[i]:
+                    _add_product(row, [self._u[i] * (ai * s + b0i) * (s + 1)], ps[s + 1 - lo])
+                if ps[s - lo]:
+                    _add_product(row, [s * v + w for v, w in zip_longest(bs[i], cs[i], fillvalue=0)], ps[s - lo])
+            dut = du**t
+            z = [dut * v for v in row]
+            for i, f in self._div:
+                if i > t:
+                    break
+                zp = zs[t - i]
+                z.extend([0] * (len(zp) - len(z)))
+                for q, v in enumerate(zp):
+                    z[q] += f * v
+            zs[t] = z
+            out.append(_fraction_rows([z], dut * de * dp)[0])
+        out = kept + tuple(out)
+        self._last = key, p.coeffs, out, dp, (ai, b0i, bs, cs, de)
         return TruncatedSeries(p.var, out, n - 1)
 
 
@@ -370,11 +403,11 @@ def solve_order_by_order(
 
     apply may lose at most one order, and the order-(j-1) coefficient of its
     result may depend on input coefficients through order j only, as for
-    every application of a SecondOrderOperator.  At level j apply is
+    every application of a PolynomialOperator.  At level j apply is
     therefore handed the partial series declared exact only through order j,
     not levels+1; it shares a_0..a_(j-2) with the last level's, so an
-    operator that remembers its last application recomputes two rows and
-    level j costs O(j) coefficient products.
+    operator that remembers its last application recomputes two rows, each
+    O(deg) row products.
     The result is declared exact at order levels+1, so one more application
     reads the next residual.
     """
@@ -387,40 +420,3 @@ def solve_order_by_order(
             raise ObstructedWeight(j)
         coeffs.append(-residual / div)
     return TruncatedSeries(var, coeffs, levels).as_exact(levels + 1)
-
-
-class LogSeries:
-    """regular(var) + logpart(var)*log(var), both truncated at the same order."""
-
-    __slots__ = ("regular", "logpart")
-
-    def __init__(self, regular: TruncatedSeries, logpart: TruncatedSeries | None = None):
-        if logpart is None:
-            logpart = TruncatedSeries.zero(regular.var, regular.order)
-        if regular.var != logpart.var:
-            raise VariableMismatch("log series parts use different variables")
-        n = min(regular.order, logpart.order)
-        self.regular = regular.truncate(n)
-        self.logpart = logpart.truncate(n)
-
-    @property
-    def var(self) -> str:
-        return self.regular.var
-
-    @property
-    def order(self) -> int:
-        return self.regular.order
-
-    def __add__(self, other: "LogSeries") -> "LogSeries":
-        return LogSeries(self.regular + other.regular, self.logpart + other.logpart)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LogSeries):
-            return NotImplemented
-        return self.regular == other.regular and self.logpart == other.logpart
-
-    def __hash__(self) -> int:
-        return hash((self.regular, self.logpart))
-
-    def __repr__(self) -> str:
-        return f"LogSeries({self.regular!r}, log*{self.logpart!r})"

@@ -1,0 +1,146 @@
+"""Reference code the tests compare the package against: the dense
+second-order operator kernel, and the radial operator on series with a log
+part (the log-ansatz check of the scattering expansion)."""
+
+from __future__ import annotations
+
+from itertools import zip_longest
+from math import lcm
+
+from gjms.backgrounds import Background
+from gjms.core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, rat
+from gjms.scattering import ScatteringSolution, _ds_plain
+from gjms.series import R, TruncatedSeries, _add_product, _fraction_rows, _integer_rows
+
+
+class SecondOrderOperator:
+    """a*v*P'' + (b0 + v*b1)*P' + (c0 + x*c1)*P for the series variable v,
+    with series coefficients b1, c0, c1 prepared once and rational a, b0, x
+    given per application; valid one order below P.
+
+    Preparing scales b1, c0 and c1 to integer rows over one denominator D.
+    For P of order N (at most ``order``: b1 read to order N-2, c0 and c1 to
+    N-1), the order-t coefficient (t < N) of an application is the dense
+    convolution
+
+      out_t = (a*t + b0)*(t+1)*p_(t+1) + sum_(i+j=t) (j*b1_i + c_i)*p_j,
+
+    with c = c0 + x*c1, over ints scaled by D, the lcm E of a's, b0's and x's
+    denominators, and P's own Dp; each output coefficient is one
+    Fraction(num, D*E*Dp).
+    """
+
+    __slots__ = ("var", "order", "_den", "_b1", "_c0", "_c1")
+
+    def __init__(self, b1: TruncatedSeries, c0: TruncatedSeries, c1: TruncatedSeries):
+        b1._common(c0)
+        b1._common(c1)
+        self.var = b1.var
+        n = self.order = min(b1.order + 2, c0.order + 1, c1.order + 1)
+        self._den, rows = _integer_rows(b1.coeffs[: n - 1] + c0.coeffs[:n] + c1.coeffs[:n])
+        self._b1, self._c0, self._c1 = rows[: n - 1], rows[n - 1 : 2 * n - 1], rows[2 * n - 1 :]
+
+    def apply(self, a: RatLike, b0: RatLike, x: RatLike, p: TruncatedSeries) -> TruncatedSeries:
+        n = p.order
+        if n == 0:
+            raise OrderShortfall("cannot differentiate an order-0 series")
+        if p.var != self.var:
+            raise VariableMismatch(f"cannot apply an operator in {self.var!r} to a series in {p.var!r}")
+        if n > self.order:
+            raise OrderShortfall(f"operator prepared to order {self.order}; need order >= {n}")
+        a, b0, x = rat(a), rat(b0), rat(x)
+        e = lcm(a.denominator, b0.denominator, x.denominator)
+        d = self._den * e
+        ai, b0i = a.numerator * (d // a.denominator), b0.numerator * (d // b0.denominator)
+        xi = x.numerator * (e // x.denominator)
+        bs = [[e * u for u in b] for b in self._b1[: n - 1]] + [[]]
+        cs = [
+            [e * u + xi * v for u, v in zip_longest(c0, c1, fillvalue=0)]
+            for c0, c1 in zip(self._c0[:n], self._c1[:n])
+        ]
+        dp, ps = _integer_rows(p.coeffs)
+        width = max(map(len, bs + cs)) + max(map(len, ps))
+        out = []
+        for t in range(n):
+            row = [0] * width
+            _add_product(row, [(ai * t + b0i) * (t + 1)], ps[t + 1])
+            for j in range(t + 1):
+                if ps[j]:
+                    w = [j * u + v for u, v in zip_longest(bs[t - j], cs[t - j], fillvalue=0)]
+                    _add_product(row, w, ps[j])
+            out.append(row)
+        return TruncatedSeries(p.var, _fraction_rows(out, d * dp), n - 1)
+
+
+class LogSeries:
+    """regular(var) + logpart(var)*log(var), both truncated at the same order."""
+
+    __slots__ = ("regular", "logpart")
+
+    def __init__(self, regular: TruncatedSeries, logpart: TruncatedSeries | None = None):
+        if logpart is None:
+            logpart = TruncatedSeries.zero(regular.var, regular.order)
+        if regular.var != logpart.var:
+            raise VariableMismatch("log series parts use different variables")
+        n = min(regular.order, logpart.order)
+        self.regular = regular.truncate(n)
+        self.logpart = logpart.truncate(n)
+
+    @property
+    def var(self) -> str:
+        return self.regular.var
+
+    @property
+    def order(self) -> int:
+        return self.regular.order
+
+    def __add__(self, other: "LogSeries") -> "LogSeries":
+        return LogSeries(self.regular + other.regular, self.logpart + other.logpart)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LogSeries):
+            return NotImplemented
+        return self.regular == other.regular and self.logpart == other.logpart
+
+    def __hash__(self) -> int:
+        return hash((self.regular, self.logpart))
+
+    def __repr__(self) -> str:
+        return f"LogSeries({self.regular!r}, log*{self.logpart!r})"
+
+
+def apply_Ds(bg: Background, s: RatLike, u: LogSeries) -> LogSeries:
+    """Apply the radial operator to regular + logpart*log(r).
+
+    Derivatives hitting the log produce the cross terms
+    -2 P' + (2s-d-m) P/r - T P in the regular part; the log part is mapped by
+    the plain operator.  P must be divisible by r.
+    """
+    s = rat(s)
+    if u.var != R:
+        raise AlgebraError("the radial operator acts on r-series")
+    d, m = bg.d, bg.m
+    n = u.order
+    reg = _ds_plain(bg, s, u.regular)
+    if u.logpart.is_zero():
+        return LogSeries(reg)
+    logpart = _ds_plain(bg, s, u.logpart)
+    trace = bg.trace_term(R, n)
+    p = u.logpart
+    cross = -2 * p.derivative()
+    cross = cross + (2 * s - d - m) * p.div_var()
+    cross = cross - (trace * p).truncate(n - 1)
+    return LogSeries(reg + cross.truncate(n - 1), logpart)
+
+
+def residual_with_log(bg: Background, sol: ScatteringSolution) -> LogSeries:
+    """Apply the radial operator to V_{2k-1} + p_{2k} r^{2k} log r.
+
+    Both parts of the result vanish through order 2k-1: the log term's
+    first-derivative contribution cancels the regular obstruction.
+    """
+    order = 2 * sol.k + 2
+    regular = TruncatedSeries(R, sol.v_coeffs, len(sol.v_coeffs) - 1).as_exact(order)
+    log_coeffs = [SigmaPoly.zero()] * (2 * sol.k) + [sol.log_coeff]
+    logpart = TruncatedSeries(R, log_coeffs, 2 * sol.k).as_exact(order)
+    return apply_Ds(bg, sol.s, LogSeries(regular, logpart))

@@ -71,8 +71,8 @@ class TestAmbientLaplacian:
         assert ambient_laplacian(QE, func).profile.order == 2
 
     def test_order_zero_profile_is_a_shortfall(self):
-        # an order-0 profile has no valid P': a fresh background fails
-        # preparing the operator, a used one applying it
+        # an order-0 profile has no valid P', on a fresh background and on
+        # one whose operator is prepared
         used = Background.quasi_einstein(3, 2, 1)
         ambient_laplacian(used, HomogeneousFunction(F(1), TruncatedSeries.constant(RHO, 1, 2)))
         func = HomogeneousFunction(F(1), TruncatedSeries.constant(RHO, 1, 0))

@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjms import ambient, scattering
+from gjms.backgrounds import Background
 from gjms.core import AlgebraError, OrderShortfall, SigmaPoly, VariableMismatch, rat, rat_str
-from gjms.series import (
-    RHO,
-    R,
-    LogSeries,
-    ObstructedWeight,
-    SecondOrderOperator,
-    TruncatedSeries,
-    solve_order_by_order,
-)
+from gjms.series import RHO, R, ObstructedWeight, PolynomialOperator, TruncatedSeries, solve_order_by_order
+from gjms_reference import LogSeries, SecondOrderOperator
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 sigma_polys = st.lists(rationals, max_size=4).map(SigmaPoly)
@@ -358,6 +353,37 @@ def operator_inputs(draw):
     return a, b0, x, b1, c0, c1, series(sigma_polys, n)
 
 
+@st.composite
+def polynomial_operator_inputs(draw):
+    """(a, b0, x, (u, b1, c0, c1), P): a unit u = 1 + ... of degree <= 3 and
+    b1, c0, c1 equal to polynomials of degree <= 3 over u, all given to order
+    8; P of order 1..12 in the same variable, zero included."""
+    var = draw(st.sampled_from([RHO, R]))
+    u = TruncatedSeries(var, [1] + draw(st.lists(rationals, max_size=3)), 8)
+    inverse = u.reciprocal()
+    coefficients = [TruncatedSeries(var, draw(st.lists(small_polys, max_size=4)), 8) * inverse for _ in range(3)]
+    n = draw(st.integers(1, 12))
+    p = TruncatedSeries(var, draw(st.lists(sigma_polys, max_size=n + 1)), n)
+    return draw(scalars), draw(rationals), draw(scalars), (u, *coefficients), p
+
+
+def dense_reference(u, b1, c0, c1, order):
+    """The dense kernel for the same operator, its coefficients grown to the
+    given order from the polynomials u*b1, u*c0 and u*c1."""
+    inverse = u.as_exact(order).reciprocal()
+    return SecondOrderOperator(*((u * s).as_exact(order) * inverse for s in (b1, c0, c1)))
+
+
+@st.composite
+def backgrounds(draw):
+    """A fresh random QE or GL background, d + m != 2."""
+    d = draw(st.integers(2, 6))
+    m = draw(st.fractions(min_value=0, max_value=5, max_denominator=4).filter(lambda m: d + m != 2))
+    if draw(st.booleans()):
+        return Background.gover_leitner(d, m)
+    return Background.quasi_einstein(d, m, draw(st.fractions(min_value=-3, max_value=3, max_denominator=5)))
+
+
 class TestSecondOrderOperator:
     @settings(max_examples=100, deadline=None)
     @given(operator_inputs())
@@ -381,18 +407,18 @@ class TestSecondOrderOperator:
             assert op.apply(a, b0, x, q) == fresh.apply(a, b0, x, q)
 
     @settings(max_examples=150, deadline=None)
-    @given(operator_inputs(), st.tuples(scalars, rationals, scalars), st.data())
+    @given(polynomial_operator_inputs(), st.tuples(scalars, rationals, scalars), st.data())
     def test_a_remembered_application_equals_a_fresh_one(self, args, other, data):
-        # one operator applied in turn to series that share a prefix with the
-        # last one (or not), under a repeated or a changed (a, b0, x)
-        a, b0, x, b1, c0, c1, p = args
-        op = SecondOrderOperator(b1, c0, c1)
+        # one PolynomialOperator applied in turn to series that share a prefix
+        # with the last one (or not), under a repeated or a changed (a, b0, x)
+        a, b0, x, coefficients, p = args
+        op = PolynomialOperator(*coefficients)
         coeffs = list(p.coeffs)
         for _ in range(data.draw(st.integers(1, 8))):
             step = data.draw(st.sampled_from(["again", "edit", "grow", "shrink", "copy"]))
             if step == "edit":
                 coeffs[data.draw(st.integers(0, len(coeffs) - 1))] = data.draw(sigma_polys)
-            elif step == "grow" and len(coeffs) <= op.order:
+            elif step == "grow":
                 coeffs.append(data.draw(sigma_polys))
             elif step == "shrink" and len(coeffs) > 2:
                 del coeffs[data.draw(st.integers(2, len(coeffs) - 1)) :]
@@ -400,7 +426,7 @@ class TestSecondOrderOperator:
                 coeffs = [SigmaPoly(c.coeffs) for c in coeffs]
             q = TruncatedSeries(p.var, coeffs, len(coeffs) - 1)
             weight = data.draw(st.sampled_from([(a, b0, x), other]))
-            assert op.apply(*weight, q) == SecondOrderOperator(b1, c0, c1).apply(*weight, q)
+            assert op.apply(*weight, q) == PolynomialOperator(*coefficients).apply(*weight, q)
 
     @pytest.mark.parametrize("b1_order, c_order", [(2, 4), (3, 3)])
     def test_short_coefficients_are_rejected(self, b1_order, c_order):
@@ -464,6 +490,76 @@ class TestSecondOrderOperator:
         with pytest.raises(ObstructedWeight) as exc:
             solve_order_by_order(lambda p: op.apply(0, 1, 0, p), lambda j: j - 3, 6, RHO)
         assert exc.value.level == 3
+
+
+class TestPolynomialOperator:
+    @settings(max_examples=60, deadline=None)
+    @given(backgrounds(), st.sampled_from(["ambient", "radial"]), scalars, rationals, scalars, st.data())
+    def test_matches_the_dense_kernel_on_random_backgrounds(self, bg, which, a, b0, x, data):
+        # the dense kernel gets the route's coefficients as series read one
+        # order below P, as the routes prepared them before
+        var = RHO if which == "ambient" else R
+        n = data.draw(st.integers(1, 12))
+        p = TruncatedSeries(var, data.draw(st.lists(sigma_polys, max_size=n + 1)), n)
+        n -= 1
+        if which == "ambient":
+            gtr, mf = bg.metric_trace(RHO, n), bg.measure_trace(RHO, n)
+            lf = bg.laplacian_factor(RHO, n)
+            ref = SecondOrderOperator(-(gtr + 2 * mf), SigmaPoly.sigma() * lf, F(1, 2) * gtr + mf)
+            op = ambient._ambient_operator(bg, RHO)
+        else:
+            trace, lf = bg.trace_term(R, n), bg.laplacian_factor(R, n)
+            ref = SecondOrderOperator(-trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
+            op = scattering._radial_operator(bg, R)
+        assert op.apply(a, b0, x, p) == ref.apply(a, b0, x, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(polynomial_operator_inputs())
+    def test_matches_the_dense_kernel(self, args):
+        a, b0, x, coefficients, p = args
+        out = PolynomialOperator(*coefficients).apply(a, b0, x, p)
+        assert out == dense_reference(*coefficients, p.order).apply(a, b0, x, p)
+
+    def test_non_polynomial_coefficients_are_rejected(self):
+        u = TruncatedSeries(RHO, [1, 1], 8)
+        fine = TruncatedSeries.constant(RHO, 1, 8)
+        # u^-2 times u is u^-1, a series with no vanishing tail
+        with pytest.raises(AlgebraError):
+            PolynomialOperator(u, u.reciprocal() * u.reciprocal(), fine, fine)
+        PolynomialOperator(u, u.reciprocal(), fine, fine)
+        # (1 + rho) rho^5 has degree 6, so it needs a window of at least 12
+        high = TruncatedSeries(RHO, [0] * 5 + [1], 8)
+        for window in (8, 11):
+            with pytest.raises(AlgebraError):
+                PolynomialOperator(*(s.as_exact(window) for s in (u, fine, high, fine)))
+        PolynomialOperator(*(s.as_exact(12) for s in (u, fine, high, fine)))
+        # a nonzero top coefficient alone fails the check
+        with pytest.raises(AlgebraError):
+            PolynomialOperator(u, fine, fine, TruncatedSeries(RHO, [0] * 8 + [1], 8))
+
+    @pytest.mark.parametrize("unit", [[2, 1], [SigmaPoly([1, 1])], [1, SigmaPoly([0, 1])]])
+    def test_the_unit_is_one_plus_a_sigma_free_polynomial(self, unit):
+        zero = TruncatedSeries.zero(RHO, 8)
+        with pytest.raises(AlgebraError):
+            PolynomialOperator(TruncatedSeries(RHO, unit, 8), zero, zero, zero)
+
+    def test_order_zero_input_and_mixed_variables_are_rejected(self):
+        u, zero = TruncatedSeries(RHO, [1, 1], 8), TruncatedSeries.zero(RHO, 8)
+        op = PolynomialOperator(u, zero, zero, zero)
+        with pytest.raises(OrderShortfall):
+            op.apply(1, 1, 1, TruncatedSeries.constant(RHO, 1, 0))
+        with pytest.raises(VariableMismatch):
+            op.apply(1, 1, 1, TruncatedSeries.constant(R, 1, 3))
+        with pytest.raises(VariableMismatch):
+            PolynomialOperator(u, zero, TruncatedSeries.zero(R, 8), zero)
+
+    def test_any_order_from_one_preparation(self):
+        # P' - P = 0, prepared over the unit 1 - v: the operator has no order,
+        # so one preparation serves a solve to any depth
+        u, zero = TruncatedSeries(R, [1, -1], 8), TruncatedSeries.zero(R, 8)
+        op = PolynomialOperator(u, zero, zero, TruncatedSeries.constant(R, 1, 8))
+        sol = solve_order_by_order(lambda p: op.apply(0, 1, -1, p), lambda j: j, 40, R)
+        assert [c.coeff(0) for c in sol.coeffs] == [F(1, factorial(j)) for j in range(41)] + [0]
 
 
 mixed_scalars = st.one_of(

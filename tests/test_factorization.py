@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import hashlib
 import json
+from math import factorial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from collections import Counter
 
 from gjms import ambient, scattering, series
-from gjms.ambient import ROUTES, RestrictionError, beyond_paper_range, gjms_iterated
+from gjms.ambient import ROUTES, RestrictionError, beyond_paper_range, gjms_iterated, jet_normalization
 from gjms.backgrounds import Background
+from gjms.cli import VERIFY_MATRIX
 from gjms.core import SigmaPoly
 from gjms.factorization import (
     cross_route_report,
@@ -184,6 +186,25 @@ class TestCrossRouteReport:
         text = json.dumps(cross_route_report(bg, 32).to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "bg, digest",
+        [
+            (
+                Background.quasi_einstein(3, F(1, 2), 1),
+                "d095fb62c8b6e779bc30fc9aef78b2d22abdb6b41dbaf4b44c57cb9b6b493e15",
+            ),
+            (
+                Background.gover_leitner(4, F(3, 2)),
+                "8b7f96fb6b00f435b2152b5120aa04fffcfca99846359436b48b2742a8730e37",
+            ),
+        ],
+        ids=("qe", "gl"),
+    )
+    def test_pinned_report_at_k64(self, bg, digest):
+        # computed with the dense series operators, before the polynomial ones
+        text = json.dumps(cross_route_report(bg, 64).to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_json_shape(self):
         data = cross_route_report(GL, 2).to_json()
         assert data["all_agree"] is True
@@ -193,29 +214,24 @@ class TestCrossRouteReport:
 
 class TestPreparedOperators:
     @pytest.mark.parametrize("k", [4, 12])
-    def test_each_operator_is_prepared_log_k_times(self, monkeypatch, k):
-        # each Background prepares each route's operator per picture, growing
-        # by doubling; the weight, s and level are per-application scalars
+    def test_each_operator_is_prepared_once(self, monkeypatch, k):
+        # the operators have no order: each Background prepares each one once
+        # per picture, and every weight, s, order and level shares it
         builds = Counter()
 
         def counted(real, name):
-            def build(bg, picture, order):
+            def build(bg, picture):
                 builds[name, picture] += 1
-                return real(bg, picture, order)
+                return real(bg, picture)
 
             return build
 
-        for owner, name in ((ambient, "_ambient_operator"), (ambient, "_recursion_operator"), (scattering, "_radial_operator")):
+        for owner, name in ((ambient, "_ambient_operator"), (scattering, "_radial_operator")):
             monkeypatch.setattr(owner, name, counted(getattr(owner, name), name))
         bg = Background.quasi_einstein(3, F(1, 2), 1)  # fresh: nothing stored yet
-        assert cross_route_report(bg, k).all_agree()
-        assert set(builds) == {("_ambient_operator", "rho"), ("_recursion_operator", "rho"), ("_radial_operator", "r")}
-        # the radial solve reads orders 1..2k; doubling from 1 needs at most
-        # bit_length(2k) + 1 builds
-        assert all(n <= (2 * k).bit_length() + 1 for n in builds.values()), builds
-        # the iterated route runs first, at the highest order the ambient
-        # operator sees, and its k weights share that one preparation
-        assert builds["_ambient_operator", "rho"] == 1
+        for j in range(1, k + 1):
+            assert cross_route_report(bg, j).all_agree()
+        assert builds == {("_ambient_operator", "rho"): 1, ("_radial_operator", "r"): 1}
 
     @pytest.mark.parametrize("route", ["recursion", "obstruction", "scattering"])
     def test_doubling_k_at_most_doubles_the_rows_a_solve_builds(self, monkeypatch, route):
@@ -236,3 +252,67 @@ class TestPreparedOperators:
             route_polynomial(Background.quasi_einstein(3, F(1, 2), 1), k, route)
             built.append(sum(rows))
         assert built[1] <= 2.25 * built[0], built
+
+
+EPS = 1 + F(1, 1000)
+
+
+def scaled(fn):
+    return lambda self, picture, order: EPS * fn(self, picture, order)
+
+
+def mutate_preparation(change):
+    def mutate(monkeypatch):
+        init = series.PolynomialOperator.__init__
+        monkeypatch.setattr(series.PolynomialOperator, "__init__", lambda self, *args: init(self, *change(*args)))
+
+    return mutate
+
+
+def mutate_solver(change):
+    def mutate(monkeypatch):
+        solve = series.solve_order_by_order
+        for owner in (ambient, scattering):
+            monkeypatch.setattr(owner, "solve_order_by_order", lambda apply, div, *rest: solve(apply, change(div), *rest))
+
+    return mutate
+
+
+# One fault in each ingredient the jet routes share: the accessors, the
+# operator's preparation and the order-by-order solver.
+FAULTS = {
+    **{
+        f"{name} * (1+eps)": lambda mp, name=name: mp.setattr(Background, name, scaled(getattr(Background, name)))
+        for name in ("metric_trace", "measure_trace", "trace_term", "laplacian_factor", "unit")
+    },
+    "preparation: b1 * (1+eps)": mutate_preparation(lambda u, b1, c0, c1: (u, EPS * b1, c0, c1)),
+    "preparation: c0 one order up": mutate_preparation(lambda u, b1, c0, c1: (u, b1, c0.mul_var(), c1)),
+    "solver: divisor * (1+eps)": mutate_solver(lambda div: lambda j: EPS * div(j)),
+    "solver: divisor one level up": mutate_solver(lambda div: lambda j: div(j + 1)),
+}
+
+
+class TestRouteIndependence:
+    @pytest.mark.parametrize(
+        "bg", [Background.quasi_einstein(3, F(1, 2), 1), GL, Background.quasi_einstein(5, F(7, 3), F(-5, 7))]
+    )
+    def test_recursion_is_the_raw_obstruction_renormalized(self, bg):
+        # both routes solve the same jets with the same operator; recursion
+        # shares the obstruction route's construction, not only its answer
+        for k in (1, 2, 3, 5, 12):
+            raw = route_polynomial(bg, k, "obstruction").poly
+            expected = raw * (factorial(k - 1) * 2 ** (k - 1) / jet_normalization(k))
+            assert route_polynomial(bg, k, "recursion").poly == expected
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_a_fault_in_a_shared_ingredient_breaks_agreement(self, monkeypatch, fault):
+        # the closed form reads no background data, so a fault the jet routes
+        # share still shows as a disagreement on some cell at k <= 4
+        cells = [(bg, k) for bg in VERIFY_MATRIX for k in range(1, 5) if not beyond_paper_range(bg.dm, k)]
+
+        def fresh(bg):
+            return Background(bg.kind, bg.d, bg.m, bg.lam)
+
+        assert all(cross_route_report(fresh(bg), k).all_agree() for bg, k in cells)
+        FAULTS[fault](monkeypatch)
+        assert not all(cross_route_report(fresh(bg), k).all_agree() for bg, k in cells)

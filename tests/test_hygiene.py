@@ -47,3 +47,35 @@ def test_the_scan_finds_an_unread_import():
         "b": ast.parse("from .a import c\nfrom .c import e\n"),
     }
     assert unread_imports("a", modules) == ["e (line 1)", "f (line 2)"]
+
+
+def float_uses(tree: ast.Module) -> list[str]:
+    """Float literals, calls of ``float`` or ``round``, and int-literal true
+    divisions in a module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"literal {node.value!r} (line {node.lineno})")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("float", "round"):
+            found.append(f"{node.func.id}() (line {node.lineno})")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            if all(isinstance(side, ast.Constant) and type(side.value) is int for side in (node.left, node.right)):
+                found.append(f"int division (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_floats(name):
+    # every number is exact: Fractions and ints only
+    assert float_uses(MODULES[name]) == []
+
+
+def test_the_scan_finds_a_float():
+    tree = ast.parse("x = 0.5\ny = float(x)\nz = round(y, 2)\nw = 1e3j\nv = 2 / 3\nu = F(2) / 3\n")
+    assert float_uses(tree) == [
+        "literal 0.5 (line 1)",
+        "float() (line 2)",
+        "round() (line 3)",
+        "literal 1000j (line 4)",
+        "int division (line 5)",
+    ]
