@@ -116,19 +116,19 @@ def check_k_restriction_dm(dm: RatLike, k: int, override: bool = False) -> None:
         )
 
 
-def _ambient_operator(bg: Background, picture: str) -> PolynomialOperator:
-    """The operator from the accessors read at the picture's window."""
-    n = WINDOW[picture]
-    gtr, mf = bg.metric_trace(picture, n), bg.measure_trace(picture, n)
-    lf = bg.laplacian_factor(picture, n)
-    return PolynomialOperator(bg.unit(picture, n), -(gtr + 2 * mf), SigmaPoly.sigma() * lf, Fraction(1, 2) * gtr + mf)
+def _ambient_operator(bg: Background) -> PolynomialOperator:
+    """The operator in the rho picture, from the accessors read at its window."""
+    n = WINDOW[RHO]
+    gtr, mf = bg.metric_trace(RHO, n), bg.measure_trace(RHO, n)
+    lf = bg.laplacian_factor(RHO, n)
+    return PolynomialOperator(bg.unit(RHO, n), -(gtr + 2 * mf), SigmaPoly.sigma() * lf, Fraction(1, 2) * gtr + mf)
 
 
 def ambient_laplacian(bg: Background, func: HomogeneousFunction) -> HomogeneousFunction:
     """One application of the ambient weighted Laplacian; weight drops by 2,
     the profile loses one valid order."""
     prof, w = func.profile, func.weight
-    op = bg.prepared(_ambient_operator, RHO)
+    op = bg.prepared(_ambient_operator)
     return HomogeneousFunction(w - 2, op.apply(-2, 2 * w + bg.dm - 2, w, prof))
 
 
@@ -181,7 +181,7 @@ def gjms_recursion(bg: Background, k: int) -> GjmsPolynomial:
     order-(k-1) jet with normalization c_k."""
     positive_k(k)
     w = critical_weight(bg, k)
-    op = bg.prepared(_ambient_operator, RHO)
+    op = bg.prepared(_ambient_operator)
 
     def apply(prof: TruncatedSeries) -> TruncatedSeries:
         return op.apply(0, 0, w, prof)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
 from typing import Any, Callable, TypeVar
 
 from .core import AlgebraError, RatLike, rat, rat_str
@@ -30,21 +29,6 @@ GOVER_LEITNER = "gover_leitner"
 WINDOW = {RHO: 8, R: 16}
 
 T = TypeVar("T")
-Accessor = Callable[["Background", str, int], TruncatedSeries]
-
-
-def _stored(build: Accessor) -> Accessor:
-    """An accessor that keeps, per Background instance and picture, the
-    longest series ``build`` has made (``Background.grown``) and serves a
-    lower order by truncation.  Coefficients never depend on the order they
-    were built at, so every answer equals a fresh build's."""
-
-    @wraps(build)
-    def accessor(self: "Background", picture: str, order: int) -> TruncatedSeries:
-        held = self.grown(build, picture, order)
-        return held if held.order == order else held.truncate(order)
-
-    return accessor
 
 
 @dataclass(frozen=True)
@@ -53,12 +37,9 @@ class Background:
     d: int
     m: Fraction
     lam: Fraction | None = None
-    # (builder, picture) -> the longest series built so far (grown) or the
-    # prepared operator; outside
+    # builder -> the routes' operator it prepared on this instance; outside
     # ==, hash and repr, so equal backgrounds stay equal
-    _built: dict[tuple[Callable, str], Any] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _operators: dict[Callable, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "m", rat(self.m))
@@ -89,29 +70,11 @@ class Background:
     def dm(self) -> Fraction:
         return self.d + self.m
 
-    def grown(self, build: Accessor, picture: str, order: int) -> TruncatedSeries:
-        """The longest series ``build(self, picture, n)`` made so far on this
-        instance, built anew when its ``order`` is below ``order``.
-
-        A longer request rebuilds at max(order, 2 * held order), so a caller
-        asking for orders 2, 3, ..., n in turn needs O(log n) builds instead
-        of n.  Stores the expansion accessors' series; the routes' operators
-        have no order and are ``prepared`` once.
-        """
-        key = (build, picture)
-        held = self._built.get(key)
-        if held is None or held.order < order:
-            n = order if held is None else max(order, 2 * held.order)
-            held = self._built[key] = build(self, picture, n)
-        return held
-
-    def prepared(self, build: Callable[["Background", str], T], picture: str) -> T:
-        """``build(self, picture)``, made once per instance and picture: the
-        routes' operators."""
-        key = (build, picture)
-        if key not in self._built:
-            self._built[key] = build(self, picture)
-        return self._built[key]
+    def prepared(self, build: Callable[["Background"], T]) -> T:
+        """``build(self)``, made once per instance: the routes' operators."""
+        if build not in self._operators:
+            self._operators[build] = build(self)
+        return self._operators[build]
 
     def label(self) -> str:
         if self.kind == QUASI_EINSTEIN:
@@ -144,31 +107,25 @@ class Background:
 
     # -- expansion accessors ------------------------------------------------
     #
-    # The four that the routes' operators read are stored per instance and
-    # picture: the longest series built so far serves any lower order by
-    # truncation, and a longer request rebuilds at max(order, 2 * held order)
-    # (_stored, grown).  The operators read them once, at WINDOW.
-    # density_factor is read once per Green pairing, not stored.
+    # Each call builds its series afresh.  The routes read the first four
+    # once per instance, when they prepare their operators at WINDOW, and
+    # density_factor once per Green pairing.
 
-    @_stored
     def metric_trace(self, picture: str, order: int) -> TruncatedSeries:
         """g^{ij} g'_{ij} = 2 d c'/c for a conformal family g = c^2 g0."""
         c = self._factor("c", picture, order + 1)
         return (2 * self.d * c.derivative() * c.reciprocal()).truncate(order)
 
-    @_stored
     def measure_trace(self, picture: str, order: int) -> TruncatedSeries:
         """(m/f) f' = m q'/q for a weight family f = q f0."""
         q = self._factor("q", picture, order + 1)
         return (self.m * q.derivative() * q.reciprocal()).truncate(order)
 
-    @_stored
     def trace_term(self, picture: str, order: int) -> TruncatedSeries:
         """The drift trace (1/2) g^{ij} g'_{ij} + (m/f) f'."""
         half = Fraction(1, 2) * self.metric_trace(picture, order)
         return half + self.measure_trace(picture, order)
 
-    @_stored
     def laplacian_factor(self, picture: str, order: int) -> TruncatedSeries:
         """Scaling of the base weighted Laplacian on the sector: c^-2."""
         return self._factor("c", picture, order).rpow(-2)

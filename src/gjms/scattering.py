@@ -60,17 +60,17 @@ class ScatteringSolution:
         }
 
 
-def _radial_operator(bg: Background, picture: str) -> PolynomialOperator:
-    """The operator from the accessors read at the picture's window."""
-    n = WINDOW[picture]
-    trace, lf = bg.trace_term(picture, n), bg.laplacian_factor(picture, n)
-    return PolynomialOperator(bg.unit(picture, n), -trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
+def _radial_operator(bg: Background) -> PolynomialOperator:
+    """The operator in the r picture, from the accessors read at its window."""
+    n = WINDOW[R]
+    trace, lf = bg.trace_term(R, n), bg.laplacian_factor(R, n)
+    return PolynomialOperator(bg.unit(R, n), -trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
 
 
 def _ds_plain(bg: Background, s: Fraction, series: TruncatedSeries) -> TruncatedSeries:
     """D_s applied to a log-free radial series; the result is valid one order
     lower than the input."""
-    op = bg.prepared(_radial_operator, R)
+    op = bg.prepared(_radial_operator)
     return op.apply(-1, 2 * s - bg.dm - 1, s - bg.dm, series)
 
 

@@ -1,12 +1,15 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gjms import ambient, scattering
 from gjms.backgrounds import Background, verify_spaceform_conditions
 from gjms.core import AlgebraError
 from gjms.factorization import cross_route_report
+from gjms.scattering import greens_log_coefficient, scattering_solve
 from gjms.series import R, RHO, TruncatedSeries
 
 QE = Background.quasi_einstein(3, 2, 1)
@@ -132,7 +135,7 @@ class TestExpansionData:
         assert bg.trace_term(R, 6) == (-(t_rho.substitute_rho().mul_var())).truncate(6)
 
 
-STORED = ("metric_trace", "measure_trace", "trace_term", "laplacian_factor")
+OPERATOR_ACCESSORS = ("metric_trace", "measure_trace", "trace_term", "laplacian_factor")
 
 
 def fresh_backgrounds():
@@ -140,7 +143,7 @@ def fresh_backgrounds():
 
 
 class TestStoredAccessors:
-    """The per-instance series store must not be visible from outside."""
+    """What a Background prepares or reads must not be visible from outside."""
 
     @settings(max_examples=15, deadline=None)
     @given(st.permutations(range(13)))
@@ -148,7 +151,7 @@ class TestStoredAccessors:
         warm = fresh_backgrounds()
         for order in orders:
             for i, bg in enumerate(warm):
-                for name in STORED:
+                for name in OPERATOR_ACCESSORS:
                     for picture in (RHO, R):
                         expected = getattr(fresh_backgrounds()[i], name)(picture, order)
                         got = getattr(bg, name)(picture, order)
@@ -157,35 +160,64 @@ class TestStoredAccessors:
     def test_identity_is_unchanged_by_warm_up(self):
         for bg, twin in zip(fresh_backgrounds(), fresh_backgrounds()):
             before = (repr(bg), hash(bg), bg.to_json())
-            for name in STORED:
+            assert cross_route_report(bg, 3).all_agree()  # prepares both operators
+            for name in OPERATOR_ACCESSORS:
                 for picture in (RHO, R):
                     getattr(bg, name)(picture, 12)
             assert bg == twin and hash(bg) == hash(twin) and repr(bg) == repr(twin)
             assert (repr(bg), hash(bg), bg.to_json()) == before
             assert Background.from_json(bg.to_json()) == bg
 
-    def test_an_equal_background_builds_its_own_series(self, monkeypatch):
-        calls = []
-        rpow = TruncatedSeries.rpow
+    def test_an_equal_background_prepares_its_own_operators(self, monkeypatch):
+        builds = Counter()
 
-        def counted(self, exponent):
-            calls.append(exponent)
-            return rpow(self, exponent)
+        def counted(real):
+            def build(bg):
+                builds[real.__name__] += 1
+                return real(bg)
 
-        monkeypatch.setattr(TruncatedSeries, "rpow", counted)
+            return build
+
+        for owner, name in ((ambient, "_ambient_operator"), (scattering, "_radial_operator")):
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
         warm, _ = fresh_backgrounds()
-        for name in STORED:
-            getattr(warm, name)(RHO, 8)
-        assert calls
-        calls.clear()
-        for name in STORED:
-            getattr(warm, name)(RHO, 8)
-        assert not calls
+        expected = Counter({"_ambient_operator": 1, "_radial_operator": 1})
+        for _ in range(2):
+            assert cross_route_report(warm, 2).all_agree()
+            assert builds == expected
         fresh, _ = fresh_backgrounds()
         assert fresh == warm
-        for name in STORED:
-            getattr(fresh, name)(RHO, 8)
-        assert len(calls) == 3  # c'/c, q'/q and c^-2; trace_term reuses the first two
+        assert cross_route_report(fresh, 2).all_agree()
+        assert builds == expected + expected
+
+    @pytest.mark.parametrize("which", (0, 1), ids=("qe", "gl"))
+    def test_each_accessor_is_read_once_per_operator(self, monkeypatch, which):
+        # the operators read the accessors once per Background, at WINDOW
+        # (trace_term reads both traces again), and a Green pairing reads
+        # density_factor once
+        bg = fresh_backgrounds()[which]
+        calls = Counter()
+
+        def counted(real):
+            def accessor(self, *args):
+                calls[real.__name__] += 1
+                return real(self, *args)
+
+            return accessor
+
+        for name in OPERATOR_ACCESSORS + ("unit", "density_factor"):
+            monkeypatch.setattr(Background, name, counted(getattr(Background, name)))
+        for k in range(1, 13):
+            assert cross_route_report(bg, k).all_agree()
+        assert greens_log_coefficient(scattering_solve(bg, 2)).match
+        assert calls == {
+            "metric_trace": 2,
+            "measure_trace": 2,
+            "laplacian_factor": 2,
+            "unit": 2,
+            "trace_term": 1,
+            "density_factor": 1,
+        }
 
 
 class TestSpaceforms:

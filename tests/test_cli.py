@@ -18,7 +18,7 @@ CLI = [sys.executable, "-m", "gjms.cli"]
 # format moves one of these.
 GOLDEN_STDOUT = {
     ("verify", "all", "--kmax", "3"):
-        "c2a645174143f37e214d2f83841a18a50d8bcbdab798c773119022e9545faeb1",
+        "5860134351db2c3b72047a0999bfb83f17d5c578b6a752cd383c331d0e3a8110",
     ("table", "qe", "--d", "3,4,5", "--m", "1,2", "--lambda=-1,1", "--k", "1,2,3"):
         "85c00b7ce423f978e61676774a4ebb6d5421b035d1d3d020124821e6c80d2c15",
     ("compute", "gl", "--d", "3", "--m", "2", "--kmax", "3", "--route", "all", "--format", "json"):

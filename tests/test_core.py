@@ -506,11 +506,11 @@ class TestPolynomialOperator:
             gtr, mf = bg.metric_trace(RHO, n), bg.measure_trace(RHO, n)
             lf = bg.laplacian_factor(RHO, n)
             ref = SecondOrderOperator(-(gtr + 2 * mf), SigmaPoly.sigma() * lf, F(1, 2) * gtr + mf)
-            op = ambient._ambient_operator(bg, RHO)
+            op = ambient._ambient_operator(bg)
         else:
             trace, lf = bg.trace_term(R, n), bg.laplacian_factor(R, n)
             ref = SecondOrderOperator(-trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
-            op = scattering._radial_operator(bg, R)
+            op = scattering._radial_operator(bg)
         assert op.apply(a, b0, x, p) == ref.apply(a, b0, x, p)
 
     @settings(max_examples=100, deadline=None)
