@@ -56,8 +56,9 @@ class RouteReport:
     """All routes for one (background, k) cell, with pairwise exact agreement.
 
     The obstruction entry is stored pre-multiplied by (-4)^(k-1) ((k-1)!)^2
-    so that the agreement matrix compares like with like; the raw constant
-    check is reported separately.
+    so that the agreement matrix compares like with like.  The constant check
+    (iterated = (-4)^(k-1) ((k-1)!)^2 * obstruction) is that matrix's
+    (iterated, obstruction) entry, so ``all_agree()`` implies it.
     """
 
     background: Background
@@ -65,7 +66,11 @@ class RouteReport:
     routes: dict[str, GjmsPolynomial]
     errors: dict[str, str]
     agreement: dict[tuple[str, str], bool]
-    constant_check: bool | None
+
+    @property
+    def constant_check(self) -> bool | None:
+        """None when the iterated or the obstruction route raised."""
+        return self.agreement.get(("iterated", "obstruction"))
 
     def all_agree(self) -> bool:
         """True only when every route succeeded and all pairs agree."""
@@ -119,12 +124,9 @@ def cross_route_report(bg: Background, k: int, override: bool = False) -> RouteR
         except Exception as exc:  # a defect in the route, still one cell's error
             errors[name] = f"{type(exc).__name__}: {exc}"
 
-    constant_check: bool | None = None
     if "obstruction" in routes:
         normalized = iterated_vs_obstruction_constant(k) * routes["obstruction"].poly
         routes["obstruction"] = GjmsPolynomial(k, bg, "obstruction", normalized)
-        if "iterated" in routes:
-            constant_check = routes["iterated"].poly == normalized
 
     names = sorted(routes)
     agreement = {
@@ -132,4 +134,4 @@ def cross_route_report(bg: Background, k: int, override: bool = False) -> RouteR
         for i, a in enumerate(names)
         for b in names[i + 1 :]
     }
-    return RouteReport(bg, k, routes, errors, agreement, constant_check)
+    return RouteReport(bg, k, routes, errors, agreement)

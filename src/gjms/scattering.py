@@ -20,6 +20,10 @@ Sign pinning: the whole package uses the trace-convention weighted Laplacian
 out as -d_k times the ambient operator for every k.  SCATTERING_SIGN records
 that -1; the tests derive it independently at k = 1 and 2 before it is used
 at k = 3.
+
+The Green pairing's log coefficient reads only v_0, the density's order-0
+coefficient and p_2k, so its identity lp = -(d+m) p_2k checks the
+normalization v_0 = 1, not the solve.
 """
 
 from __future__ import annotations
@@ -123,19 +127,9 @@ def greens_log_coefficient(sol: ScatteringSolution) -> GreensLogReport:
     """
     bg, k = sol.background, sol.k
     a = bg.dm / 2 - k
-    order = 2 * k
-    # v_{2k} is undetermined; padding W with zeros beyond order 2k-1 is safe
-    # because the log part pairs the order-2k obstruction only with the
-    # order-0 coefficients of W and the density.
-    w_series = TruncatedSeries(R, sol.v_coeffs, 2 * k - 1)
-    density = bg.density_factor(order)
-    p_shift = TruncatedSeries(
-        R, [SigmaPoly.zero()] * (2 * k) + [sol.log_coeff], order
-    )
-    dw = w_series.derivative().mul_var().as_exact(order)  # r W'
-    w_ext = w_series.as_exact(order)
-    log_series = (a + 2 * k) * (p_shift * w_ext) + p_shift * (a * w_ext + dw)
-    log_series = (log_series * density).truncate(order)
-    lp = -log_series.coeff(2 * k)
+    # The log part (a + 2k) p r^2k W + p r^2k (a W + r W') starts at order 2k,
+    # so its order-2k coefficient pairs p_2k only with the order-0
+    # coefficients of W, r W' (zero) and the density.
+    lp = -((a + 2 * k) + a) * sol.v_coeffs[0] * bg.density_factor(0).coeff(0) * sol.log_coeff
     rhs = -(bg.dm) * sol.log_coeff
     return GreensLogReport(lp, rhs, lp == rhs)

@@ -210,14 +210,6 @@ class TruncatedSeries:
             self.var, (SigmaPoly.zero(),) + self.coeffs, self.order + 1
         )
 
-    def div_var(self) -> "TruncatedSeries":
-        """Divide by the series variable; requires a vanishing constant term."""
-        if not self.coeffs[0].is_zero():
-            raise AlgebraError("series is not divisible by its variable")
-        if self.order == 0:
-            raise OrderShortfall("cannot shift down an order-0 series")
-        return TruncatedSeries(self.var, self.coeffs[1:], self.order - 1)
-
     def rpow(self, exponent: RatLike) -> "TruncatedSeries":
         """(1 + u)**e for rational e; the constant term must equal 1.
 
@@ -413,10 +405,9 @@ def solve_order_by_order(
     """
     coeffs: list[SigmaPoly] = [SigmaPoly.one()]
     for j in range(1, levels + 1):
-        partial = TruncatedSeries(var, coeffs, j - 1).as_exact(j)
-        residual = apply(partial).coeff(j - 1)
+        residual = apply(TruncatedSeries(var, coeffs, j)).coeff(j - 1)
         div = divisor(j)
         if div == 0:
             raise ObstructedWeight(j)
         coeffs.append(-residual / div)
-    return TruncatedSeries(var, coeffs, levels).as_exact(levels + 1)
+    return TruncatedSeries(var, coeffs, levels + 1)

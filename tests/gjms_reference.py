@@ -1,6 +1,7 @@
 """Reference code the tests compare the package against: the dense
-second-order operator kernel, and the radial operator on series with a log
-part (the log-ansatz check of the scattering expansion)."""
+second-order operator kernel, the radial operator on series with a log
+part (the log-ansatz check of the scattering expansion), and the Green
+pairing computed as the full order-2k series product."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from math import lcm
 
 from gjms.backgrounds import Background
 from gjms.core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, rat
-from gjms.scattering import ScatteringSolution, _ds_plain
+from gjms.scattering import GreensLogReport, ScatteringSolution, _ds_plain
 from gjms.series import R, TruncatedSeries, _add_product, _fraction_rows, _integer_rows
 
 
@@ -109,6 +110,15 @@ class LogSeries:
         return f"LogSeries({self.regular!r}, log*{self.logpart!r})"
 
 
+def div_var(p: TruncatedSeries) -> TruncatedSeries:
+    """Divide by the series variable; requires a vanishing constant term."""
+    if not p.coeffs[0].is_zero():
+        raise AlgebraError("series is not divisible by its variable")
+    if p.order == 0:
+        raise OrderShortfall("cannot shift down an order-0 series")
+    return TruncatedSeries(p.var, p.coeffs[1:], p.order - 1)
+
+
 def apply_Ds(bg: Background, s: RatLike, u: LogSeries) -> LogSeries:
     """Apply the radial operator to regular + logpart*log(r).
 
@@ -128,7 +138,7 @@ def apply_Ds(bg: Background, s: RatLike, u: LogSeries) -> LogSeries:
     trace = bg.trace_term(R, n)
     p = u.logpart
     cross = -2 * p.derivative()
-    cross = cross + (2 * s - d - m) * p.div_var()
+    cross = cross + (2 * s - d - m) * div_var(p)
     cross = cross - (trace * p).truncate(n - 1)
     return LogSeries(reg + cross.truncate(n - 1), logpart)
 
@@ -144,3 +154,22 @@ def residual_with_log(bg: Background, sol: ScatteringSolution) -> LogSeries:
     log_coeffs = [SigmaPoly.zero()] * (2 * sol.k) + [sol.log_coeff]
     logpart = TruncatedSeries(R, log_coeffs, 2 * sol.k).as_exact(order)
     return apply_Ds(bg, sol.s, LogSeries(regular, logpart))
+
+
+def greens_log_coefficient_series(sol: ScatteringSolution) -> GreensLogReport:
+    """The boundary pairing's log coefficient as the order-2k coefficient of
+    ((a+2k) p W + p (a W + r W')) * density, with p = p_2k r^2k, W the radial
+    series padded with zeros beyond order 2k-1 and a = (d+m)/2 - k."""
+    bg, k = sol.background, sol.k
+    a = bg.dm / 2 - k
+    order = 2 * k
+    w_series = TruncatedSeries(R, sol.v_coeffs, 2 * k - 1)
+    density = bg.density_factor(order)
+    p_shift = TruncatedSeries(R, [SigmaPoly.zero()] * (2 * k) + [sol.log_coeff], order)
+    dw = w_series.derivative().mul_var().as_exact(order)  # r W'
+    w_ext = w_series.as_exact(order)
+    log_series = (a + 2 * k) * (p_shift * w_ext) + p_shift * (a * w_ext + dw)
+    log_series = (log_series * density).truncate(order)
+    lp = -log_series.coeff(2 * k)
+    rhs = -(bg.dm) * sol.log_coeff
+    return GreensLogReport(lp, rhs, lp == rhs)

@@ -67,7 +67,7 @@ def qe_matrix():
     for d in range(2, 7):
         for m in (F(0), F(1, 2), F(1), F(2), F(7, 3)):
             for lam in (F(-1), F(0), F(1, 2), F(1)):
-                for k in range(1, 5):
+                for k in range(1, 7):
                     if admissible(d, m, k):
                         yield Background.quasi_einstein(d, m, lam), k
 
@@ -149,7 +149,7 @@ def test_criterion_5_gl_factorization():
     cells = 0
     for d in range(2, 6):
         for m in (F(1, 2), F(1), F(2)):
-            for k in range(1, 5):
+            for k in range(1, 7):
                 if not admissible(d, m, k):
                     continue
                 cells += 1

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import hashlib
 import json
+from dataclasses import fields
 from math import factorial
 
 import pytest
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 
 from collections import Counter
 
-from gjms import ambient, scattering, series
+from gjms import ambient, factorization, scattering, series
 from gjms.ambient import ROUTES, RestrictionError, beyond_paper_range, gjms_iterated, jet_normalization
 from gjms.backgrounds import Background
 from gjms.cli import VERIFY_MATRIX
-from gjms.core import SigmaPoly
+from gjms.core import AlgebraError, SigmaPoly
 from gjms.factorization import (
+    RouteReport,
     cross_route_report,
     factorization_product,
     gl_product,
@@ -112,6 +114,23 @@ class TestCrossRouteReport:
         }
         assert not rep.all_agree()
         assert rep.constant_check is None
+
+    def test_constant_check_is_the_iterated_obstruction_entry(self, monkeypatch):
+        assert "constant_check" not in {f.name for f in fields(RouteReport)}
+        rep = cross_route_report(QE, 2)
+        assert rep.constant_check is rep.agreement[("iterated", "obstruction")] is True
+        # a wrong route-ratio constant fails the check and the verdict
+        monkeypatch.setattr(factorization, "iterated_vs_obstruction_constant", lambda k: F(2))
+        rep = cross_route_report(QE, 2)
+        assert rep.constant_check is False and not rep.all_agree()
+        assert rep.to_json()["constant_check"] is False
+
+        def raises(bg, k):
+            raise AlgebraError("obstruction fault")
+
+        monkeypatch.setattr(factorization, "obstruction", raises)
+        rep = cross_route_report(QE, 2)
+        assert "iterated" in rep.routes and rep.constant_check is None
 
     @settings(max_examples=15, deadline=None)
     @given(

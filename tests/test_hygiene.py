@@ -1,6 +1,7 @@
 """Source hygiene checks over the package's own modules."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,3 +80,64 @@ def test_the_scan_finds_a_float():
         "literal 1000j (line 4)",
         "int division (line 5)",
     ]
+
+
+# Library code no other library code references, each with the reason it stays.
+UNREFERENCED_ALLOWED = {
+    "backgrounds.Background.from_json": "the public inverse of to_json",
+    "cli.entry": "the console script",
+    "series.TruncatedSeries.variable": "the benchmark tracer reads it",
+}
+
+
+def definitions(tree: ast.AST, prefix: str):
+    """(qualified name, node) for each def or class, nested ones included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{node.name}"
+            yield name, node
+            yield from definitions(node, name)
+
+
+def references(tree: ast.AST) -> list[str]:
+    """Every name a Name, an Attribute or an import alias mentions."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.alias):
+            found.extend({node.name.split(".")[-1], node.asname} - {None})
+    return found
+
+
+def unreferenced(modules: dict[str, ast.Module]) -> list[str]:
+    """Non-dunder defs and classes whose name no Name, Attribute or import
+    alias mentions outside their own definition."""
+    counts = Counter(ref for tree in modules.values() for ref in references(tree))
+    flagged = []
+    for module, tree in modules.items():
+        for qualified, node in definitions(tree, module):
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if counts[node.name] == references(node).count(node.name):
+                flagged.append(qualified)
+    return sorted(flagged)
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced(MODULES) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_the_scan_finds_an_unreferenced_definition():
+    modules = {
+        "a": ast.parse(
+            "from .b import used\n"
+            "def dead(n):\n    return dead(n - 1)\n"
+            "class Box:\n    def __eq__(self, other): ...\n    def read(self): return self.size\n"
+            "    def size(self): ...\n"
+        ),
+        "b": ast.parse("import gjms.a as alias\ndef used(): return alias.Box\n"),
+    }
+    assert unreferenced(modules) == ["a.Box.read", "a.dead"]

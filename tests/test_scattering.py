@@ -1,6 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gjms.ambient import gjms_iterated
 from gjms.backgrounds import Background
@@ -14,7 +17,7 @@ from gjms.scattering import (
     scattering_solve,
 )
 from gjms.series import R, TruncatedSeries
-from gjms_reference import LogSeries, apply_Ds, residual_with_log
+from gjms_reference import LogSeries, apply_Ds, greens_log_coefficient_series, residual_with_log
 
 QE = Background.quasi_einstein(3, 2, 1)
 GL = Background.gover_leitner(3, 2)
@@ -161,3 +164,44 @@ class TestGreensPairing:
         data = greens_log_coefficient(scattering_solve(QE, 1)).to_json()
         assert data["match"] is True
         assert data["lp"] == ["-75/4", "5/2"]
+
+    def test_reads_only_the_normalization_and_p_2k(self):
+        # the pairing's order-2k coefficient sees v_0, the density's order-0
+        # coefficient and p_2k only: the rest of the solve can be anything,
+        # while a wrong v_0 fails
+        for bg in (QE, GL):
+            for k in (1, 2, 3):
+                sol = scattering_solve(bg, k)
+                v = sol.v_coeffs
+                moved = replace(
+                    sol,
+                    v_coeffs=(v[0],) + tuple(c + SIGMA**j - j for j, c in enumerate(v[1:], 1)),
+                    log_coeff=sol.log_coeff + 3 * SIGMA - 1,
+                )
+                assert greens_log_coefficient(moved).match
+                assert not greens_log_coefficient(replace(sol, v_coeffs=(v[0] + SIGMA,) + v[1:])).match
+                assert not greens_log_coefficient(replace(sol, v_coeffs=(2 * v[0],) + v[1:])).match
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.booleans(),
+        st.integers(2, 6),
+        st.fractions(min_value=0, max_value=4, max_denominator=3),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        st.integers(1, 8),
+        st.lists(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5), max_size=3).map(SigmaPoly),
+                 min_size=17, max_size=17),
+        st.sampled_from(("none", "tail", "v_0")),
+    )
+    def test_equals_the_series_reference(self, qe, d, m, lam, k, noise, perturb):
+        assume(d + m != 2)
+        bg = Background.quasi_einstein(d, m, lam) if qe else Background.gover_leitner(d, m)
+        sol = scattering_solve(bg, k)
+        v = sol.v_coeffs
+        if perturb == "tail":  # every v_j with j >= 1, and p_2k
+            sol = replace(sol, v_coeffs=(v[0],) + tuple(c + e for c, e in zip(v[1:], noise)),
+                          log_coeff=sol.log_coeff + noise[-1])
+        elif perturb == "v_0":
+            sol = replace(sol, v_coeffs=(v[0] + noise[0],) + v[1:])
+        fast, reference = greens_log_coefficient(sol), greens_log_coefficient_series(sol)
+        assert (fast.lp, fast.rhs, fast.match) == (reference.lp, reference.rhs, reference.match)
