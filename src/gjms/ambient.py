@@ -14,7 +14,10 @@ the base Laplacian.  The iterated, extension and obstruction constructions
 apply this map.  The jet recursion applies the same operator without its
 principal part (a = b0 = 0), folded into the divisor 2j(k-j) instead, so it
 solves the obstruction route's jets: its polynomial is the raw obstruction
-polynomial times (k-1)! 2^(k-1) / c_k.
+polynomial times (k-1)! 2^(k-1) / c_k.  That part's rows below a level do not
+vanish, but its row t reads p_0..p_t only, so they are the route's own earlier
+residuals r_1..r_t: each level divides u out of one row in ints,
+r_j = (u*L*P)_(j-1) - sum_(i>=1) u_i r_(j-i).
 
 Every coefficient's denominator divides the unit u = c^2 q, so each
 Background prepares the operator once, as the polynomials u, u*b1, u*c0 and
@@ -124,12 +127,14 @@ def _ambient_operator(bg: Background) -> PolynomialOperator:
     return PolynomialOperator(bg.unit(RHO, n), -(gtr + 2 * mf), SigmaPoly.sigma() * lf, Fraction(1, 2) * gtr + mf)
 
 
-def ambient_laplacian(bg: Background, func: HomogeneousFunction) -> HomogeneousFunction:
+def ambient_laplacian(bg: Background, func: HomogeneousFunction, row: int | None = None) -> HomogeneousFunction | SigmaPoly:
     """One application of the ambient weighted Laplacian; weight drops by 2,
-    the profile loses one valid order."""
-    prof, w = func.profile, func.weight
-    op = bg.prepared(_ambient_operator)
-    return HomogeneousFunction(w - 2, op.apply(-2, 2 * w + bg.dm - 2, w, prof))
+    the profile loses one valid order.  With a row, only the rho^row
+    coefficient of u times the image's profile: the image's own when its
+    lower rows vanish."""
+    op, w = bg.prepared(_ambient_operator), func.weight
+    args = (-2, 2 * w + bg.dm - 2, w, func.profile)
+    return HomogeneousFunction(w - 2, op.apply(*args)) if row is None else op.row(*args, row)
 
 
 def _profile_from_perturbation(
@@ -182,12 +187,13 @@ def gjms_recursion(bg: Background, k: int) -> GjmsPolynomial:
     positive_k(k)
     w = critical_weight(bg, k)
     op = bg.prepared(_ambient_operator)
+    rows: list = []  # the residuals so far: rows 0, 1, ... of the image
 
-    def apply(prof: TruncatedSeries) -> TruncatedSeries:
-        return op.apply(0, 0, w, prof)
+    def residual(prof: TruncatedSeries, t: int) -> SigmaPoly:
+        return op.row(0, 0, w, prof, t, rows)
 
-    jets = solve_order_by_order(apply, lambda j: 2 * j * (k - j), k - 1, RHO)
-    poly = factorial(k - 1) * apply(jets).coeff(k - 1) / jet_normalization(k)
+    jets = solve_order_by_order(residual, lambda j: 2 * j * (k - j), k - 1, RHO)
+    poly = factorial(k - 1) * residual(jets, k - 1) / jet_normalization(k)
     return GjmsPolynomial(k, bg, "recursion", poly)
 
 
@@ -197,10 +203,7 @@ def _solve_extension_jets(bg: Background, w: Fraction, levels: int) -> Truncated
     when the forced divisor 2j(k-j), k = w + (d+m)/2, vanishes."""
     k = w + bg.dm / 2
     return solve_order_by_order(
-        lambda prof: ambient_laplacian(bg, HomogeneousFunction(w, prof)).profile,
-        lambda j: 2 * j * (k - j),
-        levels,
-        RHO,
+        lambda prof, t: ambient_laplacian(bg, HomogeneousFunction(w, prof), t), lambda j: 2 * j * (k - j), levels, RHO
     )
 
 
@@ -222,8 +225,7 @@ def obstruction(bg: Background, k: int) -> GjmsPolynomial:
     positive_k(k)
     w = critical_weight(bg, k)
     prof = _solve_extension_jets(bg, w, k - 1)
-    image = ambient_laplacian(bg, HomogeneousFunction(w, prof))
-    poly = image.profile.coeff(k - 1) / (Fraction(2) ** (k - 1))
+    poly = ambient_laplacian(bg, HomogeneousFunction(w, prof), k - 1) / (Fraction(2) ** (k - 1))
     return GjmsPolynomial(k, bg, "obstruction", poly)
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Any
 
 from .ambient import (
@@ -15,34 +17,35 @@ from .ambient import (
     obstruction,
 )
 from .backgrounds import QUASI_EINSTEIN, Background
-from .core import AlgebraError, RatLike, SigmaPoly, positive_k, rat
+from .core import AlgebraError, RatLike, SigmaPoly, positive_k
 from .scattering import gjms_route_scattering
+
+
+def _root_product(bg: Background, k: int, roots: list[Fraction]) -> GjmsPolynomial:
+    """prod (sigma + root): over the roots' common denominator D, the int
+    polynomial prod (D*sigma + D*root), then one Fraction per coefficient."""
+    positive_k(k)
+    d = lcm(*(r.denominator for r in roots))
+    poly = [1]
+    for r in roots:
+        n = r.numerator * (d // r.denominator)
+        poly = [n * x + d * y for x, y in zip(poly + [0], [0] + poly)]
+    return GjmsPolynomial(k, bg, "factorization", SigmaPoly([Fraction(x, d**k) for x in poly]))
 
 
 def qe_product(d: int, m: RatLike, lam: RatLike, k: int) -> GjmsPolynomial:
     """Quasi-Einstein product: over l = 0..k-1, factors
     sigma + 2*lam*(-(d+m)/2 + k - 2l)*((d+m)/2 + k - 1 - 2l)."""
     bg = Background.quasi_einstein(d, m, lam)
-    positive_k(k)
-    dm = bg.dm
-    poly = SigmaPoly.one()
-    for l in range(k):
-        root = 2 * bg.lam * (-dm / 2 + k - 2 * l) * (dm / 2 + k - 1 - 2 * l)
-        poly = poly * (SigmaPoly.sigma() + SigmaPoly.const(root))
-    return GjmsPolynomial(k, bg, "factorization", poly)
+    half = bg.dm / 2
+    return _root_product(bg, k, [2 * bg.lam * (k - 2 * l - half) * (half + k - 1 - 2 * l) for l in range(k)])
 
 
 def gl_product(d: int, m: RatLike, k: int) -> GjmsPolynomial:
     """Gover-Leitner product: over j = 0..k-1, factors
     sigma + (2k - 4j - d - m)*(2 - d + m - 2k + 4j)/4."""
     bg = Background.gover_leitner(d, m)
-    positive_k(k)
-    dm = bg.dm
-    poly = SigmaPoly.one()
-    for j in range(k):
-        root = rat(2 * k - 4 * j - dm) * rat(2 - d + bg.m - 2 * k + 4 * j) / 4
-        poly = poly * (SigmaPoly.sigma() + SigmaPoly.const(root))
-    return GjmsPolynomial(k, bg, "factorization", poly)
+    return _root_product(bg, k, [(2 * k - 4 * j - bg.dm) * (2 - d + bg.m - 2 * k + 4 * j) / 4 for j in range(k)])
 
 
 def factorization_product(bg: Background, k: int) -> GjmsPolynomial:

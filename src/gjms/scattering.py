@@ -71,11 +71,13 @@ def _radial_operator(bg: Background) -> PolynomialOperator:
     return PolynomialOperator(bg.unit(R, n), -trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
 
 
-def _ds_plain(bg: Background, s: Fraction, series: TruncatedSeries) -> TruncatedSeries:
+def _ds_plain(bg: Background, s: Fraction, series: TruncatedSeries, row: int | None = None) -> TruncatedSeries | SigmaPoly:
     """D_s applied to a log-free radial series; the result is valid one order
-    lower than the input."""
+    lower than the input.  With a row, only the r^row coefficient of u times
+    the image: the image's own when its lower rows vanish."""
     op = bg.prepared(_radial_operator)
-    return op.apply(-1, 2 * s - bg.dm - 1, s - bg.dm, series)
+    args = (-1, 2 * s - bg.dm - 1, s - bg.dm, series)
+    return op.apply(*args) if row is None else op.row(*args, row)
 
 
 def scattering_solve(bg: Background, k: int) -> ScatteringSolution:
@@ -83,10 +85,8 @@ def scattering_solve(bg: Background, k: int) -> ScatteringSolution:
     coefficient at order 2k."""
     positive_k(k)
     s = bg.dm / 2 + k
-    v = solve_order_by_order(
-        lambda series: _ds_plain(bg, s, series), lambda j: j * (2 * k - j), 2 * k - 1, R
-    )
-    log_coeff = _ds_plain(bg, s, v).coeff(2 * k - 1) / (2 * k)
+    v = solve_order_by_order(lambda series, t: _ds_plain(bg, s, series, t), lambda j: j * (2 * k - j), 2 * k - 1, R)
+    log_coeff = _ds_plain(bg, s, v, 2 * k - 1) / (2 * k)
     return ScatteringSolution(k, s, bg, v.coeffs[: 2 * k], log_coeff)
 
 

@@ -7,10 +7,11 @@ Multiplication by the series variable genuinely gains one order; nothing else
 does.  ``as_exact`` is the one explicit escape hatch, for series that are
 known to be polynomials (all higher coefficients identically zero).
 
-A ``PolynomialOperator`` has no order.  Its coefficients are rational
-functions whose denominators divide a polynomial unit u, so it keeps u times
-each of them as a polynomial, applies u*L at O(deg) products a coefficient and
-divides by u with a recurrence of at most deg(u) terms.
+A ``PolynomialOperator`` has no order and no memory.  Its coefficients are
+rational functions whose denominators divide a polynomial unit u, so it keeps
+u times each of them as a polynomial and computes u*L*P one row at a time, at
+O(deg) products a row.  The full image divides each row by u with a recurrence
+of at most deg(u) terms; an order-by-order solve reads one row a level.
 """
 
 from __future__ import annotations
@@ -217,21 +218,25 @@ class TruncatedSeries:
         coefficients of self and p those of the power, p_0 = 1 and
         n p_n = sum_{i=1..n} ((e+1) i - n) a_i p_(n-i).  The sum runs over the
         nonzero a_i only, so a factor 1 + a*v costs O(N) coefficient products.
-        The rational ((e+1) i - n) / n is folded into a_i first, so each
-        p_(n-i) is scaled once and p_n needs no division.
+        The rational ((e+1) i - n) / n is folded into a_i first, and the sum
+        runs on coefficient tuples, so each p_n is one SigmaPoly.
         """
         if self.coeffs[0] != SigmaPoly.one():
             raise AlgebraError("rational power needs constant term 1")
         e = rat(exponent)
-        terms = [(i, a) for i, a in enumerate(self.coeffs) if i and not a.is_zero()]
+        terms = [(i, a.coeffs) for i, a in enumerate(self.coeffs) if i and a.coeffs]
         p = [SigmaPoly.one()]
         for n in range(1, self.order + 1):
-            acc = SigmaPoly.zero()
+            acc: list[RatLike] = [0] * max((len(a) + len(p[n - i].coeffs) for i, a in terms if i <= n), default=0)
             for i, a in terms:
                 if i > n:
                     break
-                acc = acc + (((e + 1) * i - n) / n * a) * p[n - i]
-            p.append(acc)
+                f = ((e + 1) * i - n) / n
+                for q, x in enumerate(a):
+                    fx = f * x
+                    for r, y in enumerate(p[n - i].coeffs):
+                        acc[q + r] += fx * y
+            p.append(SigmaPoly(acc))
         return TruncatedSeries(self.var, p, self.order)
 
     def reciprocal(self) -> "TruncatedSeries":
@@ -272,36 +277,25 @@ class TruncatedSeries:
 
 class PolynomialOperator:
     """a*v*P'' + (b0 + v*b1)*P' + (c0 + x*c1)*P for the series variable v,
-    with rational a, b0 and x given per application and series b1, c0, c1
-    whose denominators divide a polynomial unit u (u_0 = 1, free of sigma).
-    The operator has no order: an application returns P's full image, valid
-    one order below P.
+    with rational a, b0 and x given per call and series b1, c0, c1 whose
+    denominators divide a polynomial unit u (u_0 = 1, free of sigma).  The
+    operator has no order and keeps nothing between calls.
 
     Preparing multiplies u into b1, c0 and c1, raises AlgebraError unless the
     upper half of each product (and of u) vanishes at the order the series
     are given, and keeps u, u*b1, u*c0 and u*c1 as integer rows over one
-    denominator D.  An application computes M = u*L*P row by row,
+    denominator D.  Row t of M = u*L*P,
 
       M_t = sum_i u_i*(a*s + b0)*(s+1)*p_(s+1) + (s*(u*b1)_i + (u*c)_i)*p_s,
 
-    s = t - i and c = c0 + x*c1, at O(deg) int row products a row, then
-    divides by u.  With ~u = Du*u integral and Z_t = Du^t*D*E*Dp*out_t (E the
-    lcm of a's, b0's and x's denominators, Dp that of P's coefficients),
-
-      Z_t = Du^t*(D*E*Dp*M_t) - sum_(i>=1) ~u_i*Du^(i-1)*Z_(t-i)
-
-    stays in ints, and each output coefficient is one Fraction(Z_t, Du^t*D*E*Dp).
-
-    Row t depends on p_0..p_(t+1) only.  The operator remembers its last
-    application: the next one with the same (a, b0, x) keeps the output rows
-    0..L-2, L the length of the prefix its P shares with the last P, rebuilds
-    the Z rows the division reads from them, scales to ints only the
-    coefficients of P that the remaining rows read, and computes from row
-    L-1 on.  An order-by-order solve adds one coefficient a level, so each
-    level computes two rows.
+    s = t - i and c = c0 + x*c1, is O(deg) int row products over D, the lcm
+    E of a's, b0's and x's denominators and that of p_(t-deg)..p_(t+1), the
+    only coefficients it reads.  Row t of L*P is M_t - sum_(i>=1)
+    u_i*(L*P)_(t-i), in ints over the lcm of the rows' denominators;
+    ``apply`` divides every row so, for P's full image one order below P.
     """
 
-    __slots__ = ("var", "_den", "_du", "_u", "_b1", "_c0", "_c1", "_div", "_last")
+    __slots__ = ("var", "_den", "_du", "_u", "_bc", "_div")
 
     def __init__(self, u: TruncatedSeries, b1: TruncatedSeries, c0: TruncatedSeries, c1: TruncatedSeries):
         polys = [u] + [u * s for s in (b1, c0, c1)]
@@ -316,98 +310,98 @@ class PolynomialOperator:
             del rows[h - 1 :: h]
             h -= 1
         self._u = [r[0] if r else 0 for r in rows[:h]]
-        self._b1, self._c0, self._c1 = rows[h : 2 * h], rows[2 * h : 3 * h], rows[3 * h :]
+        # per u_i: ((u*b1)_i, (u*c0)_i, (u*c1)_i) as zipped triples of ints
+        self._bc = [list(zip_longest(*r, fillvalue=0)) for r in zip(rows[h : 2 * h], rows[2 * h : 3 * h], rows[3 * h :])]
         self._du, us = _integer_rows(u.coeffs[:h])
-        self._div = [(i, -r[0] * self._du ** (i - 1)) for i, r in enumerate(us) if i and r]
-        # the last application: (a, b0, x), P's coefficients, the output
-        # coefficients, Dp, and (a*E, b0*E, D*E*u*b1, D*E*u*c, D*E) as ints
-        self._last = None
+        self._div = [(i, r[0]) for i, r in enumerate(us) if i and r]
 
-    def apply(self, a: RatLike, b0: RatLike, x: RatLike, p: TruncatedSeries) -> TruncatedSeries:
-        n = p.order
-        if n == 0:
-            raise OrderShortfall("cannot differentiate an order-0 series")
+    def _check(self, p: TruncatedSeries, t: int) -> None:
+        if t >= p.order:
+            raise OrderShortfall(f"row {t} of the image of an order-{p.order} series")
         if p.var != self.var:
             raise VariableMismatch(f"cannot apply an operator in {self.var!r} to a series in {p.var!r}")
-        key = rat(a), rat(b0), rat(x)
-        if self._last is None or self._last[0] != key:
-            a, b0, x = key
-            e = lcm(a.denominator, b0.denominator, x.denominator)
-            xi = x.numerator * (e // x.denominator)
-            bs = [[e * v for v in b] for b in self._b1]
-            cs = [[e * v + xi * w for v, w in zip_longest(c0, c1, fillvalue=0)] for c0, c1 in zip(self._c0, self._c1)]
-            ints = a.numerator * (e // a.denominator), b0.numerator * (e // b0.denominator), bs, cs, self._den * e
-            self._last = key, (), (), 1, ints
-        _, held, kept, dp, (ai, b0i, bs, cs, de) = self._last
-        same = 0
-        for v, w in zip(held, p.coeffs):
-            if v is not w and v != w:
-                break
-            same += 1
-        start = min(max(same - 1, 0), len(kept))
-        kept, reach, du = kept[:start], len(self._u) - 1, self._du
-        lo = max(start - reach, 0)
-        dp = lcm(dp if start else 1, *(v.denominator for c in p.coeffs[lo:] for v in c.coeffs))
-        ps = [[v.numerator * (dp // v.denominator) for v in c.coeffs] for c in p.coeffs[lo:]]
-        zs = {}
-        for t in range(max(start - reach, 0), start):
-            s = du**t * de * dp
-            zs[t] = [v.numerator * (s // v.denominator) for v in kept[t].coeffs]
-        width = max(map(len, bs + cs), default=0) + max(map(len, ps))
-        out = []
-        for t in range(start, n):
-            row = [0] * width
-            for i in range(min(t, reach) + 1):
-                s = t - i
-                if self._u[i]:
-                    _add_product(row, [self._u[i] * (ai * s + b0i) * (s + 1)], ps[s + 1 - lo])
-                if ps[s - lo]:
-                    _add_product(row, [s * v + w for v, w in zip_longest(bs[i], cs[i], fillvalue=0)], ps[s - lo])
-            dut = du**t
-            z = [dut * v for v in row]
-            for i, f in self._div:
-                if i > t:
-                    break
-                zp = zs[t - i]
-                z.extend([0] * (len(zp) - len(z)))
-                for q, v in enumerate(zp):
-                    z[q] += f * v
-            zs[t] = z
-            out.append(_fraction_rows([z], dut * de * dp)[0])
-        out = kept + tuple(out)
-        self._last = key, p.coeffs, out, dp, (ai, b0i, bs, cs, de)
-        return TruncatedSeries(p.var, out, n - 1)
+
+    def _weights(self, a: RatLike, b0: RatLike, x: RatLike) -> tuple[int, ...]:
+        """a*E, b0*E, E, x*E and D*E, E the lcm of a's, b0's and x's denominators."""
+        a, b0, x = rat(a), rat(b0), rat(x)
+        e = lcm(a.denominator, b0.denominator, x.denominator)
+        ai, b0i, xi = (v.numerator * (e // v.denominator) for v in (a, b0, x))
+        return ai, b0i, e, xi, self._den * e
+
+    def _row(self, weights: tuple, ps: list[list[int]], lo: int, t: int) -> list[int]:
+        """M_t as ints over D*E*Dp, from P's int rows ps[s - lo] over Dp."""
+        ai, b0i, e, xi, _ = weights
+        reach = min(t, len(self._u) - 1)
+        row = [0] * (max(map(len, self._bc)) + max(map(len, ps[t - reach - lo : t + 2 - lo])))
+        for i in range(reach + 1):
+            s = t - i
+            f = self._u[i] * (ai * s + b0i) * (s + 1)
+            if f and ps[s + 1 - lo]:
+                _add_product(row, [f], ps[s + 1 - lo])
+            if self._bc[i] and ps[s - lo]:
+                _add_product(row, [e * (s * b + c0) + xi * c1 for b, c0, c1 in self._bc[i]], ps[s - lo])
+        return row
+
+    def _divided(self, row: list[int], den: int, lower: list[tuple[list[int], int]]) -> tuple[list[int], int]:
+        """Row t of L*P as ints over a denominator, from M_t = row/den and
+        L*P's rows 0..t-1 in lower, each as (ints, denominator)."""
+        terms = [(f, lower[-i]) for i, f in self._div if i <= len(lower)]
+        out = lcm(den, *(self._du * q for _, (_, q) in terms))
+        z = [v * (out // den) for v in row]
+        for f, (zs, q) in terms:
+            g = f * (out // (self._du * q))
+            z.extend([0] * (len(zs) - len(z)))
+            for n, v in enumerate(zs):
+                z[n] -= g * v
+        return z, out
+
+    def apply(self, a: RatLike, b0: RatLike, x: RatLike, p: TruncatedSeries) -> TruncatedSeries:
+        self._check(p, 0)
+        weights, (dp, ps) = self._weights(a, b0, x), _integer_rows(p.coeffs)
+        out: list[tuple[list[int], int]] = []
+        for t in range(p.order):
+            out.append(self._divided(self._row(weights, ps, 0, t), weights[-1] * dp, out))
+        return TruncatedSeries(p.var, [_fraction_rows([z], q)[0] for z, q in out], p.order - 1)
+
+    def row(self, a: RatLike, b0: RatLike, x: RatLike, p: TruncatedSeries, t: int, lower: list | None = None) -> SigmaPoly:
+        """Row t of M = u*L*P: that of L*P when the image's rows below t
+        vanish, as at each level of an order-by-order solve.  With lower, the
+        caller's list of L*P's rows 0..t-1 as (ints, denominator), row t of
+        L*P itself, appended to lower."""
+        self._check(p, t)
+        lo = max(t - len(self._u) + 1, 0)
+        dp, ps = _integer_rows(p.coeffs[lo : t + 2])
+        weights = self._weights(a, b0, x)
+        row, den = self._row(weights, ps, lo, t), weights[-1] * dp
+        if lower is not None:
+            if len(lower) != t:
+                raise AlgebraError(f"row {t} of L*P needs its {t} rows below, not {len(lower)}")
+            row, den = self._divided(row, den, lower)
+            lower.append((row, den))
+        return _fraction_rows([row], den)[0]
 
 
 def solve_order_by_order(
-    apply: Callable[[TruncatedSeries], TruncatedSeries],
-    divisor: Callable[[int], RatLike],
-    levels: int,
-    var: str,
+    residual: Callable[[TruncatedSeries, int], SigmaPoly], divisor: Callable[[int], RatLike], levels: int, var: str
 ) -> TruncatedSeries:
     """The jets a_0 = 1, a_1, ..., a_levels of a series solved level by level.
 
-    Level j sets a_j = -residual_j / divisor(j), where residual_j is the
-    order-(j-1) coefficient of apply on the partial series a_0..a_(j-1) and
-    divisor(j) is the factor the operator's principal part puts on a_j (apply
-    may include or omit that part; it never sees a_j).  A zero divisor raises
-    ObstructedWeight(j).
+    Level j sets a_j = -residual(P, j-1) / divisor(j), where P is the partial
+    series a_0..a_(j-1), declared exact at order j, residual(P, t) is row t of
+    the operator's image of P, and divisor(j) is the factor the operator's
+    principal part puts on a_j (the residual may include or omit that part;
+    it sees a_j = 0).  A zero divisor raises ObstructedWeight(j).
 
-    apply may lose at most one order, and the order-(j-1) coefficient of its
-    result may depend on input coefficients through order j only, as for
-    every application of a PolynomialOperator.  At level j apply is
-    therefore handed the partial series declared exact only through order j,
-    not levels+1; it shares a_0..a_(j-2) with the last level's, so an
-    operator that remembers its last application recomputes two rows, each
-    O(deg) row products.
-    The result is declared exact at order levels+1, so one more application
-    reads the next residual.
+    The solve has zeroed the image's rows 0..j-2 and u_0 = 1, so row j-1 of
+    u*L*P is the residual: one ``PolynomialOperator.row`` a level, O(deg) int
+    row products.  The result is declared exact at order levels+1, so one
+    more call reads the next row.
     """
     coeffs: list[SigmaPoly] = [SigmaPoly.one()]
     for j in range(1, levels + 1):
-        residual = apply(TruncatedSeries(var, coeffs, j)).coeff(j - 1)
+        res = residual(TruncatedSeries(var, coeffs, j), j - 1)
         div = divisor(j)
         if div == 0:
             raise ObstructedWeight(j)
-        coeffs.append(-residual / div)
+        coeffs.append(res * (-1 / rat(div)))
     return TruncatedSeries(var, coeffs, levels + 1)

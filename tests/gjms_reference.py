@@ -1,7 +1,8 @@
 """Reference code the tests compare the package against: the dense
 second-order operator kernel, the radial operator on series with a log
-part (the log-ansatz check of the scattering expansion), and the Green
-pairing computed as the full order-2k series product."""
+part (the log-ansatz check of the scattering expansion), the Green
+pairing computed as the full order-2k series product, and the closed-form
+products as one SigmaPoly product per root."""
 
 from __future__ import annotations
 
@@ -173,3 +174,25 @@ def greens_log_coefficient_series(sol: ScatteringSolution) -> GreensLogReport:
     lp = -log_series.coeff(2 * k)
     rhs = -(bg.dm) * sol.log_coeff
     return GreensLogReport(lp, rhs, lp == rhs)
+
+
+def qe_product_reference(d: int, m: RatLike, lam: RatLike, k: int) -> SigmaPoly:
+    """prod_(l=0..k-1) (sigma + 2*lam*(-(d+m)/2 + k - 2l)*((d+m)/2 + k - 1 - 2l))."""
+    bg = Background.quasi_einstein(d, m, lam)
+    dm = bg.dm
+    poly = SigmaPoly.one()
+    for l in range(k):
+        root = 2 * bg.lam * (-dm / 2 + k - 2 * l) * (dm / 2 + k - 1 - 2 * l)
+        poly = poly * (SigmaPoly.sigma() + SigmaPoly.const(root))
+    return poly
+
+
+def gl_product_reference(d: int, m: RatLike, k: int) -> SigmaPoly:
+    """prod_(j=0..k-1) (sigma + (2k - 4j - d - m)*(2 - d + m - 2k + 4j)/4)."""
+    bg = Background.gover_leitner(d, m)
+    dm = bg.dm
+    poly = SigmaPoly.one()
+    for j in range(k):
+        root = rat(2 * k - 4 * j - dm) * rat(2 - d + bg.m - 2 * k + 4 * j) / 4
+        poly = poly * (SigmaPoly.sigma() + SigmaPoly.const(root))
+    return poly

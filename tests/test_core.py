@@ -2,10 +2,10 @@ from fractions import Fraction as F
 from math import factorial, gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gjms import ambient, scattering
+from gjms import ambient, scattering, series
 from gjms.backgrounds import Background
 from gjms.core import AlgebraError, OrderShortfall, SigmaPoly, VariableMismatch, rat, rat_str
 from gjms.series import RHO, R, ObstructedWeight, PolynomialOperator, TruncatedSeries, solve_order_by_order
@@ -103,6 +103,8 @@ def full_order_solve(apply, divisor, levels, var):
     coeffs = [SigmaPoly.one()]
     for j in range(1, levels + 1):
         partial = TruncatedSeries(var, coeffs, j - 1).as_exact(levels + 1)
+        if divisor(j) == 0:
+            raise ObstructedWeight(j)
         coeffs.append(-apply(partial).coeff(j - 1) / divisor(j))
     return TruncatedSeries(var, coeffs, levels).as_exact(levels + 1)
 
@@ -319,16 +321,26 @@ class TestKernelsMatchReferences:
         st.integers(0, 7),
     )
     def test_solver_matches_the_full_order_solve(self, a, b0, b1, c, shift, levels):
-        # like the routes' operators, one preparation serves every level
+        # the solver asks for row j-1 of the partial series' image; the
+        # reference applies the kernel to the partial series at order
+        # levels+1 and reads that row.  With the principal part's divisor the
+        # lower rows vanish; with any other the residual omits that part.
         op = SecondOrderOperator(b1, c, c)
 
-        def apply(p):
-            return op.apply(a, b0, shift, p)
+        def outcome(solve, *args):
+            try:
+                return solve(*args, levels, RHO)
+            except ObstructedWeight as exc:
+                return exc.level
 
-        def divisor(j):
-            return j * (j + shift)
+        principal = (a, b0, shift), lambda j: (a * (j - 1) + b0) * j
+        free = (0, 0, shift), lambda j: j * (j + shift)
+        for weights, divisor in (principal, free):
+            def apply(p, weights=weights):
+                return op.apply(*weights, p)
 
-        assert solve_order_by_order(apply, divisor, levels, RHO) == full_order_solve(apply, divisor, levels, RHO)
+            solved = outcome(solve_order_by_order, lambda p, t, apply=apply: apply(p).coeff(t), divisor)
+            assert solved == outcome(full_order_solve, apply, divisor)
 
 
 small_polys = st.lists(rationals, max_size=3).map(SigmaPoly)
@@ -374,6 +386,17 @@ def dense_reference(u, b1, c0, c1, order):
     return SecondOrderOperator(*((u * s).as_exact(order) * inverse for s in (b1, c0, c1)))
 
 
+def dense_route_operator(bg, which, n):
+    """The dense kernel for a route's ambient or radial operator, its
+    coefficients read off the accessors at order n."""
+    if which == "ambient":
+        gtr, mf = bg.metric_trace(RHO, n), bg.measure_trace(RHO, n)
+        lf = bg.laplacian_factor(RHO, n)
+        return SecondOrderOperator(-(gtr + 2 * mf), SigmaPoly.sigma() * lf, F(1, 2) * gtr + mf)
+    trace, lf = bg.trace_term(R, n), bg.laplacian_factor(R, n)
+    return SecondOrderOperator(-trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
+
+
 @st.composite
 def backgrounds(draw):
     """A fresh random QE or GL background, d + m != 2."""
@@ -408,9 +431,11 @@ class TestSecondOrderOperator:
 
     @settings(max_examples=150, deadline=None)
     @given(polynomial_operator_inputs(), st.tuples(scalars, rationals, scalars), st.data())
-    def test_a_remembered_application_equals_a_fresh_one(self, args, other, data):
-        # one PolynomialOperator applied in turn to series that share a prefix
-        # with the last one (or not), under a repeated or a changed (a, b0, x)
+    def test_a_repeated_application_equals_a_fresh_one(self, args, other, data):
+        # the operator keeps nothing between calls: one PolynomialOperator
+        # applied in turn to series that share a prefix with the last one (or
+        # not), under a repeated or a changed (a, b0, x), and each of its
+        # rows, equal a fresh operator's full image
         a, b0, x, coefficients, p = args
         op = PolynomialOperator(*coefficients)
         coeffs = list(p.coeffs)
@@ -426,7 +451,13 @@ class TestSecondOrderOperator:
                 coeffs = [SigmaPoly(c.coeffs) for c in coeffs]
             q = TruncatedSeries(p.var, coeffs, len(coeffs) - 1)
             weight = data.draw(st.sampled_from([(a, b0, x), other]))
-            assert op.apply(*weight, q) == PolynomialOperator(*coefficients).apply(*weight, q)
+            image = PolynomialOperator(*coefficients).apply(*weight, q)
+            assert op.apply(*weight, q) == image
+            u_image = coefficients[0].as_exact(q.order) * image
+            rows: list = []
+            for t in range(q.order):
+                assert op.row(*weight, q, t) == u_image.coeff(t)
+                assert op.row(*weight, q, t, rows) == image.coeff(t)
 
     @pytest.mark.parametrize("b1_order, c_order", [(2, 4), (3, 3)])
     def test_short_coefficients_are_rejected(self, b1_order, c_order):
@@ -480,7 +511,7 @@ class TestSecondOrderOperator:
     def test_solver_reproduces_the_exponential(self):
         # P' - P = 0 with a_0 = 1 forces a_j = a_(j-1) / j
         op = SecondOrderOperator(TruncatedSeries.zero(R, 8), TruncatedSeries.zero(R, 8), TruncatedSeries.constant(R, 1, 8))
-        sol = solve_order_by_order(lambda p: op.apply(0, 1, -1, p), lambda j: j, 6, R)
+        sol = solve_order_by_order(lambda p, t: op.apply(0, 1, -1, p).coeff(t), lambda j: j, 6, R)
         assert sol.order == 7
         assert [c.coeff(0) for c in sol.coeffs] == [F(1, factorial(j)) for j in range(7)] + [0]
 
@@ -488,7 +519,7 @@ class TestSecondOrderOperator:
         zero = TruncatedSeries.zero(RHO, 8)
         op = SecondOrderOperator(zero, zero, zero)
         with pytest.raises(ObstructedWeight) as exc:
-            solve_order_by_order(lambda p: op.apply(0, 1, 0, p), lambda j: j - 3, 6, RHO)
+            solve_order_by_order(lambda p, t: op.apply(0, 1, 0, p).coeff(t), lambda j: j - 3, 6, RHO)
         assert exc.value.level == 3
 
 
@@ -501,17 +532,40 @@ class TestPolynomialOperator:
         var = RHO if which == "ambient" else R
         n = data.draw(st.integers(1, 12))
         p = TruncatedSeries(var, data.draw(st.lists(sigma_polys, max_size=n + 1)), n)
-        n -= 1
-        if which == "ambient":
-            gtr, mf = bg.metric_trace(RHO, n), bg.measure_trace(RHO, n)
-            lf = bg.laplacian_factor(RHO, n)
-            ref = SecondOrderOperator(-(gtr + 2 * mf), SigmaPoly.sigma() * lf, F(1, 2) * gtr + mf)
-            op = ambient._ambient_operator(bg)
-        else:
-            trace, lf = bg.trace_term(R, n), bg.laplacian_factor(R, n)
-            ref = SecondOrderOperator(-trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
-            op = scattering._radial_operator(bg)
-        assert op.apply(a, b0, x, p) == ref.apply(a, b0, x, p)
+        op = ambient._ambient_operator(bg) if which == "ambient" else scattering._radial_operator(bg)
+        assert op.apply(a, b0, x, p) == dense_route_operator(bg, which, n - 1).apply(a, b0, x, p)
+
+    @settings(max_examples=30, deadline=None)
+    @given(backgrounds(), st.sampled_from(["recursion", "obstruction", "scattering"]), st.integers(1, 8))
+    def test_each_solve_level_reads_the_dense_kernels_row(self, bg, route, k):
+        # at every level of the three order-by-order solves, the one-row
+        # residual equals coefficient j-1 of the dense kernel's image of the
+        # partial series
+        w, s = k - bg.dm / 2, k + bg.dm / 2
+        which, weights = {
+            "recursion": ("ambient", (0, 0, w)),
+            "obstruction": ("ambient", (-2, 2 * w + bg.dm - 2, w)),
+            "scattering": ("radial", (-1, 2 * s - bg.dm - 1, s - bg.dm)),
+        }[route]
+        solve, levels = series.solve_order_by_order, []
+
+        def checked(residual, divisor, top, var):
+            dense = dense_route_operator(bg, which, top)
+
+            def read(p, t):
+                row = residual(p, t)
+                assert row == dense.apply(*weights, p).coeff(t)
+                levels.append(t + 1)
+                return row
+
+            return solve(read, divisor, top, var)
+
+        with pytest.MonkeyPatch.context() as mp:
+            for owner in (ambient, scattering):
+                mp.setattr(owner, "solve_order_by_order", checked)
+            {"recursion": ambient.gjms_recursion, "obstruction": ambient.obstruction,
+             "scattering": scattering.scattering_solve}[route](bg, k)
+        assert levels == list(range(1, (2 * k if route == "scattering" else k)))
 
     @settings(max_examples=100, deadline=None)
     @given(polynomial_operator_inputs())
@@ -555,11 +609,36 @@ class TestPolynomialOperator:
 
     def test_any_order_from_one_preparation(self):
         # P' - P = 0, prepared over the unit 1 - v: the operator has no order,
-        # so one preparation serves a solve to any depth
+        # so one preparation serves a solve to any depth, one row a level
         u, zero = TruncatedSeries(R, [1, -1], 8), TruncatedSeries.zero(R, 8)
         op = PolynomialOperator(u, zero, zero, TruncatedSeries.constant(R, 1, 8))
-        sol = solve_order_by_order(lambda p: op.apply(0, 1, -1, p), lambda j: j, 40, R)
+        sol = solve_order_by_order(lambda p, t: op.row(0, 1, -1, p, t), lambda j: j, 40, R)
         assert [c.coeff(0) for c in sol.coeffs] == [F(1, factorial(j)) for j in range(41)] + [0]
+
+    def test_a_row_of_u_times_the_image_needs_the_lower_rows_to_vanish(self):
+        # P' - P over the unit 1 - v on P = 1: L*P = -1, so u*L*P = -1 + v.
+        # Row 1 of u*L*P is 1 while row 1 of L*P is 0: the one-row residual
+        # equals the image's row only once the solve has zeroed the rows below.
+        u, zero = TruncatedSeries(R, [1, -1], 8), TruncatedSeries.zero(R, 8)
+        op = PolynomialOperator(u, zero, zero, TruncatedSeries.constant(R, 1, 8))
+        p = TruncatedSeries.constant(R, 1, 3)
+        assert op.apply(0, 1, -1, p).coeffs == (-1, 0, 0)
+        assert [op.row(0, 1, -1, p, t) for t in range(3)] == [-1, 1, 0]
+        rows: list = []
+        assert [op.row(0, 1, -1, p, t, rows) for t in range(3)] == [-1, 0, 0]
+        with pytest.raises(AlgebraError):
+            op.row(0, 1, -1, p, 2, [])
+
+    @settings(max_examples=30, deadline=None)
+    @given(backgrounds(), st.integers(2, 8))
+    def test_a_row_differs_when_the_lower_rows_do_not_vanish(self, bg, n):
+        # on a route's operator (its unit is not 1 unless flat) and a series
+        # that solves nothing, some row of u*L*P differs from that of L*P
+        assume(bg.lam != 0)
+        op = ambient._ambient_operator(bg)
+        p = TruncatedSeries(RHO, [1] * (n + 1), n)
+        image = op.apply(-2, 1, 0, p)
+        assert any(op.row(-2, 1, 0, p, t) != image.coeff(t) for t in range(n))
 
 
 mixed_scalars = st.one_of(

@@ -13,9 +13,10 @@ from collections import Counter
 
 from gjms import ambient, factorization, scattering, series
 from gjms.ambient import ROUTES, RestrictionError, beyond_paper_range, gjms_iterated, jet_normalization
-from gjms.backgrounds import Background
+from gjms.backgrounds import WINDOW, Background
 from gjms.cli import VERIFY_MATRIX
 from gjms.core import AlgebraError, SigmaPoly
+from gjms.series import R
 from gjms.factorization import (
     RouteReport,
     cross_route_report,
@@ -24,6 +25,8 @@ from gjms.factorization import (
     qe_product,
     route_polynomial,
 )
+
+from gjms_reference import gl_product_reference, qe_product_reference
 
 QE = Background.quasi_einstein(3, 2, 1)
 GL = Background.gover_leitner(3, 2)
@@ -77,6 +80,22 @@ class TestGlProduct:
                 if bg.dm.denominator == 1 and bg.dm % 2 == 0 and k > bg.dm / 2:
                     continue
                 assert gl_product(d, m, k).poly == gjms_iterated(bg, k).poly
+
+
+class TestIntegerProducts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.fractions(min_value=0, max_value=6, max_denominator=5),
+        st.fractions(min_value=-4, max_value=4, max_denominator=7),
+        st.integers(1, 24),
+    )
+    def test_equal_to_one_sigma_product_per_root(self, d, m, lam, k):
+        # one integer polynomial over the roots' common denominator, against
+        # one SigmaPoly product per root
+        assume(d + m != 2)
+        assert qe_product(d, m, lam, k).poly == qe_product_reference(d, m, lam, k)
+        assert gl_product(d, m, k).poly == gl_product_reference(d, m, k)
 
 
 class TestDispatch:
@@ -254,9 +273,9 @@ class TestPreparedOperators:
 
     @pytest.mark.parametrize("route", ["recursion", "obstruction", "scattering"])
     def test_doubling_k_at_most_doubles_the_rows_a_solve_builds(self, monkeypatch, route):
-        # each level of an order-by-order solve computes the two output rows
-        # its new coefficient reaches, so a solve to k builds O(k) rows of
-        # series products and operator images, not O(k^2)
+        # each level of an order-by-order solve computes one row of the
+        # operator's image, so a solve to k builds O(k) rows of series
+        # products and operator images, not O(k^2)
         rows = []
 
         def counted(out, den):
@@ -271,6 +290,21 @@ class TestPreparedOperators:
             route_polynomial(Background.quasi_einstein(3, F(1, 2), 1), k, route)
             built.append(sum(rows))
         assert built[1] <= 2.25 * built[0], built
+
+    @pytest.mark.parametrize("k", [12, 24])
+    def test_a_scattering_level_makes_at_most_two_products_per_unit_coefficient(self, monkeypatch, k):
+        # each of the 2k-1 levels and the read-off computes one row of u*L*P:
+        # per coefficient u_i at most one product for the principal part and
+        # one for the rest, whatever k
+        bg = Background.gover_leitner(4, F(3, 2))
+        bg.prepared(scattering._radial_operator)  # preparation's own products are not counted
+        deg_u = max(j for j, c in enumerate(bg.unit(R, WINDOW[R]).coeffs) if not c.is_zero())
+        calls = []
+        add_product = series._add_product
+        monkeypatch.setattr(series, "_add_product", lambda *args: calls.append(1) or add_product(*args))
+        scattering.scattering_solve(bg, k)
+        assert deg_u == 6
+        assert 0 < len(calls) <= 2 * (deg_u + 1) * 2 * k, len(calls)
 
 
 EPS = 1 + F(1, 1000)
@@ -297,8 +331,17 @@ def mutate_solver(change):
     return mutate
 
 
+def mutate_kernel(name, change):
+    def mutate(monkeypatch):
+        real = getattr(series.PolynomialOperator, name)
+        monkeypatch.setattr(series.PolynomialOperator, name, lambda self, *args: real(self, *change(*args)))
+
+    return mutate
+
+
 # One fault in each ingredient the jet routes share: the accessors, the
-# operator's preparation and the order-by-order solver.
+# operator's preparation, its row kernel, the one-row division by the unit
+# and the order-by-order solver.
 FAULTS = {
     **{
         f"{name} * (1+eps)": lambda mp, name=name: mp.setattr(Background, name, scaled(getattr(Background, name)))
@@ -306,6 +349,8 @@ FAULTS = {
     },
     "preparation: b1 * (1+eps)": mutate_preparation(lambda u, b1, c0, c1: (u, EPS * b1, c0, c1)),
     "preparation: c0 one order up": mutate_preparation(lambda u, b1, c0, c1: (u, b1, c0.mul_var(), c1)),
+    "row kernel: P read one coefficient late": mutate_kernel("_row", lambda w, ps, lo, t: (w, ps, lo - 1, t)),
+    "one-row division: lower rows one step stale": mutate_kernel("_divided", lambda z, den, lower: (z, den, lower[:-1])),
     "solver: divisor * (1+eps)": mutate_solver(lambda div: lambda j: EPS * div(j)),
     "solver: divisor one level up": mutate_solver(lambda div: lambda j: div(j + 1)),
 }
