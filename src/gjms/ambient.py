@@ -6,23 +6,18 @@ eigenvalue of the base weighted Laplacian.  One application of the ambient
 weighted Laplacian maps it to t^(w-2) times the second-order operator
 a*rho*P'' + (b0 + rho*b1)*P' + c*P with c = c0 + w*c1 and
 
-    a = -2,  b0 = 2w + d + m - 2,  b1 = -(Gtr + 2 MF),
-    c0 = sigma*LF,  c1 = Gtr/2 + MF,
+    a = -2,  b0 = 2w + d + m - 2,  b1 = -2T,  c0 = sigma*LF,  c1 = T,
 
-where Gtr = g^{ij} g'_{ij}, MF = (m/f) f', and LF is the sector scaling of
-the base Laplacian.  The iterated, extension and obstruction constructions
-apply this map.  The jet recursion applies the same operator without its
-principal part (a = b0 = 0), folded into the divisor 2j(k-j) instead, so it
-solves the obstruction route's jets: its polynomial is the raw obstruction
-polynomial times (k-1)! 2^(k-1) / c_k.  That part's rows below a level do not
-vanish, but its row t reads p_0..p_t only, so they are the route's own earlier
+where T = (1/2) g^{ij} g'_{ij} + (m/f) f' is the rho-picture drift trace and
+LF the sector scaling of the base Laplacian; ``Background.prepared`` builds
+it.  The iterated, extension and obstruction constructions apply this map.
+The jet recursion applies the same operator without its principal part
+(a = b0 = 0), folded into the divisor 2j(k-j) instead, so it solves the
+obstruction route's jets: its polynomial is the raw obstruction polynomial
+times (k-1)! 2^(k-1) / c_k.  That part's rows below a level do not vanish,
+but its row t reads p_0..p_t only, so they are the route's own earlier
 residuals r_1..r_t: each level divides u out of one row in ints,
 r_j = (u*L*P)_(j-1) - sum_(i>=1) u_i r_(j-i).
-
-Every coefficient's denominator divides the unit u = c^2 q, so each
-Background prepares the operator once, as the polynomials u, u*b1, u*c0 and
-u*c1 read off the accessors at a fixed window, and every weight and order
-shares it.
 """
 
 from __future__ import annotations
@@ -33,9 +28,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Any
 
-from .backgrounds import WINDOW, Background
+from .backgrounds import Background
 from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, positive_k, rat, rat_str
-from .series import RHO, ObstructedWeight, PolynomialOperator, TruncatedSeries, solve_order_by_order
+from .series import RHO, ObstructedWeight, TruncatedSeries, solve_order_by_order
 
 
 class RestrictionError(AlgebraError):
@@ -119,12 +114,9 @@ def check_k_restriction_dm(dm: RatLike, k: int, override: bool = False) -> None:
         )
 
 
-def _ambient_operator(bg: Background) -> PolynomialOperator:
-    """The operator in the rho picture, from the accessors read at its window."""
-    n = WINDOW[RHO]
-    gtr, mf = bg.metric_trace(RHO, n), bg.measure_trace(RHO, n)
-    lf = bg.laplacian_factor(RHO, n)
-    return PolynomialOperator(bg.unit(RHO, n), -(gtr + 2 * mf), SigmaPoly.sigma() * lf, Fraction(1, 2) * gtr + mf)
+def _ambient_coefficients(t: TruncatedSeries, lf: TruncatedSeries) -> tuple[TruncatedSeries, ...]:
+    """(b1, c0, c1) of the ambient operator from T and LF."""
+    return -2 * t, SigmaPoly.sigma() * lf, t
 
 
 def ambient_laplacian(bg: Background, func: HomogeneousFunction, row: int | None = None) -> HomogeneousFunction | SigmaPoly:
@@ -132,7 +124,7 @@ def ambient_laplacian(bg: Background, func: HomogeneousFunction, row: int | None
     the profile loses one valid order.  With a row, only the rho^row
     coefficient of u times the image's profile: the image's own when its
     lower rows vanish."""
-    op, w = bg.prepared(_ambient_operator), func.weight
+    op, w = bg.prepared(RHO, _ambient_coefficients), func.weight
     args = (-2, 2 * w + bg.dm - 2, w, func.profile)
     return HomogeneousFunction(w - 2, op.apply(*args)) if row is None else op.row(*args, row)
 
@@ -142,8 +134,6 @@ def _profile_from_perturbation(
 ) -> TruncatedSeries:
     if perturbation is None:
         return TruncatedSeries.constant(RHO, 1, k)
-    if perturbation.var != RHO:
-        raise AlgebraError("perturbations are rho-series")
     if not perturbation.coeff(0).is_zero():
         raise AlgebraError("a Q*H perturbation has no rho^0 coefficient")
     if perturbation.order < k:
@@ -186,7 +176,7 @@ def gjms_recursion(bg: Background, k: int) -> GjmsPolynomial:
     order-(k-1) jet with normalization c_k."""
     positive_k(k)
     w = critical_weight(bg, k)
-    op = bg.prepared(_ambient_operator)
+    op = bg.prepared(RHO, _ambient_coefficients)
     rows: list = []  # the residuals so far: rows 0, 1, ... of the image
 
     def residual(prof: TruncatedSeries, t: int) -> SigmaPoly:

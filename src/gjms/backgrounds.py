@@ -15,20 +15,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable
 
 from .core import AlgebraError, RatLike, rat, rat_str
-from .series import R, RHO, TruncatedSeries
+from .series import R, RHO, PolynomialOperator, TruncatedSeries
 
 QUASI_EINSTEIN = "quasi_einstein"
 GOVER_LEITNER = "gover_leitner"
 
-# The order at which the routes' operators read the accessors.  Times the
-# unit, every coefficient is a polynomial of degree at most 3 in rho and 6 in
-# r; PolynomialOperator checks that the upper half of the window vanishes.
+# The order at which ``Background.prepared`` reads T, LF and the unit.  Times
+# the unit, every coefficient is a polynomial of degree at most 3 in rho and
+# 6 in r; PolynomialOperator checks that the upper half of the window vanishes.
 WINDOW = {RHO: 8, R: 16}
 
-T = TypeVar("T")
+
+def check_dimensions(d: int, m: RatLike) -> Fraction:
+    """Return m as a rational, or raise unless d is an integer >= 2, m >= 0
+    and d + m != 2 (the one statement of the dimension rule)."""
+    m = rat(m)
+    if not isinstance(d, int) or d < 2:
+        raise AlgebraError("d must be an integer >= 2")
+    if m < 0:
+        raise AlgebraError("m must be >= 0")
+    if d + m == 2:
+        raise AlgebraError("d + m = 2 degenerates the weighted Schouten data")
+    return m
 
 
 @dataclass(frozen=True)
@@ -37,22 +48,16 @@ class Background:
     d: int
     m: Fraction
     lam: Fraction | None = None
-    # builder -> the routes' operator it prepared on this instance; outside
+    # (picture, formula) -> the operator prepared on this instance; outside
     # ==, hash and repr, so equal backgrounds stay equal
-    _operators: dict[Callable, Any] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _operators: dict[tuple, PolynomialOperator] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "m", rat(self.m))
         if self.lam is not None:
             object.__setattr__(self, "lam", rat(self.lam))
         if self.kind not in (QUASI_EINSTEIN, GOVER_LEITNER):
             raise AlgebraError(f"unknown background kind {self.kind!r}")
-        if not isinstance(self.d, int) or self.d < 2:
-            raise AlgebraError("d must be an integer >= 2")
-        if self.m < 0:
-            raise AlgebraError("m must be >= 0")
-        if self.d + self.m == 2:
-            raise AlgebraError("d + m = 2 degenerates the weighted Schouten data")
+        object.__setattr__(self, "m", check_dimensions(self.d, self.m))
         if self.kind == QUASI_EINSTEIN and self.lam is None:
             raise AlgebraError("quasi-Einstein background needs lambda")
         if self.kind == GOVER_LEITNER and self.lam is not None:
@@ -70,11 +75,22 @@ class Background:
     def dm(self) -> Fraction:
         return self.d + self.m
 
-    def prepared(self, build: Callable[["Background"], T]) -> T:
-        """``build(self)``, made once per instance: the routes' operators."""
-        if build not in self._operators:
-            self._operators[build] = build(self)
-        return self._operators[build]
+    def prepared(self, picture: str, coefficients: Callable) -> PolynomialOperator:
+        """The route operator a*v*P'' + (b0 + v*b1)*P' + (c0 + x*c1)*P in the
+        picture's variable v, with (b1, c0, c1) = coefficients(T, LF).
+
+        T (``trace_term``), LF (``laplacian_factor``) and the unit u = c^2 q
+        are read once, at the picture's WINDOW; PolynomialOperator keeps u,
+        u*b1, u*c0 and u*c1 as integer polynomials.  Made once per instance
+        and key, and shared by every weight, order and level; an equal
+        Background prepares its own.
+        """
+        key = (picture, coefficients)
+        if key not in self._operators:
+            n = WINDOW[picture]
+            t, lf = self.trace_term(picture, n), self.laplacian_factor(picture, n)
+            self._operators[key] = PolynomialOperator(self.unit(picture, n), *coefficients(t, lf))
+        return self._operators[key]
 
     def label(self) -> str:
         if self.kind == QUASI_EINSTEIN:
@@ -107,9 +123,9 @@ class Background:
 
     # -- expansion accessors ------------------------------------------------
     #
-    # Each call builds its series afresh.  The routes read the first four
-    # once per instance, when they prepare their operators at WINDOW, and
-    # density_factor once per Green pairing.
+    # Each call builds its series afresh.  ``prepared`` reads trace_term (so
+    # both traces) and laplacian_factor once per picture and instance, and a
+    # Green pairing reads density_factor once.
 
     def metric_trace(self, picture: str, order: int) -> TruncatedSeries:
         """g^{ij} g'_{ij} = 2 d c'/c for a conformal family g = c^2 g0."""
@@ -189,9 +205,7 @@ def verify_spaceform_conditions(
       J_phi = R_phi / (2(d+m-1)),
       P_phi = P_coeff * g with P_coeff = ((d-1) kappa - J_phi) / (d+m-2).
     """
-    m, mu, kappa, f0 = rat(m), rat(mu), rat(kappa), rat(f0)
-    if d + m == 1 or d + m == 2:
-        raise AlgebraError("d + m in {1, 2} degenerates the Schouten denominators")
+    m, mu, kappa, f0 = check_dimensions(d, m), rat(mu), rat(kappa), rat(f0)
     if f0 <= 0:
         raise AlgebraError("f0 must be positive")
     r_phi = d * (d - 1) * kappa + m * (m - 1) * mu / f0**2

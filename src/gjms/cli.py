@@ -360,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("gl tables take no --lambda")
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError) as exc:  # AlgebraError is a ValueError
+    except ValueError as exc:  # AlgebraError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -32,7 +32,10 @@ def rat(value: RatLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise AlgebraError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -42,6 +45,20 @@ def rat_str(value: RatLike) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def signed_sum(pairs: Iterable[tuple[Fraction, str]]) -> str:
+    """Print the terms c*monomial in the order given, "" the constant
+    monomial and zero coefficients skipped: "-3/2*sigma^2 + sigma - 1", or
+    "0" when no term remains."""
+    parts: list[str] = []
+    for c, mono in pairs:
+        if c:
+            mag = rat_str(abs(c))
+            body = mag if not mono else mono if abs(c) == 1 else f"{mag}*{mono}"
+            sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+            parts.append(sign + body)
+    return " ".join(parts) or "0"
 
 
 def positive_k(k: int) -> int:
@@ -178,23 +195,8 @@ class SigmaPoly:
         return [rat_str(c) for c in self.coeffs]
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts: list[str] = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = rat_str(abs(c))
-            else:
-                mon = "sigma" if i == 1 else f"sigma^{i}"
-                term = mon if abs(c) == 1 else f"{rat_str(abs(c))}*{mon}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        terms = [(c, "sigma" if i == 1 else f"sigma^{i}" if i else "") for i, c in enumerate(self.coeffs)]
+        return signed_sum(reversed(terms))
 
     def __repr__(self) -> str:
         return f"SigmaPoly({[rat_str(c) for c in self.coeffs]})"

@@ -7,13 +7,11 @@ with c = c0 + (s - d - m)*c1 and
 
     a = -1,  b0 = 2s - d - m - 1,  b1 = -T,  c0 = -r*sigma*LF,  c1 = T,
 
-where s = (d+m)/2 + k, T is the r-picture drift trace, and LF the sector
-scaling of the base Laplacian.  Each Background prepares the operator once,
-as the polynomials u, u*b1, u*c0 and u*c1 in the unit u = c^2 q read off the
-accessors at a fixed window, and every s and order shares it.  The expansion
-is solved order by order with divisor j(2k-j); the order-2k log coefficient
-reproduces the ambient operator up to the normalization d_k and a global
-sign.
+where s = (d+m)/2 + k, T is the r-picture drift trace and LF the sector
+scaling of the base Laplacian; ``Background.prepared`` builds it.  The
+expansion is solved order by order with divisor j(2k-j); the order-2k log
+coefficient reproduces the ambient operator up to the normalization d_k and
+a global sign.
 
 Sign pinning: the whole package uses the trace-convention weighted Laplacian
 (the one the ambient formula forces), under which the log coefficient comes
@@ -34,9 +32,9 @@ from math import factorial
 from typing import Any
 
 from .ambient import GjmsPolynomial
-from .backgrounds import WINDOW, Background
+from .backgrounds import Background
 from .core import SigmaPoly, positive_k, rat_str
-from .series import R, PolynomialOperator, TruncatedSeries, solve_order_by_order
+from .series import R, TruncatedSeries, solve_order_by_order
 
 SCATTERING_SIGN = Fraction(-1)
 
@@ -64,18 +62,16 @@ class ScatteringSolution:
         }
 
 
-def _radial_operator(bg: Background) -> PolynomialOperator:
-    """The operator in the r picture, from the accessors read at its window."""
-    n = WINDOW[R]
-    trace, lf = bg.trace_term(R, n), bg.laplacian_factor(R, n)
-    return PolynomialOperator(bg.unit(R, n), -trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
+def _radial_coefficients(t: TruncatedSeries, lf: TruncatedSeries) -> tuple[TruncatedSeries, ...]:
+    """(b1, c0, c1) of the radial operator from T and LF."""
+    return -t, -(SigmaPoly.sigma() * lf).mul_var(), t
 
 
 def _ds_plain(bg: Background, s: Fraction, series: TruncatedSeries, row: int | None = None) -> TruncatedSeries | SigmaPoly:
     """D_s applied to a log-free radial series; the result is valid one order
     lower than the input.  With a row, only the r^row coefficient of u times
     the image: the image's own when its lower rows vanish."""
-    op = bg.prepared(_radial_operator)
+    op = bg.prepared(R, _radial_coefficients)
     args = (-1, 2 * s - bg.dm - 1, s - bg.dm, series)
     return op.apply(*args) if row is None else op.row(*args, row)
 

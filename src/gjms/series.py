@@ -27,6 +27,7 @@ from .core import (
     RatLike,
     SigmaPoly,
     VariableMismatch,
+    _as_poly,
     rat,
 )
 
@@ -42,10 +43,6 @@ class ObstructedWeight(AlgebraError):
     def __init__(self, level: int):
         super().__init__(f"harmonic extension obstructed at level {level}")
         self.level = level
-
-
-def _as_sp(value: CoeffLike) -> SigmaPoly:
-    return value if isinstance(value, SigmaPoly) else SigmaPoly.const(rat(value))
 
 
 def _integer_rows(coeffs: Iterable[SigmaPoly]) -> tuple[int, list[list[int]]]:
@@ -94,7 +91,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, var: str, value: CoeffLike, order: int) -> "TruncatedSeries":
-        return cls(var, [_as_sp(value)], order)
+        return cls(var, [_as_poly(value)], order)
 
     @classmethod
     def zero(cls, var: str, order: int) -> "TruncatedSeries":
@@ -175,7 +172,7 @@ class TruncatedSeries:
         Fraction(num, Da*Db), normalized once.
         """
         if not isinstance(other, TruncatedSeries):
-            c = _as_sp(other)
+            c = _as_poly(other)
             return TruncatedSeries(self.var, [c * a for a in self.coeffs], self.order)
         n = self._common(other)
         da, lhs = _integer_rows(self.coeffs[: n + 1])

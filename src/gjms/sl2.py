@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Mapping
 
-from .core import AlgebraError, RatLike, positive_k, rat, rat_str
+from .core import AlgebraError, RatLike, positive_k, rat, signed_sum
 
 Word = tuple[str, ...]
 Pbw = tuple[int, int, int]  # exponents (a, b, c) of x^a h^b y^c
@@ -169,19 +169,7 @@ class NcPoly:
         return NcPoly(items)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[word]
-            mono = "*".join(word) if word else "1"
-            mag = rat_str(abs(c))
-            body = mono if (abs(c) == 1 and word) else (f"{mag}*{mono}" if word else mag)
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum((self.terms[w], "*".join(w)) for w in sorted(self.terms, key=lambda w: (len(w), w)))
 
     def __repr__(self) -> str:
         return f"NcPoly({self})"

@@ -1,18 +1,22 @@
 """Reference code the tests compare the package against: the dense
-second-order operator kernel, the radial operator on series with a log
+second-order operator kernel, the route operators each built from the
+accessors by its own module, the radial operator on series with a log
 part (the log-ansatz check of the scattering expansion), the Green
-pairing computed as the full order-2k series product, and the closed-form
-products as one SigmaPoly product per root."""
+pairing computed as the full order-2k series product, the closed-form
+products as one SigmaPoly product per root, and the two printers of exact
+sums written out separately."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
 
-from gjms.backgrounds import Background
-from gjms.core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, rat
+from gjms.backgrounds import WINDOW, Background
+from gjms.core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, rat, rat_str
 from gjms.scattering import GreensLogReport, ScatteringSolution, _ds_plain
-from gjms.series import R, TruncatedSeries, _add_product, _fraction_rows, _integer_rows
+from gjms.series import RHO, R, PolynomialOperator, TruncatedSeries, _add_product, _fraction_rows, _integer_rows
+from gjms.sl2 import NcPoly
 
 
 class SecondOrderOperator:
@@ -72,6 +76,60 @@ class SecondOrderOperator:
                     _add_product(row, w, ps[j])
             out.append(row)
         return TruncatedSeries(p.var, _fraction_rows(out, d * dp), n - 1)
+
+
+def ambient_operator(bg: Background) -> PolynomialOperator:
+    """The rho-picture operator as the ambient module built it: the two
+    traces and LF read at its window, b1 = -(Gtr + 2 MF), c1 = Gtr/2 + MF."""
+    n = WINDOW[RHO]
+    gtr, mf = bg.metric_trace(RHO, n), bg.measure_trace(RHO, n)
+    lf = bg.laplacian_factor(RHO, n)
+    return PolynomialOperator(bg.unit(RHO, n), -(gtr + 2 * mf), SigmaPoly.sigma() * lf, Fraction(1, 2) * gtr + mf)
+
+
+def radial_operator(bg: Background) -> PolynomialOperator:
+    """The r-picture operator as the scattering module built it."""
+    n = WINDOW[R]
+    trace, lf = bg.trace_term(R, n), bg.laplacian_factor(R, n)
+    return PolynomialOperator(bg.unit(R, n), -trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
+
+
+def sigma_poly_str(p: SigmaPoly) -> str:
+    """SigmaPoly's printer, highest degree first, with its own sign logic."""
+    if p.is_zero():
+        return "0"
+    parts: list[str] = []
+    for i in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            term = rat_str(abs(c))
+        else:
+            mon = "sigma" if i == 1 else f"sigma^{i}"
+            term = mon if abs(c) == 1 else f"{rat_str(abs(c))}*{mon}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts)
+
+
+def nc_poly_str(p: NcPoly) -> str:
+    """NcPoly's printer, shortest word first, with its own sign logic."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for word in sorted(p.terms, key=lambda w: (len(w), w)):
+        c = p.terms[word]
+        mono = "*".join(word) if word else "1"
+        mag = rat_str(abs(c))
+        body = mono if (abs(c) == 1 and word) else (f"{mag}*{mono}" if word else mag)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts)
 
 
 class LogSeries:

@@ -172,16 +172,16 @@ class TestStoredAccessors:
         builds = Counter()
 
         def counted(real):
-            def build(bg):
+            def formula(t, lf):
                 builds[real.__name__] += 1
-                return real(bg)
+                return real(t, lf)
 
-            return build
+            return formula
 
-        for owner, name in ((ambient, "_ambient_operator"), (scattering, "_radial_operator")):
+        for owner, name in ((ambient, "_ambient_coefficients"), (scattering, "_radial_coefficients")):
             monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
         warm, _ = fresh_backgrounds()
-        expected = Counter({"_ambient_operator": 1, "_radial_operator": 1})
+        expected = Counter({"_ambient_coefficients": 1, "_radial_coefficients": 1})
         for _ in range(2):
             assert cross_route_report(warm, 2).all_agree()
             assert builds == expected
@@ -192,8 +192,8 @@ class TestStoredAccessors:
 
     @pytest.mark.parametrize("which", (0, 1), ids=("qe", "gl"))
     def test_each_accessor_is_read_once_per_operator(self, monkeypatch, which):
-        # the operators read the accessors once per Background, at WINDOW
-        # (trace_term reads both traces again), and a Green pairing reads
+        # Background.prepared reads trace_term (so both traces), LF and the
+        # unit once per picture, at WINDOW, and a Green pairing reads
         # density_factor once
         bg = fresh_backgrounds()[which]
         calls = Counter()
@@ -215,7 +215,7 @@ class TestStoredAccessors:
             "measure_trace": 2,
             "laplacian_factor": 2,
             "unit": 2,
-            "trace_term": 1,
+            "trace_term": 2,
             "density_factor": 1,
         }
 
@@ -251,6 +251,12 @@ class TestSpaceforms:
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(AlgebraError):
             verify_spaceform_conditions(2, 0, 1, 1, 1)
+        # the Background dimension rule: an integer d >= 2 and m >= 0
+        for d, m in [(1, 3), (1, 0), (5, -2), (F(5, 2), 1)]:
+            with pytest.raises(AlgebraError):
+                verify_spaceform_conditions(d, m, 1, 1, 1)
+            with pytest.raises(AlgebraError):
+                Background.gover_leitner(d, m)
         with pytest.raises(AlgebraError):
             verify_spaceform_conditions(3, 2, 1, 1, 0)
 

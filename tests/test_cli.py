@@ -430,10 +430,43 @@ class TestSpaceform:
         assert payload["is_gover_leitner"] is True
         assert payload["is_quasi_einstein"] is False
 
+    @pytest.mark.parametrize(
+        "dims, message",
+        [(("1", "3"), "d must be an integer >= 2"), (("5", "-2"), "m must be >= 0"), (("2", "0"), "d + m = 2")],
+    )
+    def test_background_dimension_rule_is_a_usage_error(self, dims, message, capsys):
+        # at d = 1 both (d-1)*kappa and -(d-1) vanish, so any kappa read as
+        # Gover-Leitner before the rule applied here
+        d, m = dims
+        code = cli.main(["spaceform", "--d", d, "--m", m, "--mu", "1", "--kappa", "1", "--f0", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate").returncode == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [["spaceform", "--d", "5", "--mu", "1", "--kappa", "1", "--f0", "1"], ["compute", "gl", "--d", "3", "--k", "1"]],
+    )
+    def test_a_zero_denominator_is_a_usage_error(self, command, capsys):
+        code = cli.main([*command, "--m", "1/0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: zero denominator in '1/0'\n"
+
+    def test_a_zero_division_inside_a_command_is_not_a_usage_error(self, monkeypatch):
+        def divides_by_zero(*args):
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(cli, "verify_spaceform_conditions", divides_by_zero)
+        with pytest.raises(ZeroDivisionError, match="injected"):
+            cli.main(["spaceform", "--d", "3", "--m", "2", "--mu", "1", "--kappa", "1", "--f0", "1"])
 
     def test_k_and_kmax_exclusive(self):
         res = run_cli(

@@ -9,7 +9,7 @@ from gjms import ambient, scattering, series
 from gjms.backgrounds import Background
 from gjms.core import AlgebraError, OrderShortfall, SigmaPoly, VariableMismatch, rat, rat_str
 from gjms.series import RHO, R, ObstructedWeight, PolynomialOperator, TruncatedSeries, solve_order_by_order
-from gjms_reference import LogSeries, SecondOrderOperator
+from gjms_reference import LogSeries, SecondOrderOperator, ambient_operator, radial_operator, sigma_poly_str
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 sigma_polys = st.lists(rationals, max_size=4).map(SigmaPoly)
@@ -127,6 +127,12 @@ class TestRationals:
         assert rat_str(F(105, 4)) == "105/4"
         assert rat_str(F(-3, 1)) == "-3"
 
+    @pytest.mark.parametrize("text", ["1/0", " -3/0 ", "0/0"])
+    def test_a_zero_denominator_names_the_text(self, text):
+        with pytest.raises(AlgebraError) as exc:
+            rat(text)
+        assert repr(text) in str(exc.value)
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             F(1, 2) / F(0)
@@ -165,6 +171,11 @@ class TestSigmaPoly:
     def test_str(self):
         assert str(SigmaPoly([F(3, 4), 1])) == "sigma + 3/4"
         assert str(SigmaPoly([F(105, 4), -11, 1])) == "sigma^2 - 11*sigma + 105/4"
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.sampled_from([0, 1, -1]), rationals), max_size=6).map(SigmaPoly))
+    def test_str_matches_the_reference_printer(self, p):
+        assert str(p) == sigma_poly_str(p)
 
     @given(sigma_polys, sigma_polys, rationals)
     def test_product_evaluation_homomorphism(self, p, q, x):
@@ -397,6 +408,10 @@ def dense_route_operator(bg, which, n):
     return SecondOrderOperator(-trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
 
 
+# picture and coefficient formula of each route operator Background.prepared builds
+PREPARED = {"ambient": (RHO, ambient._ambient_coefficients), "radial": (R, scattering._radial_coefficients)}
+
+
 @st.composite
 def backgrounds(draw):
     """A fresh random QE or GL background, d + m != 2."""
@@ -532,8 +547,18 @@ class TestPolynomialOperator:
         var = RHO if which == "ambient" else R
         n = data.draw(st.integers(1, 12))
         p = TruncatedSeries(var, data.draw(st.lists(sigma_polys, max_size=n + 1)), n)
-        op = ambient._ambient_operator(bg) if which == "ambient" else scattering._radial_operator(bg)
+        op = bg.prepared(*PREPARED[which])
         assert op.apply(a, b0, x, p) == dense_route_operator(bg, which, n - 1).apply(a, b0, x, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(backgrounds())
+    def test_prepared_operators_equal_each_modules_own_builder(self, bg):
+        # Background.prepared reads T and LF where the ambient module read the
+        # two traces: the same rationals, so the same integer polynomials
+        for which, reference in (("ambient", ambient_operator), ("radial", radial_operator)):
+            op, ref = bg.prepared(*PREPARED[which]), reference(bg)
+            for name in ("var", "_den", "_u", "_bc", "_du", "_div"):
+                assert getattr(op, name) == getattr(ref, name), (which, name)
 
     @settings(max_examples=30, deadline=None)
     @given(backgrounds(), st.sampled_from(["recursion", "obstruction", "scattering"]), st.integers(1, 8))
@@ -635,7 +660,7 @@ class TestPolynomialOperator:
         # on a route's operator (its unit is not 1 unless flat) and a series
         # that solves nothing, some row of u*L*P differs from that of L*P
         assume(bg.lam != 0)
-        op = ambient._ambient_operator(bg)
+        op = bg.prepared(RHO, ambient._ambient_coefficients)
         p = TruncatedSeries(RHO, [1] * (n + 1), n)
         image = op.apply(-2, 1, 0, p)
         assert any(op.row(-2, 1, 0, p, t) != image.coeff(t) for t in range(n))

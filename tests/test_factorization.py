@@ -258,18 +258,18 @@ class TestPreparedOperators:
         builds = Counter()
 
         def counted(real, name):
-            def build(bg):
+            def formula(t, lf):
                 builds[name] += 1
-                return real(bg)
+                return real(t, lf)
 
-            return build
+            return formula
 
-        for owner, name in ((ambient, "_ambient_operator"), (scattering, "_radial_operator")):
+        for owner, name in ((ambient, "_ambient_coefficients"), (scattering, "_radial_coefficients")):
             monkeypatch.setattr(owner, name, counted(getattr(owner, name), name))
         bg = Background.quasi_einstein(3, F(1, 2), 1)  # fresh: nothing stored yet
         for j in range(1, k + 1):
             assert cross_route_report(bg, j).all_agree()
-        assert builds == {"_ambient_operator": 1, "_radial_operator": 1}
+        assert builds == {"_ambient_coefficients": 1, "_radial_coefficients": 1}
 
     @pytest.mark.parametrize("route", ["recursion", "obstruction", "scattering"])
     def test_doubling_k_at_most_doubles_the_rows_a_solve_builds(self, monkeypatch, route):
@@ -297,7 +297,7 @@ class TestPreparedOperators:
         # per coefficient u_i at most one product for the principal part and
         # one for the rest, whatever k
         bg = Background.gover_leitner(4, F(3, 2))
-        bg.prepared(scattering._radial_operator)  # preparation's own products are not counted
+        bg.prepared(R, scattering._radial_coefficients)  # preparation's own products are not counted
         deg_u = max(j for j, c in enumerate(bg.unit(R, WINDOW[R]).coeffs) if not c.is_zero())
         calls = []
         add_product = series._add_product

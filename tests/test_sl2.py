@@ -18,6 +18,7 @@ from gjms.sl2 import (
     jacobi_defect,
     verify_commutator_identity,
 )
+from gjms_reference import nc_poly_str
 
 X, H, Y = NcPoly.x(), NcPoly.h(), NcPoly.y()
 
@@ -87,6 +88,19 @@ class TestRelations:
     def test_str(self):
         assert str((Y * X).normal_form()) == "-h + x*y"
         assert str(NcPoly.zero()) == "0"
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from("xhy"), max_size=4).map(tuple),
+                st.one_of(st.sampled_from([1, -1]), st.fractions(min_value=-9, max_value=9, max_denominator=6)),
+            ),
+            max_size=6,
+        ).map(NcPoly)
+    )
+    def test_str_matches_the_reference_printer(self, p):
+        assert str(p) == nc_poly_str(p)
 
     def test_unknown_generator_rejected(self):
         with pytest.raises(AlgebraError):
