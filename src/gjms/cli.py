@@ -14,10 +14,10 @@ import random
 import sys
 import traceback
 from fractions import Fraction
-from functools import cache
-from itertools import product
+from functools import cache, partial
+from itertools import chain, product
 from math import factorial
-from typing import Callable
+from typing import Callable, Iterable
 
 from .ambient import (
     ROUTES,
@@ -30,15 +30,10 @@ from .ambient import (
     random_admissible_perturbation,
     ambient_laplacian,
 )
-from .backgrounds import Background, verify_spaceform_conditions
+from .backgrounds import Background, check_dimensions, verify_spaceform_conditions
 from .core import AlgebraError, positive_k, rat, rat_str
 from .factorization import RouteReport, cross_route_report, route_polynomial
-from .scattering import (
-    ScatteringSolution,
-    greens_log_coefficient,
-    log_normalization,
-    scattering_solve,
-)
+from .scattering import greens_log_coefficient, log_normalization, scattering_solve
 from .sl2 import extract_Zk, falling_h_product, jacobi_defect, verify_commutator_identity
 
 ROUTE_CHOICES = ROUTES + ("all",)
@@ -73,10 +68,11 @@ def _parse_background(args: argparse.Namespace) -> Background:
 
 def cmd_compute(args: argparse.Namespace) -> int:
     ks = [args.k] if args.kmax is None else list(range(1, positive_k(args.kmax) + 1))
-    # Restriction is a function of (d, m, k) alone; report it before any
-    # complaint about missing background parameters.
+    # The dimension rule, then the range rule: both read (d, m, k) alone, so
+    # they come before any complaint about missing background parameters.
+    m = check_dimensions(args.d, args.m)
     for k in sorted(ks):
-        check_k_restriction_dm(args.d + rat(args.m), k, args.override)
+        check_k_restriction_dm(args.d + m, k, args.override)
     bg = _parse_background(args)
     routes = ROUTES if args.route == "all" else (args.route,)
     try:
@@ -164,33 +160,42 @@ def _cells(backgrounds, ks):
 # -- verification suites -----------------------------------------------------
 
 
-class Checker:
-    """Runs each check at once and prints one line for it; a check that raises
-    fails with the exception as its witness instead of ending the run."""
-
-    def __init__(self, out=None):
-        self.out = out or sys.stdout
-        self.failures = 0
-
-    def check(self, description: str, test: Callable[[], bool | tuple[bool, str]]) -> None:
-        """test() returns ok, or ok and a detail printed on failure."""
+def run_checks(checks: Iterable[tuple[str, Callable[[], bool | tuple[bool, str]]]], out=None) -> int:
+    """Run each (description, test) pair in turn, print one line for it and
+    return the number that failed.  test() returns ok, or ok and a detail
+    printed on failure; a test that raises fails with the exception as its
+    witness instead of ending the run."""
+    out = out or sys.stdout
+    failures = 0
+    for description, test in checks:
         try:
             outcome = test()
             ok, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
         except Exception as exc:
             traceback.print_exc(file=sys.stderr)
             ok, detail = False, f"{type(exc).__name__}: {exc}"
-        self.out.write(f"{'ok  ' if ok else 'FAIL'} {description}\n")
+        out.write(f"{'ok  ' if ok else 'FAIL'} {description}\n")
         if not ok:
-            self.failures += 1
+            failures += 1
             if detail:
-                self.out.write(f"     {detail}\n")
+                out.write(f"     {detail}\n")
+    return failures
 
 
-def verify_sl2(chk: Checker, kmax: int) -> None:
+# Each suite yields (description, test) pairs for the cells up to kmax.  The
+# tests bind their arguments with partial, so a suite run as a list runs the
+# same checks.  report(bg, k) and solve(bg, k) are the run's cached
+# cross_route_report and scattering_solve.
+
+
+def sl2_checks(kmax: int, report, solve):
     def identity(kind: str, k: int) -> tuple[bool, str]:
         ok, witness = verify_commutator_identity(kind, k)
         return ok, f"witness {witness}"
+
+    def extracts(k: int) -> bool:
+        # extract_Zk raises unless y^(k-1)x^(k-1) - lead - x Z_k reduces to 0
+        return extract_Zk(k) is not None
 
     def route_ratio(k: int) -> bool:
         # h evaluated at -(k-1) turns the product into the iterated/obstruction ratio
@@ -201,15 +206,11 @@ def verify_sl2(chk: Checker, kmax: int) -> None:
 
     for k in range(1, kmax + 1):
         for kind, label in (("yk_x", "[y^k,x] = -k y^(k-1)(h-k+1)"), ("xk_y", "[x^k,y] = k x^(k-1)(h+k-1)")):
-            chk.check(f"sl2 {label} at k={k}", lambda: identity(kind, k))
-    chk.check("sl2 Jacobi identity reduces to 0", lambda: jacobi_defect().is_zero())
+            yield f"sl2 {label} at k={k}", partial(identity, kind, k)
+    yield "sl2 Jacobi identity reduces to 0", lambda: jacobi_defect().is_zero()
     for k in range(1, kmax + 1):
-        # extract_Zk raises unless y^(k-1)x^(k-1) - lead - x Z_k reduces to 0
-        chk.check(
-            f"sl2 y^(k-1)x^(k-1) = (-1)^(k-1)(k-1)! h(h+1)..(h+k-2) + x Z_k at k={k}",
-            lambda: extract_Zk(k) is not None,
-        )
-        chk.check(f"sl2 h-product at h=-(k-1) reproduces the route ratio at k={k}", lambda: route_ratio(k))
+        yield f"sl2 y^(k-1)x^(k-1) = (-1)^(k-1)(k-1)! h(h+1)..(h+k-2) + x Z_k at k={k}", partial(extracts, k)
+        yield f"sl2 h-product at h=-(k-1) reproduces the route ratio at k={k}", partial(route_ratio, k)
 
 
 def _witness(report: RouteReport, names) -> str:
@@ -218,7 +219,7 @@ def _witness(report: RouteReport, names) -> str:
     return "; ".join(errors or [f"{n}: {report.routes[n].poly}" for n in names])
 
 
-def verify_ambient(chk: Checker, kmax: int, report: Callable[[Background, int], RouteReport]) -> None:
+def ambient_checks(kmax: int, report, solve):
     rng = random.Random(20240229)
 
     def routes_agree(bg: Background, k: int) -> tuple[bool, str]:
@@ -240,17 +241,12 @@ def verify_ambient(chk: Checker, kmax: int, report: Callable[[Background, int], 
 
     for bg in VERIFY_MATRIX:
         for _, k in _cells((bg,), range(1, kmax + 1)):
-            chk.check(f"routes agree on {bg.label()} k={k}", lambda: routes_agree(bg, k))
-            chk.check(f"extension independence on {bg.label()} k={k}", lambda: independent(bg, k))
-        chk.check(f"harmonic extension closes to order 3 on {bg.label()}", lambda: closes(bg))
+            yield f"routes agree on {bg.label()} k={k}", partial(routes_agree, bg, k)
+            yield f"extension independence on {bg.label()} k={k}", partial(independent, bg, k)
+        yield f"harmonic extension closes to order 3 on {bg.label()}", partial(closes, bg)
 
 
-def verify_scattering(
-    chk: Checker,
-    kmax: int,
-    report: Callable[[Background, int], RouteReport],
-    solve: Callable[[Background, int], ScatteringSolution],
-) -> None:
+def scattering_checks(kmax: int, report, solve):
     def odd_vanish(bg: Background, k: int) -> bool:
         v = solve(bg, k).v_coeffs
         return all(v[j].is_zero() for j in range(1, 2 * k, 2))
@@ -265,39 +261,36 @@ def verify_scattering(
         return normalized.degree == k and abs(normalized.coeffs[-1]) == 1
 
     for bg, k in _cells(VERIFY_MATRIX, range(1, kmax + 1)):
-        chk.check(f"odd radial coefficients vanish on {bg.label()} k={k}", lambda: odd_vanish(bg, k))
-        chk.check(f"scattering route equals iterated on {bg.label()} k={k}", lambda: equals_iterated(bg, k))
-        chk.check(f"log coefficient over d_k is +/-monic degree {k} on {bg.label()}", lambda: monic(bg, k))
+        yield f"odd radial coefficients vanish on {bg.label()} k={k}", partial(odd_vanish, bg, k)
+        yield f"scattering route equals iterated on {bg.label()} k={k}", partial(equals_iterated, bg, k)
+        yield f"log coefficient over d_k is +/-monic degree {k} on {bg.label()}", partial(monic, bg, k)
 
 
-def verify_green(chk: Checker, kmax: int, solve: Callable[[Background, int], ScatteringSolution]) -> None:
+def green_checks(kmax: int, report, solve):
     def symmetric(bg: Background, k: int) -> tuple[bool, str]:
-        report = greens_log_coefficient(solve(bg, k))
-        return report.match, f"lp: {report.lp}; rhs: {report.rhs}"
+        pairing = greens_log_coefficient(solve(bg, k))
+        return pairing.match, f"lp: {pairing.lp}; rhs: {pairing.rhs}"
 
     for bg, k in _cells(GREEN_MATRIX, range(1, kmax + 1)):
-        chk.check(f"log-coefficient pairing is symmetric on {bg.label()} k={k}", lambda: symmetric(bg, k))
+        yield f"log-coefficient pairing is symmetric on {bg.label()} k={k}", partial(symmetric, bg, k)
+
+
+# The one statement of the suite names; `verify all` runs them in this order.
+SUITES = {"sl2": sl2_checks, "ambient": ambient_checks, "scattering": scattering_checks, "green": green_checks}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     kmax = positive_k(args.kmax)
-    chk = Checker()
     # one RouteReport and one radial solution per (background, k) cell,
     # shared by the suites of this run
     report, solve = cache(cross_route_report), cache(scattering_solve)
-    if args.suite in ("all", "sl2"):
-        verify_sl2(chk, kmax)
-    if args.suite in ("all", "ambient"):
-        verify_ambient(chk, kmax, report)
-    if args.suite in ("all", "scattering"):
-        verify_scattering(chk, kmax, report, solve)
-    if args.suite in ("all", "green"):
-        verify_green(chk, kmax, solve)
-    if args.inject_fault:
-        chk.check("fault-injection self-test hook", lambda: (False, "fault injected by request"))
-    total = "all checks passed" if chk.failures == 0 else f"{chk.failures} check(s) FAILED"
-    chk.out.write(f"summary: {total}\n")
-    return 0 if chk.failures == 0 else 1
+    names = SUITES if args.suite == "all" else (args.suite,)
+    fault = [("fault-injection self-test hook", lambda: (False, "fault injected by request"))]
+    checks = chain(*(SUITES[name](kmax, report, solve) for name in names), fault if args.inject_fault else ())
+    failures = run_checks(checks)
+    total = "all checks passed" if failures == 0 else f"{failures} check(s) FAILED"
+    sys.stdout.write(f"summary: {total}\n")
+    return 0 if failures == 0 else 1
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -325,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(func=cmd_compute)
 
     ver = sub.add_parser("verify", help="run a verification suite; exit 0 iff all pass")
-    ver.add_argument("suite", choices=("all", "sl2", "ambient", "scattering", "green"))
+    ver.add_argument("suite", choices=("all", *SUITES))
     ver.add_argument("--kmax", type=int, default=3)
     ver.add_argument("--inject-fault", action="store_true", help="self-test hook: add one failing check")
     ver.set_defaults(func=cmd_verify)

@@ -63,7 +63,7 @@ def signed_sum(pairs: Iterable[tuple[Fraction, str]]) -> str:
 
 def positive_k(k: int) -> int:
     """Return k, or raise unless it is a positive integer (the one k >= 1 check)."""
-    if k < 1:
+    if not isinstance(k, int) or k < 1:
         raise AlgebraError("k must be a positive integer")
     return k
 

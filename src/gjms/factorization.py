@@ -24,7 +24,6 @@ from .scattering import gjms_route_scattering
 def _root_product(bg: Background, k: int, roots: list[Fraction]) -> GjmsPolynomial:
     """prod (sigma + root): over the roots' common denominator D, the int
     polynomial prod (D*sigma + D*root), then one Fraction per coefficient."""
-    positive_k(k)
     d = lcm(*(r.denominator for r in roots))
     poly = [1]
     for r in roots:
@@ -36,7 +35,7 @@ def _root_product(bg: Background, k: int, roots: list[Fraction]) -> GjmsPolynomi
 def qe_product(d: int, m: RatLike, lam: RatLike, k: int) -> GjmsPolynomial:
     """Quasi-Einstein product: over l = 0..k-1, factors
     sigma + 2*lam*(-(d+m)/2 + k - 2l)*((d+m)/2 + k - 1 - 2l)."""
-    bg = Background.quasi_einstein(d, m, lam)
+    bg, k = Background.quasi_einstein(d, m, lam), positive_k(k)
     half = bg.dm / 2
     return _root_product(bg, k, [2 * bg.lam * (k - 2 * l - half) * (half + k - 1 - 2 * l) for l in range(k)])
 
@@ -44,7 +43,7 @@ def qe_product(d: int, m: RatLike, lam: RatLike, k: int) -> GjmsPolynomial:
 def gl_product(d: int, m: RatLike, k: int) -> GjmsPolynomial:
     """Gover-Leitner product: over j = 0..k-1, factors
     sigma + (2k - 4j - d - m)*(2 - d + m - 2k + 4j)/4."""
-    bg = Background.gover_leitner(d, m)
+    bg, k = Background.gover_leitner(d, m), positive_k(k)
     return _root_product(bg, k, [(2 * k - 4 * j - bg.dm) * (2 - d + bg.m - 2 * k + 4 * j) / 4 for j in range(k)])
 
 

@@ -109,7 +109,9 @@ class TestRestriction:
         with pytest.raises(AlgebraError):
             check_k_restriction_dm(F(5), 0)
 
-    @pytest.mark.parametrize("k", [0, -1])
+    # an integral Fraction or a float is not an int either; unchecked, it
+    # would reach range() or rat() and raise a TypeError
+    @pytest.mark.parametrize("k", [0, -1, F(3, 2), F(2), 2.0], ids=["0", "-1", "3/2", "Fraction(2)", "2.0"])
     @pytest.mark.parametrize(
         "construct",
         [
@@ -134,6 +136,10 @@ class TestRestriction:
     def test_nonpositive_k_is_rejected(self, construct, k):
         with pytest.raises(AlgebraError, match="^k must be a positive integer$"):
             construct(k)
+
+    @pytest.mark.parametrize("k", [F(3, 2), F(2), 2.0], ids=["3/2", "Fraction(2)", "2.0"])
+    def test_a_non_integer_k_is_every_routes_stated_error(self, k):
+        assert cross_route_report(QE, k).errors == dict.fromkeys(ROUTES, "k must be a positive integer")
 
     def test_routes_respect_restriction(self):
         bg = Background.quasi_einstein(3, 1, 1)  # d + m = 4

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -71,6 +72,20 @@ class TestCompute:
         assert res.returncode == 2
         assert "exceeds" in res.stderr
 
+    @pytest.mark.parametrize(
+        "dims, message",
+        [(("1", "1", "2"), "d must be an integer >= 2"), (("2", "0", "2"), "d + m = 2"), (("5", "-1", "3"), "m must be >= 0")],
+    )
+    def test_dimension_rule_comes_before_the_range_rule(self, dims, message, capsys):
+        # each k exceeds (d+m)/2, so the range rule alone would suggest an override
+        d, m, k = dims
+        code = cli.main(["compute", "qe", "--d", d, "--m", m, "--lambda", "1", "--k", k])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+        assert "override" not in captured.err
+
     def test_restricted_k_with_override(self):
         res = run_cli(
             "compute", "qe", "--d", "4", "--m", "2", "--lambda", "0",
@@ -106,7 +121,7 @@ class TestVerify:
         assert "summary: 1 check(s) FAILED" in res.stdout
 
     def test_fault_injection_fails_every_suite(self):
-        for suite in ("sl2", "ambient", "scattering", "green"):
+        for suite in cli.SUITES:
             res = run_cli("verify", suite, "--kmax", "1", "--inject-fault")
             assert res.returncode == 1, suite
 
@@ -114,7 +129,7 @@ class TestVerify:
         res = run_cli("verify", "sl2", "--kmax", "6")
         assert res.returncode == 0
 
-    @pytest.mark.parametrize("suite", ["all", "sl2", "ambient", "scattering", "green"])
+    @pytest.mark.parametrize("suite", ["all", *cli.SUITES])
     def test_fault_injection_adds_one_failing_line(self, suite, capsys):
         assert cli.main(["verify", suite, "--kmax", "1", "--inject-fault"]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -130,7 +145,7 @@ class TestVerify:
         assert "ok   scattering route equals iterated on QE(d=3, m=2, lambda=1) k=4\n" in out
         assert "ok   odd radial coefficients vanish on GL(d=3, m=2) k=4\n" in out
 
-    @pytest.mark.parametrize("suite", ["all", "sl2", "ambient", "scattering", "green"])
+    @pytest.mark.parametrize("suite", ["all", *cli.SUITES])
     @pytest.mark.parametrize("kmax", ["0", "-1"])
     def test_nonpositive_kmax_is_usage_error(self, suite, kmax, capsys):
         code = cli.main(["verify", suite, "--kmax", kmax])
@@ -141,11 +156,54 @@ class TestVerify:
 
     def test_all_runs_sl2_to_kmax(self, monkeypatch, capsys):
         seen = []
-        monkeypatch.setattr(cli, "verify_sl2", lambda chk, kmax: seen.append(kmax))
-        for suite in ("verify_ambient", "verify_scattering", "verify_green"):
-            monkeypatch.setattr(cli, suite, lambda *args, **kwargs: None)
+
+        def stub(name):
+            def suite(kmax, report, solve):
+                seen.append((name, kmax))
+                return iter(())
+
+            return suite
+
+        for name in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, name, stub(name))
         assert cli.main(["verify", "all", "--kmax", "9"]) == 0
-        assert seen == [9]
+        assert seen == [(name, 9) for name in cli.SUITES]
+        assert capsys.readouterr().out == "summary: all checks passed\n"
+
+    @pytest.mark.parametrize("suite", list(cli.SUITES))
+    def test_a_suite_run_as_a_list_runs_the_same_checks(self, suite, monkeypatch, capsys):
+        # a test that bound bg or k late would read the last cell once the
+        # suite is a list: the recorded arguments would differ even where
+        # every check still passes
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args):
+                calls.append((name, *args))
+                return real(*args)
+
+            return wrapper
+
+        for name in ("cross_route_report", "scattering_solve", "verify_commutator_identity", "extract_Zk",
+                     "falling_h_product", "harmonic_extension"):
+            monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+        assert cli.main(["verify", suite, "--kmax", "3"]) == 0
+        expected, expected_calls = capsys.readouterr().out, list(calls)
+        calls.clear()
+        checks = list(cli.SUITES[suite](3, cache(cli.cross_route_report), cache(cli.scattering_solve)))
+        out = io.StringIO()
+        assert cli.run_checks(checks, out) == 0
+        assert out.getvalue() + "summary: all checks passed\n" == expected
+        assert calls == expected_calls and calls
+
+    def test_all_runs_every_suite_in_order(self, capsys):
+        assert cli.main(["verify", "all", "--kmax", "3"]) == 0
+        everything = capsys.readouterr().out
+        parts = []
+        for suite in cli.SUITES:
+            assert cli.main(["verify", suite, "--kmax", "3"]) == 0
+            parts.append(capsys.readouterr().out.removesuffix("summary: all checks passed\n"))
+        assert everything == "".join(parts) + "summary: all checks passed\n"
 
     def test_byte_deterministic(self):
         first = run_cli("verify", "all", "--kmax", "2")
@@ -267,13 +325,11 @@ class TestVerifyFailures:
         assert code == 1
         assert self.fail_lines(capsys.readouterr().out) == [f"FAIL odd radial coefficients vanish on {bg.label()} k=3"]
 
-    def test_checker_reports_any_exception(self):
+    def test_checker_reports_any_exception(self, capsys):
         out = io.StringIO()
-        chk = cli.Checker(out)
-        chk.check("lookup", lambda: {}["missing"])
-        chk.check("fine", lambda: True)
-        assert chk.failures == 1
+        assert cli.run_checks([("lookup", lambda: {}["missing"]), ("fine", lambda: True)], out) == 1
         assert out.getvalue() == "FAIL lookup\n     KeyError: 'missing'\nok   fine\n"
+        assert "KeyError: 'missing'" in capsys.readouterr().err
 
 
 class TestRouteFailures:
