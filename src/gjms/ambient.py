@@ -30,7 +30,7 @@ from typing import Any
 
 from .backgrounds import Background
 from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, positive_k, rat, rat_str
-from .series import RHO, ObstructedWeight, TruncatedSeries, solve_order_by_order
+from .series import RHO, ObstructedWeight, TruncatedSeries, as_rows, row_poly, solve_order_by_order
 
 
 class RestrictionError(AlgebraError):
@@ -44,13 +44,13 @@ _MONIC_ROUTES = {"factorization", "iterated", "recursion", "scattering"}
 
 @dataclass(frozen=True)
 class HomogeneousFunction:
-    """t^weight * (profile series in rho) on a fixed eigenfunction sector."""
+    """t^weight * (profile series in rho, or its int rows) on a fixed sector."""
 
     weight: Fraction
-    profile: TruncatedSeries
+    profile: TruncatedSeries | list
 
     def __post_init__(self):
-        if self.profile.var != RHO:
+        if isinstance(self.profile, TruncatedSeries) and self.profile.var != RHO:
             raise AlgebraError("homogeneous-function profiles live in rho")
         object.__setattr__(self, "weight", rat(self.weight))
 
@@ -119,11 +119,11 @@ def _ambient_coefficients(t: TruncatedSeries, lf: TruncatedSeries) -> tuple[Trun
     return -2 * t, SigmaPoly.sigma() * lf, t
 
 
-def ambient_laplacian(bg: Background, func: HomogeneousFunction, row: int | None = None) -> HomogeneousFunction | SigmaPoly:
+def ambient_laplacian(bg: Background, func: HomogeneousFunction, row: int | None = None) -> HomogeneousFunction | tuple:
     """One application of the ambient weighted Laplacian; weight drops by 2,
-    the profile loses one valid order.  With a row, only the rho^row
-    coefficient of u times the image's profile: the image's own when its
-    lower rows vanish."""
+    the profile loses one valid order (one row, for int rows).  With a row and
+    an int-row profile, only the rho^row coefficient of u times the image's
+    profile, as an int row: the image's own when its lower rows vanish."""
     op, w = bg.prepared(RHO, _ambient_coefficients), func.weight
     args = (-2, 2 * w + bg.dm - 2, w, func.profile)
     return HomogeneousFunction(w - 2, op.apply(*args)) if row is None else op.row(*args, row)
@@ -153,10 +153,10 @@ def iterate_at_weight(
     the rho^0 coefficient.  Used both for the invariant weight and for the
     off-critical weights where the answer genuinely depends on the extension."""
     profile = _profile_from_perturbation(bg, k, perturbation)
-    func = HomogeneousFunction(rat(w), profile)
+    func = HomogeneousFunction(rat(w), as_rows(profile.coeffs))
     for _ in range(k):
         func = ambient_laplacian(bg, func)
-    return func.profile.coeff(0)
+    return row_poly(*func.profile[0])
 
 
 def gjms_iterated(
@@ -179,21 +179,21 @@ def gjms_recursion(bg: Background, k: int) -> GjmsPolynomial:
     op = bg.prepared(RHO, _ambient_coefficients)
     rows: list = []  # the residuals so far: rows 0, 1, ... of the image
 
-    def residual(prof: TruncatedSeries, t: int) -> SigmaPoly:
+    def residual(prof: list, t: int) -> tuple[list[int], int]:
         return op.row(0, 0, w, prof, t, rows)
 
-    jets = solve_order_by_order(residual, lambda j: 2 * j * (k - j), k - 1, RHO)
-    poly = factorial(k - 1) * residual(jets, k - 1) / jet_normalization(k)
-    return GjmsPolynomial(k, bg, "recursion", poly)
+    ints, den = residual(solve_order_by_order(residual, lambda j: 2 * j * (k - j), k - 1), k - 1)
+    scale = factorial(k - 1) / jet_normalization(k)
+    return GjmsPolynomial(k, bg, "recursion", row_poly([scale.numerator * v for v in ints], scale.denominator * den))
 
 
-def _solve_extension_jets(bg: Background, w: Fraction, levels: int) -> TruncatedSeries:
+def _solve_extension_jets(bg: Background, w: Fraction, levels: int) -> list:
     """Jets a_0..a_levels making the ambient Laplacian vanish through order
-    levels-1, as a profile exact at order levels+1.  Raises ObstructedWeight
-    when the forced divisor 2j(k-j), k = w + (d+m)/2, vanishes."""
+    levels-1, as int rows and a zero row.  Raises ObstructedWeight when the
+    forced divisor 2j(k-j), k = w + (d+m)/2, vanishes."""
     k = w + bg.dm / 2
     return solve_order_by_order(
-        lambda prof, t: ambient_laplacian(bg, HomogeneousFunction(w, prof), t), lambda j: 2 * j * (k - j), levels, RHO
+        lambda prof, t: ambient_laplacian(bg, HomogeneousFunction(w, prof), t), lambda j: 2 * j * (k - j), levels
     )
 
 
@@ -205,7 +205,8 @@ def harmonic_extension(bg: Background, w: RatLike, order: int) -> HomogeneousFun
     1..order.
     """
     w = rat(w)
-    return HomogeneousFunction(w, _solve_extension_jets(bg, w, order).truncate(order))
+    jets = [row_poly(*a) for a in _solve_extension_jets(bg, w, order)]
+    return HomogeneousFunction(w, TruncatedSeries(RHO, jets[: order + 1], order))
 
 
 def obstruction(bg: Background, k: int) -> GjmsPolynomial:
@@ -214,9 +215,8 @@ def obstruction(bg: Background, k: int) -> GjmsPolynomial:
     2^(k-1), since Q = 2 rho t^2)."""
     positive_k(k)
     w = critical_weight(bg, k)
-    prof = _solve_extension_jets(bg, w, k - 1)
-    poly = ambient_laplacian(bg, HomogeneousFunction(w, prof), k - 1) / (Fraction(2) ** (k - 1))
-    return GjmsPolynomial(k, bg, "obstruction", poly)
+    ints, den = ambient_laplacian(bg, HomogeneousFunction(w, _solve_extension_jets(bg, w, k - 1)), k - 1)
+    return GjmsPolynomial(k, bg, "obstruction", row_poly(ints, den << (k - 1)))
 
 
 def random_admissible_perturbation(rng: random.Random, order: int) -> TruncatedSeries:

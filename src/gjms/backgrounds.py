@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Callable
 
 from .core import AlgebraError, RatLike, rat, rat_str
@@ -33,7 +34,7 @@ def check_dimensions(d: int, m: RatLike) -> Fraction:
     """Return m as a rational, or raise unless d is an integer >= 2, m >= 0
     and d + m != 2 (the one statement of the dimension rule)."""
     m = rat(m)
-    if not isinstance(d, int) or d < 2:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
         raise AlgebraError("d must be an integer >= 2")
     if m < 0:
         raise AlgebraError("m must be >= 0")
@@ -71,7 +72,7 @@ class Background:
     def gover_leitner(cls, d: int, m: RatLike) -> "Background":
         return cls(GOVER_LEITNER, d, m)
 
-    @property
+    @cached_property
     def dm(self) -> Fraction:
         return self.d + self.m
 

@@ -113,7 +113,8 @@ def cmd_spaceform(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    ds, ms, ks = _int_list(args.d), _rat_list(args.m), [positive_k(k) for k in _int_list(args.k)]
+    ds, ms = _int_list(args.d, "d must be an integer >= 2"), _rat_list(args.m)
+    ks = [positive_k(k) for k in _int_list(args.k, "k must be a positive integer")]
     lams = _rat_list(args.lam) if args.kind == "qe" else [None]
     grid = list(product(ds, ms, lams))
     backgrounds = []
@@ -144,8 +145,12 @@ def cmd_table(args: argparse.Namespace) -> int:
     return status
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+def _int_list(text: str, message: str) -> list[int]:
+    """Comma-separated integers; any other entry raises AlgebraError(message)."""
+    try:
+        return [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise AlgebraError(message) from None
 
 
 def _rat_list(text: str) -> list[Fraction]:

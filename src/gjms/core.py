@@ -62,8 +62,8 @@ def signed_sum(pairs: Iterable[tuple[Fraction, str]]) -> str:
 
 
 def positive_k(k: int) -> int:
-    """Return k, or raise unless it is a positive integer (the one k >= 1 check)."""
-    if not isinstance(k, int) or k < 1:
+    """Return k, or raise unless it is a positive int, not a bool (the one k >= 1 check)."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise AlgebraError("k must be a positive integer")
     return k
 

@@ -34,7 +34,7 @@ from typing import Any
 from .ambient import GjmsPolynomial
 from .backgrounds import Background
 from .core import SigmaPoly, positive_k, rat_str
-from .series import R, TruncatedSeries, solve_order_by_order
+from .series import R, TruncatedSeries, row_poly, solve_order_by_order
 
 SCATTERING_SIGN = Fraction(-1)
 
@@ -67,12 +67,14 @@ def _radial_coefficients(t: TruncatedSeries, lf: TruncatedSeries) -> tuple[Trunc
     return -t, -(SigmaPoly.sigma() * lf).mul_var(), t
 
 
-def _ds_plain(bg: Background, s: Fraction, series: TruncatedSeries, row: int | None = None) -> TruncatedSeries | SigmaPoly:
-    """D_s applied to a log-free radial series; the result is valid one order
-    lower than the input.  With a row, only the r^row coefficient of u times
-    the image: the image's own when its lower rows vanish."""
-    op = bg.prepared(R, _radial_coefficients)
-    args = (-1, 2 * s - bg.dm - 1, s - bg.dm, series)
+def _ds_plain(
+    bg: Background, s: Fraction, series: TruncatedSeries | list, row: int | None = None
+) -> TruncatedSeries | list | tuple:
+    """D_s applied to a log-free radial series or its int rows, valid one
+    order lower.  With a row and int rows, only the r^row coefficient of u
+    times the image, an int row: the image's own when its lower rows vanish."""
+    op, x = bg.prepared(R, _radial_coefficients), s - bg.dm
+    args = (-1, x + s - 1, x, series)
     return op.apply(*args) if row is None else op.row(*args, row)
 
 
@@ -81,9 +83,9 @@ def scattering_solve(bg: Background, k: int) -> ScatteringSolution:
     coefficient at order 2k."""
     positive_k(k)
     s = bg.dm / 2 + k
-    v = solve_order_by_order(lambda series, t: _ds_plain(bg, s, series, t), lambda j: j * (2 * k - j), 2 * k - 1, R)
-    log_coeff = _ds_plain(bg, s, v, 2 * k - 1) / (2 * k)
-    return ScatteringSolution(k, s, bg, v.coeffs[: 2 * k], log_coeff)
+    v = solve_order_by_order(lambda rows, t: _ds_plain(bg, s, rows, t), lambda j: j * (2 * k - j), 2 * k - 1)
+    ints, den = _ds_plain(bg, s, v, 2 * k - 1)
+    return ScatteringSolution(k, s, bg, tuple(row_poly(*a) for a in v[: 2 * k]), row_poly(ints, 2 * k * den))
 
 
 def gjms_route_scattering(bg: Background, k: int) -> GjmsPolynomial:

@@ -12,24 +12,20 @@ rational functions whose denominators divide a polynomial unit u, so it keeps
 u times each of them as a polynomial and computes u*L*P one row at a time, at
 O(deg) products a row.  The full image divides each row by u with a recurrence
 of at most deg(u) terms; an order-by-order solve reads one row a level.
+
+The routes keep their series as int rows from preparation to read-off, one
+reduced (ints, den) per coefficient: its sigma-coefficients times den.
+``row_poly`` makes one Fraction per coefficient, where a route returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Union
 
-from .core import (
-    AlgebraError,
-    OrderShortfall,
-    RatLike,
-    SigmaPoly,
-    VariableMismatch,
-    _as_poly,
-    rat,
-)
+from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, _as_poly, rat
 
 RHO = "rho"
 R = "r"
@@ -60,15 +56,26 @@ def _add_product(row: list[int], xs: list[int], ys: list[int]) -> None:
             row[p + q] += x * y
 
 
-def _fraction_rows(rows: list[list[int]], den: int) -> list[SigmaPoly]:
-    """Int rows over den as SigmaPolys: trailing zeros dropped as ints, then
-    each coefficient one Fraction(num, den), normalized once."""
-    out = []
-    for row in rows:
-        while row and not row[-1]:
-            row.pop()
-        out.append(SigmaPoly([Fraction(x, den) for x in row]))
-    return out
+def _reduced(ints: list[int], den: int) -> tuple[list[int], int]:
+    """ints/den as an int row: trailing zeros dropped, one content gcd
+    divided out, the denominator positive (1 for the zero row)."""
+    while ints and not ints[-1]:
+        ints.pop()
+    g = gcd(den, *ints) if den > 0 else -gcd(den, *ints)
+    return [v // g for v in ints], den // g
+
+
+def as_rows(coeffs: Iterable[SigmaPoly]) -> list[tuple[list[int], int]]:
+    """One int row (ints, den) per SigmaPoly, den its own lcm."""
+    return [(rows[0], den) for den, rows in (_integer_rows([c]) for c in coeffs)]
+
+
+def row_poly(ints: list[int], den: int) -> SigmaPoly:
+    """ints/den as a SigmaPoly: trailing zeros popped from ints, then one
+    Fraction(num, den) per coefficient."""
+    while ints and not ints[-1]:
+        ints.pop()
+    return SigmaPoly([Fraction(x, den) for x in ints])
 
 
 class TruncatedSeries:
@@ -188,7 +195,7 @@ class TruncatedSeries:
                 if i + j > n:
                     break
                 _add_product(rows[i + j], ac, bc)
-        return TruncatedSeries(self.var, _fraction_rows(rows, da * db), n)
+        return TruncatedSeries(self.var, [row_poly(r, da * db) for r in rows], n)
 
     __rmul__ = __mul__
 
@@ -215,26 +222,24 @@ class TruncatedSeries:
         coefficients of self and p those of the power, p_0 = 1 and
         n p_n = sum_{i=1..n} ((e+1) i - n) a_i p_(n-i).  The sum runs over the
         nonzero a_i only, so a factor 1 + a*v costs O(N) coefficient products.
-        The rational ((e+1) i - n) / n is folded into a_i first, and the sum
-        runs on coefficient tuples, so each p_n is one SigmaPoly.
+        It runs on int rows: with e + 1 = f/q, each p_n is the int sum of
+        (f i - n q) a_i p_(n-i) over the lcm L of its terms' denominators,
+        one row over n q L, reduced by one content gcd.
         """
         if self.coeffs[0] != SigmaPoly.one():
             raise AlgebraError("rational power needs constant term 1")
-        e = rat(exponent)
-        terms = [(i, a.coeffs) for i, a in enumerate(self.coeffs) if i and a.coeffs]
-        p = [SigmaPoly.one()]
+        e = rat(exponent) + 1
+        terms = [(i, *as_rows([a])[0]) for i, a in enumerate(self.coeffs) if i and a.coeffs]
+        p = [([1], 1)]
         for n in range(1, self.order + 1):
-            acc: list[RatLike] = [0] * max((len(a) + len(p[n - i].coeffs) for i, a in terms if i <= n), default=0)
-            for i, a in terms:
-                if i > n:
-                    break
-                f = ((e + 1) * i - n) / n
-                for q, x in enumerate(a):
-                    fx = f * x
-                    for r, y in enumerate(p[n - i].coeffs):
-                        acc[q + r] += fx * y
-            p.append(SigmaPoly(acc))
-        return TruncatedSeries(self.var, p, self.order)
+            live = [(i, a, da, *p[n - i]) for i, a, da in terms if i <= n]
+            big = lcm(*(da * dp for _, _, da, _, dp in live))
+            acc = [0] * max((len(a) + len(ps) - 1 for _, a, _, ps, _ in live), default=0)
+            for i, a, da, ps, dp in live:
+                f = (e.numerator * i - n * e.denominator) * (big // (da * dp))
+                _add_product(acc, [f * x for x in a], ps)
+            p.append(_reduced(acc, n * e.denominator * big))
+        return TruncatedSeries(self.var, [row_poly(*r) for r in p], self.order)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; like ``rpow``, the constant term must equal 1."""
@@ -288,8 +293,10 @@ class PolynomialOperator:
     s = t - i and c = c0 + x*c1, is O(deg) int row products over D, the lcm
     E of a's, b0's and x's denominators and that of p_(t-deg)..p_(t+1), the
     only coefficients it reads.  Row t of L*P is M_t - sum_(i>=1)
-    u_i*(L*P)_(t-i), in ints over the lcm of the rows' denominators;
-    ``apply`` divides every row so, for P's full image one order below P.
+    u_i*(L*P)_(t-i), in ints over the lcm of the rows' denominators and
+    reduced; ``apply`` divides every row so, for P's full image one order
+    below P.  P is given as int rows, or as a TruncatedSeries to ``apply``,
+    whose order and variable are checked there.
     """
 
     __slots__ = ("var", "_den", "_du", "_u", "_bc", "_div")
@@ -312,36 +319,34 @@ class PolynomialOperator:
         self._du, us = _integer_rows(u.coeffs[:h])
         self._div = [(i, r[0]) for i, r in enumerate(us) if i and r]
 
-    def _check(self, p: TruncatedSeries, t: int) -> None:
-        if t >= p.order:
-            raise OrderShortfall(f"row {t} of the image of an order-{p.order} series")
-        if p.var != self.var:
-            raise VariableMismatch(f"cannot apply an operator in {self.var!r} to a series in {p.var!r}")
-
-    def _weights(self, a: RatLike, b0: RatLike, x: RatLike) -> tuple[int, ...]:
+    def _weights(self, a: Fraction | int, b0: Fraction | int, x: Fraction | int) -> tuple[int, ...]:
         """a*E, b0*E, E, x*E and D*E, E the lcm of a's, b0's and x's denominators."""
-        a, b0, x = rat(a), rat(b0), rat(x)
         e = lcm(a.denominator, b0.denominator, x.denominator)
         ai, b0i, xi = (v.numerator * (e // v.denominator) for v in (a, b0, x))
         return ai, b0i, e, xi, self._den * e
 
-    def _row(self, weights: tuple, ps: list[list[int]], lo: int, t: int) -> list[int]:
-        """M_t as ints over D*E*Dp, from P's int rows ps[s - lo] over Dp."""
-        ai, b0i, e, xi, _ = weights
+    def _row(self, weights: tuple, ps: list[tuple[list[int], int]], t: int) -> tuple[list[int], int]:
+        """M_t as (ints, D*E*L), from P's int rows p_(t-deg)..p_(t+1)
+        brought over their lcm L."""
+        ai, b0i, e, xi, de = weights
         reach = min(t, len(self._u) - 1)
-        row = [0] * (max(map(len, self._bc)) + max(map(len, ps[t - reach - lo : t + 2 - lo])))
+        window = ps[t - reach : t + 2]
+        big = lcm(*(q for _, q in window))
+        row = [0] * (max(map(len, self._bc)) + max(len(zs) for zs, _ in window))
         for i in range(reach + 1):
             s = t - i
+            (zs, q), (ys, r) = ps[s + 1], ps[s]
             f = self._u[i] * (ai * s + b0i) * (s + 1)
-            if f and ps[s + 1 - lo]:
-                _add_product(row, [f], ps[s + 1 - lo])
-            if self._bc[i] and ps[s - lo]:
-                _add_product(row, [e * (s * b + c0) + xi * c1 for b, c0, c1 in self._bc[i]], ps[s - lo])
-        return row
+            if f and zs:
+                _add_product(row, [f * (big // q)], zs)
+            if self._bc[i] and ys:
+                m = big // r
+                _add_product(row, [m * (e * (s * b + c0) + xi * c1) for b, c0, c1 in self._bc[i]], ys)
+        return row, de * big
 
     def _divided(self, row: list[int], den: int, lower: list[tuple[list[int], int]]) -> tuple[list[int], int]:
-        """Row t of L*P as ints over a denominator, from M_t = row/den and
-        L*P's rows 0..t-1 in lower, each as (ints, denominator)."""
+        """Row t of L*P as a reduced int row, from M_t = row/den and L*P's
+        rows 0..t-1 in lower, each an int row."""
         terms = [(f, lower[-i]) for i, f in self._div if i <= len(lower)]
         out = lcm(den, *(self._du * q for _, (_, q) in terms))
         z = [v * (out // den) for v in row]
@@ -350,55 +355,63 @@ class PolynomialOperator:
             z.extend([0] * (len(zs) - len(z)))
             for n, v in enumerate(zs):
                 z[n] -= g * v
-        return z, out
+        return _reduced(z, out)
 
-    def apply(self, a: RatLike, b0: RatLike, x: RatLike, p: TruncatedSeries) -> TruncatedSeries:
-        self._check(p, 0)
-        weights, (dp, ps) = self._weights(a, b0, x), _integer_rows(p.coeffs)
-        out: list[tuple[list[int], int]] = []
-        for t in range(p.order):
-            out.append(self._divided(self._row(weights, ps, 0, t), weights[-1] * dp, out))
-        return TruncatedSeries(p.var, [_fraction_rows([z], q)[0] for z, q in out], p.order - 1)
+    def apply(
+        self, a: Fraction | int, b0: Fraction | int, x: Fraction | int, p: TruncatedSeries | list
+    ) -> TruncatedSeries | list:
+        """L*P, one row fewer than P: int rows for int rows, and for a
+        TruncatedSeries one of order one lower, each row one SigmaPoly."""
+        if isinstance(p, TruncatedSeries):  # of order 0, its order -1 image raises OrderShortfall
+            if p.var != self.var:
+                raise VariableMismatch(f"cannot apply an operator in {self.var!r} to a series in {p.var!r}")
+            return TruncatedSeries(p.var, [row_poly(*z) for z in self.apply(a, b0, x, as_rows(p.coeffs))], p.order - 1)
+        weights, out = self._weights(a, b0, x), []
+        for t in range(len(p) - 1):
+            out.append(self._divided(*self._row(weights, p, t), out))
+        return out
 
-    def row(self, a: RatLike, b0: RatLike, x: RatLike, p: TruncatedSeries, t: int, lower: list | None = None) -> SigmaPoly:
-        """Row t of M = u*L*P: that of L*P when the image's rows below t
-        vanish, as at each level of an order-by-order solve.  With lower, the
-        caller's list of L*P's rows 0..t-1 as (ints, denominator), row t of
-        L*P itself, appended to lower."""
-        self._check(p, t)
-        lo = max(t - len(self._u) + 1, 0)
-        dp, ps = _integer_rows(p.coeffs[lo : t + 2])
-        weights = self._weights(a, b0, x)
-        row, den = self._row(weights, ps, lo, t), weights[-1] * dp
+    def row(
+        self, a: Fraction | int, b0: Fraction | int, x: Fraction | int, p: list, t: int, lower: list | None = None
+    ) -> tuple[list[int], int]:
+        """Row t of M = u*L*P as an int row, from P's int rows 0..t+1 at
+        least: that of L*P when the image's rows below t vanish, as at each
+        level of an order-by-order solve.  With lower, the caller's list of
+        L*P's rows 0..t-1, row t of L*P itself, appended to lower."""
+        if t >= len(p) - 1:
+            raise OrderShortfall(f"row {t} of the image of a series with {len(p)} coefficients")
+        row = self._row(self._weights(a, b0, x), p, t)
         if lower is not None:
             if len(lower) != t:
                 raise AlgebraError(f"row {t} of L*P needs its {t} rows below, not {len(lower)}")
-            row, den = self._divided(row, den, lower)
-            lower.append((row, den))
-        return _fraction_rows([row], den)[0]
+            row = self._divided(*row, lower)
+            lower.append(row)
+        return row
 
 
 def solve_order_by_order(
-    residual: Callable[[TruncatedSeries, int], SigmaPoly], divisor: Callable[[int], RatLike], levels: int, var: str
-) -> TruncatedSeries:
-    """The jets a_0 = 1, a_1, ..., a_levels of a series solved level by level.
+    residual: Callable[[list, int], tuple[list[int], int]], divisor: Callable[[int], Fraction | int], levels: int
+) -> list[tuple[list[int], int]]:
+    """The jets a_0 = 1, a_1, ..., a_levels of a series solved level by
+    level, as reduced int rows, then a zero row for a_(levels+1).
 
-    Level j sets a_j = -residual(P, j-1) / divisor(j), where P is the partial
-    series a_0..a_(j-1), declared exact at order j, residual(P, t) is row t of
-    the operator's image of P, and divisor(j) is the factor the operator's
-    principal part puts on a_j (the residual may include or omit that part;
-    it sees a_j = 0).  A zero divisor raises ObstructedWeight(j).
+    Level j sets a_j = -residual(P, j-1) / divisor(j), with one content gcd,
+    where P is the rows a_0..a_(j-1) and a zero row for a_j, residual(P, t) is
+    row t of the operator's image of P as an int row, and divisor(j) is the
+    factor the operator's principal part puts on a_j (the residual may include
+    or omit that part; it sees a_j = 0).  A zero divisor raises
+    ObstructedWeight(j).
 
     The solve has zeroed the image's rows 0..j-2 and u_0 = 1, so row j-1 of
     u*L*P is the residual: one ``PolynomialOperator.row`` a level, O(deg) int
-    row products.  The result is declared exact at order levels+1, so one
-    more call reads the next row.
+    row products.  The zero row at the end lets one more call read the next.
     """
-    coeffs: list[SigmaPoly] = [SigmaPoly.one()]
+    jets: list[tuple[list[int], int]] = [([1], 1), ([], 1)]
     for j in range(1, levels + 1):
-        res = residual(TruncatedSeries(var, coeffs, j), j - 1)
+        ints, den = residual(jets, j - 1)
         div = divisor(j)
-        if div == 0:
+        if not div:
             raise ObstructedWeight(j)
-        coeffs.append(res * (-1 / rat(div)))
-    return TruncatedSeries(var, coeffs, levels + 1)
+        jets[j] = _reduced([-div.denominator * v for v in ints], div.numerator * den)
+        jets.append(([], 1))
+    return jets

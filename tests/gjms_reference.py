@@ -3,8 +3,8 @@ second-order operator kernel, the route operators each built from the
 accessors by its own module, the radial operator on series with a log
 part (the log-ansatz check of the scattering expansion), the Green
 pairing computed as the full order-2k series product, the closed-form
-products as one SigmaPoly product per root, and the two printers of exact
-sums written out separately."""
+products as one SigmaPoly product per root, the two printers of exact
+sums written out separately, and Miller's power recurrence on Fractions."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from math import lcm
 from gjms.backgrounds import WINDOW, Background
 from gjms.core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, rat, rat_str
 from gjms.scattering import GreensLogReport, ScatteringSolution, _ds_plain
-from gjms.series import RHO, R, PolynomialOperator, TruncatedSeries, _add_product, _fraction_rows, _integer_rows
+from gjms.series import RHO, R, PolynomialOperator, TruncatedSeries, _add_product, _integer_rows, row_poly
 from gjms.sl2 import NcPoly
 
 
@@ -75,7 +75,30 @@ class SecondOrderOperator:
                     w = [j * u + v for u, v in zip_longest(bs[t - j], cs[t - j], fillvalue=0)]
                     _add_product(row, w, ps[j])
             out.append(row)
-        return TruncatedSeries(p.var, _fraction_rows(out, d * dp), n - 1)
+        return TruncatedSeries(p.var, [row_poly(row, d * dp) for row in out], n - 1)
+
+
+def miller_rpow(s: TruncatedSeries, exponent: RatLike) -> TruncatedSeries:
+    """(1 + u)**e by J. C. P. Miller's recurrence in Fraction arithmetic:
+    p_0 = 1 and n p_n = sum_{i=1..n} ((e+1) i - n) a_i p_(n-i), the rational
+    ((e+1) i - n) / n folded into a_i, each p_n one SigmaPoly."""
+    if s.coeffs[0] != SigmaPoly.one():
+        raise AlgebraError("rational power needs constant term 1")
+    e = rat(exponent)
+    terms = [(i, a.coeffs) for i, a in enumerate(s.coeffs) if i and a.coeffs]
+    p = [SigmaPoly.one()]
+    for n in range(1, s.order + 1):
+        acc: list[RatLike] = [0] * max((len(a) + len(p[n - i].coeffs) for i, a in terms if i <= n), default=0)
+        for i, a in terms:
+            if i > n:
+                break
+            f = ((e + 1) * i - n) / n
+            for q, x in enumerate(a):
+                fx = f * x
+                for r, y in enumerate(p[n - i].coeffs):
+                    acc[q + r] += fx * y
+        p.append(SigmaPoly(acc))
+    return TruncatedSeries(s.var, p, s.order)
 
 
 def ambient_operator(bg: Background) -> PolynomialOperator:

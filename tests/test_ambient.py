@@ -110,8 +110,11 @@ class TestRestriction:
             check_k_restriction_dm(F(5), 0)
 
     # an integral Fraction or a float is not an int either; unchecked, it
-    # would reach range() or rat() and raise a TypeError
-    @pytest.mark.parametrize("k", [0, -1, F(3, 2), F(2), 2.0], ids=["0", "-1", "3/2", "Fraction(2)", "2.0"])
+    # would reach range() or rat() and raise a TypeError.  A bool is an int
+    # to isinstance, and True would compute the k = 1 operator
+    @pytest.mark.parametrize(
+        "k", [0, -1, F(3, 2), F(2), 2.0, True, False], ids=["0", "-1", "3/2", "Fraction(2)", "2.0", "True", "False"]
+    )
     @pytest.mark.parametrize(
         "construct",
         [
@@ -137,7 +140,7 @@ class TestRestriction:
         with pytest.raises(AlgebraError, match="^k must be a positive integer$"):
             construct(k)
 
-    @pytest.mark.parametrize("k", [F(3, 2), F(2), 2.0], ids=["3/2", "Fraction(2)", "2.0"])
+    @pytest.mark.parametrize("k", [F(3, 2), F(2), 2.0, True, False], ids=["3/2", "Fraction(2)", "2.0", "True", "False"])
     def test_a_non_integer_k_is_every_routes_stated_error(self, k):
         assert cross_route_report(QE, k).errors == dict.fromkeys(ROUTES, "k must be a positive integer")
 

@@ -252,7 +252,7 @@ class TestSpaceforms:
         with pytest.raises(AlgebraError):
             verify_spaceform_conditions(2, 0, 1, 1, 1)
         # the Background dimension rule: an integer d >= 2 and m >= 0
-        for d, m in [(1, 3), (1, 0), (5, -2), (F(5, 2), 1)]:
+        for d, m in [(1, 3), (1, 0), (5, -2), (F(5, 2), 1), (True, 3), (False, 3)]:
             with pytest.raises(AlgebraError):
                 verify_spaceform_conditions(d, m, 1, 1, 1)
             with pytest.raises(AlgebraError):

@@ -457,6 +457,18 @@ class TestTable:
         assert captured.out == ""
         assert captured.err == "error: k must be a positive integer\n"
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [(("--d", "3", "--k", "3/2"), "k must be a positive integer"), (("--d", "3/2", "--k", "3"), "d must be an integer >= 2")],
+    )
+    def test_a_non_integer_entry_is_the_stated_usage_error(self, option, message, capsys):
+        code = cli.main(["table", "gl", "--m", "2", *option])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert "int()" not in captured.err
+
     def test_json_format(self):
         res = run_cli("table", "gl", "--d", "3", "--m", "2", "--k", "1", "--format", "json")
         cells = json.loads(res.stdout)

@@ -8,8 +8,15 @@ from hypothesis import strategies as st
 from gjms import ambient, scattering, series
 from gjms.backgrounds import Background
 from gjms.core import AlgebraError, OrderShortfall, SigmaPoly, VariableMismatch, rat, rat_str
-from gjms.series import RHO, R, ObstructedWeight, PolynomialOperator, TruncatedSeries, solve_order_by_order
-from gjms_reference import LogSeries, SecondOrderOperator, ambient_operator, radial_operator, sigma_poly_str
+from gjms.series import RHO, R, ObstructedWeight, PolynomialOperator, TruncatedSeries, as_rows, row_poly, solve_order_by_order
+from gjms_reference import (
+    LogSeries,
+    SecondOrderOperator,
+    ambient_operator,
+    miller_rpow,
+    radial_operator,
+    sigma_poly_str,
+)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 sigma_polys = st.lists(rationals, max_size=4).map(SigmaPoly)
@@ -96,6 +103,16 @@ def composed_second_order(a, b0, b1, c, p):
     if a and n >= 2:
         out = out + a * dp.derivative().mul_var()
     return out
+
+
+def from_rows(var, rows):
+    """The series with one coefficient per int row, exact at order len(rows) - 1."""
+    return TruncatedSeries(var, [row_poly(*r) for r in rows], len(rows) - 1)
+
+
+def int_residual(apply, var):
+    """A solver residual from a series map: row t of apply(P) as an int row."""
+    return lambda rows, t: as_rows(apply(from_rows(var, rows)).coeffs)[t]
 
 
 def full_order_solve(apply, divisor, levels, var):
@@ -317,6 +334,15 @@ class TestKernelsMatchReferences:
                   TruncatedSeries(R, [1, 0, F(-1, 2)], 2).as_exact(12)):
             assert s.rpow(e) == binomial_sum_rpow(s, e)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        unit_series_st,
+        st.one_of(st.sampled_from([-1, -2]), st.fractions(min_value=0, max_value=5, max_denominator=4), st.integers(2, 6)),
+    )
+    def test_integer_rpow_matches_the_fraction_recurrence(self, s, e):
+        # the exponents the backgrounds use: -1 (reciprocal), -2 (LF), m and d
+        assert s.rpow(e) == miller_rpow(s, e)
+
     @settings(max_examples=40, deadline=None)
     @given(unit_series_st, exponents, exponents)
     def test_rpow_adds_exponents(self, s, e1, e2):
@@ -340,7 +366,7 @@ class TestKernelsMatchReferences:
 
         def outcome(solve, *args):
             try:
-                return solve(*args, levels, RHO)
+                return solve(*args)
             except ObstructedWeight as exc:
                 return exc.level
 
@@ -350,8 +376,9 @@ class TestKernelsMatchReferences:
             def apply(p, weights=weights):
                 return op.apply(*weights, p)
 
-            solved = outcome(solve_order_by_order, lambda p, t, apply=apply: apply(p).coeff(t), divisor)
-            assert solved == outcome(full_order_solve, apply, divisor)
+            solved = outcome(solve_order_by_order, int_residual(apply, RHO), divisor, levels)
+            expected = outcome(full_order_solve, apply, divisor, levels, RHO)
+            assert (solved if isinstance(solved, int) else from_rows(RHO, solved)) == expected
 
 
 small_polys = st.lists(rationals, max_size=3).map(SigmaPoly)
@@ -468,11 +495,12 @@ class TestSecondOrderOperator:
             weight = data.draw(st.sampled_from([(a, b0, x), other]))
             image = PolynomialOperator(*coefficients).apply(*weight, q)
             assert op.apply(*weight, q) == image
+            assert [row_poly(*z) for z in op.apply(*weight, as_rows(q.coeffs))] == list(image.coeffs)
             u_image = coefficients[0].as_exact(q.order) * image
             rows: list = []
             for t in range(q.order):
-                assert op.row(*weight, q, t) == u_image.coeff(t)
-                assert op.row(*weight, q, t, rows) == image.coeff(t)
+                assert row_poly(*op.row(*weight, as_rows(q.coeffs), t)) == u_image.coeff(t)
+                assert row_poly(*op.row(*weight, as_rows(q.coeffs), t, rows)) == image.coeff(t)
 
     @pytest.mark.parametrize("b1_order, c_order", [(2, 4), (3, 3)])
     def test_short_coefficients_are_rejected(self, b1_order, c_order):
@@ -526,15 +554,15 @@ class TestSecondOrderOperator:
     def test_solver_reproduces_the_exponential(self):
         # P' - P = 0 with a_0 = 1 forces a_j = a_(j-1) / j
         op = SecondOrderOperator(TruncatedSeries.zero(R, 8), TruncatedSeries.zero(R, 8), TruncatedSeries.constant(R, 1, 8))
-        sol = solve_order_by_order(lambda p, t: op.apply(0, 1, -1, p).coeff(t), lambda j: j, 6, R)
-        assert sol.order == 7
-        assert [c.coeff(0) for c in sol.coeffs] == [F(1, factorial(j)) for j in range(7)] + [0]
+        sol = solve_order_by_order(int_residual(lambda p: op.apply(0, 1, -1, p), R), lambda j: j, 6)
+        assert len(sol) == 8
+        assert [row_poly(*a).coeff(0) for a in sol] == [F(1, factorial(j)) for j in range(7)] + [0]
 
     def test_solver_raises_at_a_zero_divisor(self):
         zero = TruncatedSeries.zero(RHO, 8)
         op = SecondOrderOperator(zero, zero, zero)
         with pytest.raises(ObstructedWeight) as exc:
-            solve_order_by_order(lambda p, t: op.apply(0, 1, 0, p).coeff(t), lambda j: j - 3, 6, RHO)
+            solve_order_by_order(int_residual(lambda p: op.apply(0, 1, 0, p), RHO), lambda j: j - 3, 6)
         assert exc.value.level == 3
 
 
@@ -572,18 +600,18 @@ class TestPolynomialOperator:
             "obstruction": ("ambient", (-2, 2 * w + bg.dm - 2, w)),
             "scattering": ("radial", (-1, 2 * s - bg.dm - 1, s - bg.dm)),
         }[route]
-        solve, levels = series.solve_order_by_order, []
+        solve, levels, var = series.solve_order_by_order, [], PREPARED[which][0]
 
-        def checked(residual, divisor, top, var):
+        def checked(residual, divisor, top):
             dense = dense_route_operator(bg, which, top)
 
             def read(p, t):
                 row = residual(p, t)
-                assert row == dense.apply(*weights, p).coeff(t)
+                assert row_poly(*row) == dense.apply(*weights, from_rows(var, p)).coeff(t)
                 levels.append(t + 1)
                 return row
 
-            return solve(read, divisor, top, var)
+            return solve(read, divisor, top)
 
         with pytest.MonkeyPatch.context() as mp:
             for owner in (ambient, scattering):
@@ -637,8 +665,8 @@ class TestPolynomialOperator:
         # so one preparation serves a solve to any depth, one row a level
         u, zero = TruncatedSeries(R, [1, -1], 8), TruncatedSeries.zero(R, 8)
         op = PolynomialOperator(u, zero, zero, TruncatedSeries.constant(R, 1, 8))
-        sol = solve_order_by_order(lambda p, t: op.row(0, 1, -1, p, t), lambda j: j, 40, R)
-        assert [c.coeff(0) for c in sol.coeffs] == [F(1, factorial(j)) for j in range(41)] + [0]
+        sol = solve_order_by_order(lambda p, t: op.row(0, 1, -1, p, t), lambda j: j, 40)
+        assert [row_poly(*a).coeff(0) for a in sol] == [F(1, factorial(j)) for j in range(41)] + [0]
 
     def test_a_row_of_u_times_the_image_needs_the_lower_rows_to_vanish(self):
         # P' - P over the unit 1 - v on P = 1: L*P = -1, so u*L*P = -1 + v.
@@ -648,11 +676,14 @@ class TestPolynomialOperator:
         op = PolynomialOperator(u, zero, zero, TruncatedSeries.constant(R, 1, 8))
         p = TruncatedSeries.constant(R, 1, 3)
         assert op.apply(0, 1, -1, p).coeffs == (-1, 0, 0)
-        assert [op.row(0, 1, -1, p, t) for t in range(3)] == [-1, 1, 0]
+        ps = as_rows(p.coeffs)
+        assert [row_poly(*op.row(0, 1, -1, ps, t)) for t in range(3)] == [-1, 1, 0]
         rows: list = []
-        assert [op.row(0, 1, -1, p, t, rows) for t in range(3)] == [-1, 0, 0]
+        assert [op.row(0, 1, -1, ps, t, rows) for t in range(3)] == [([-1], 1), ([], 1), ([], 1)]
         with pytest.raises(AlgebraError):
-            op.row(0, 1, -1, p, 2, [])
+            op.row(0, 1, -1, ps, 2, [])
+        with pytest.raises(OrderShortfall):
+            op.row(0, 1, -1, ps, 3)
 
     @settings(max_examples=30, deadline=None)
     @given(backgrounds(), st.integers(2, 8))
@@ -663,7 +694,7 @@ class TestPolynomialOperator:
         op = bg.prepared(RHO, ambient._ambient_coefficients)
         p = TruncatedSeries(RHO, [1] * (n + 1), n)
         image = op.apply(-2, 1, 0, p)
-        assert any(op.row(-2, 1, 0, p, t) != image.coeff(t) for t in range(n))
+        assert any(row_poly(*op.row(-2, 1, 0, as_rows(p.coeffs), t)) != image.coeff(t) for t in range(n))
 
 
 mixed_scalars = st.one_of(

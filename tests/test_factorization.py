@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import hashlib
 import json
 from dataclasses import fields
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -274,22 +274,33 @@ class TestPreparedOperators:
     @pytest.mark.parametrize("route", ["recursion", "obstruction", "scattering"])
     def test_doubling_k_at_most_doubles_the_rows_a_solve_builds(self, monkeypatch, route):
         # each level of an order-by-order solve computes one row of the
-        # operator's image, so a solve to k builds O(k) rows of series
-        # products and operator images, not O(k^2)
+        # operator's image, so a solve to k builds O(k) rows, not O(k^2)
         rows = []
-
-        def counted(out, den):
-            rows.append(len(out))
-            return fraction_rows(out, den)
-
-        fraction_rows = series._fraction_rows
-        monkeypatch.setattr(series, "_fraction_rows", counted)
+        row = series.PolynomialOperator._row
+        monkeypatch.setattr(series.PolynomialOperator, "_row", lambda *args: rows.append(1) or row(*args))
         built = []
         for k in (12, 24):
             rows.clear()
             route_polynomial(Background.quasi_einstein(3, F(1, 2), 1), k, route)
-            built.append(sum(rows))
-        assert built[1] <= 2.25 * built[0], built
+            built.append(len(rows))
+        assert 0 < built[1] <= 2.25 * built[0], built
+
+    def test_every_row_the_recursion_route_stores_is_reduced(self, monkeypatch):
+        # the one-row division keeps L*P's rows for the levels above; each
+        # is reduced, so its denominator does not grow by the unit's a level
+        stored = []
+        row = series.PolynomialOperator.row
+
+        def kept(self, *args):
+            out = row(self, *args)
+            stored.append(args[-1])
+            return out
+
+        monkeypatch.setattr(series.PolynomialOperator, "row", kept)
+        route_polynomial(Background.quasi_einstein(5, F(7, 3), F(-5, 7)), 48, "recursion")
+        (lower,) = {id(rows): rows for rows in stored}.values()
+        assert len(lower) == 48
+        assert all(den > 0 and gcd(den, *ints) == 1 for ints, den in lower)
 
     @pytest.mark.parametrize("k", [12, 24])
     def test_a_scattering_level_makes_at_most_two_products_per_unit_coefficient(self, monkeypatch, k):
@@ -349,7 +360,7 @@ FAULTS = {
     },
     "preparation: b1 * (1+eps)": mutate_preparation(lambda u, b1, c0, c1: (u, EPS * b1, c0, c1)),
     "preparation: c0 one order up": mutate_preparation(lambda u, b1, c0, c1: (u, b1, c0.mul_var(), c1)),
-    "row kernel: P read one coefficient late": mutate_kernel("_row", lambda w, ps, lo, t: (w, ps, lo - 1, t)),
+    "row kernel: P read one coefficient late": mutate_kernel("_row", lambda w, ps, t: (w, ps[1:] + [([], 1)], t)),
     "one-row division: lower rows one step stale": mutate_kernel("_divided", lambda z, den, lower: (z, den, lower[:-1])),
     "solver: divisor * (1+eps)": mutate_solver(lambda div: lambda j: EPS * div(j)),
     "solver: divisor one level up": mutate_solver(lambda div: lambda j: div(j + 1)),

@@ -82,6 +82,34 @@ def test_the_scan_finds_a_float():
     ]
 
 
+def nested_imports(tree: ast.Module) -> list[str]:
+    """Import statements inside a function or method body."""
+    lines = {
+        inner.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    }
+    return [f"import (line {line})" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_import_inside_a_function(name):
+    # a module's imports run once, at import; one inside a function runs (and,
+    # without a byte-code cache, compiles its module) at the first call
+    assert nested_imports(MODULES[name]) == []
+
+
+def test_the_scan_finds_a_nested_import():
+    tree = ast.parse(
+        "import a\n"
+        "def f():\n    import b\n    return b\n"
+        "class C:\n    from c import e\n    def m(self):\n        def g():\n            from c import d\n        return g\n"
+    )
+    assert nested_imports(tree) == ["import (line 3)", "import (line 9)"]
+
+
 # Library code no other library code references, each with the reason it stays.
 UNREFERENCED_ALLOWED = {
     "backgrounds.Background.from_json": "the public inverse of to_json",
