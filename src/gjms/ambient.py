@@ -16,8 +16,12 @@ The jet recursion applies the same operator without its principal part
 obstruction route's jets: its polynomial is the raw obstruction polynomial
 times (k-1)! 2^(k-1) / c_k.  That part's rows below a level do not vanish,
 but its row t reads p_0..p_t only, so they are the route's own earlier
-residuals r_1..r_t: each level divides u out of one row in ints,
+residuals r_1..r_t: each level divides u out of one row,
 r_j = (u*L*P)_(j-1) - sum_(i>=1) u_i r_(j-i).
+
+Profiles are TruncatedSeries of SigmaPolys throughout, and each read-off is
+one SigmaPoly scaling; how a SigmaPoly is stored is left to ``core`` and
+``series``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Any
 
 from .backgrounds import Background
 from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, positive_k, rat, rat_str
-from .series import RHO, ObstructedWeight, TruncatedSeries, as_rows, row_poly, solve_order_by_order
+from .series import RHO, ObstructedWeight, TruncatedSeries, solve_order_by_order
 
 
 class RestrictionError(AlgebraError):
@@ -44,13 +48,13 @@ _MONIC_ROUTES = {"factorization", "iterated", "recursion", "scattering"}
 
 @dataclass(frozen=True)
 class HomogeneousFunction:
-    """t^weight * (profile series in rho, or its int rows) on a fixed sector."""
+    """t^weight * (profile series in rho) on a fixed sector."""
 
     weight: Fraction
-    profile: TruncatedSeries | list
+    profile: TruncatedSeries
 
     def __post_init__(self):
-        if isinstance(self.profile, TruncatedSeries) and self.profile.var != RHO:
+        if self.profile.var != RHO:
             raise AlgebraError("homogeneous-function profiles live in rho")
         object.__setattr__(self, "weight", rat(self.weight))
 
@@ -119,11 +123,11 @@ def _ambient_coefficients(t: TruncatedSeries, lf: TruncatedSeries) -> tuple[Trun
     return -2 * t, SigmaPoly.sigma() * lf, t
 
 
-def ambient_laplacian(bg: Background, func: HomogeneousFunction, row: int | None = None) -> HomogeneousFunction | tuple:
+def ambient_laplacian(bg: Background, func: HomogeneousFunction, row: int | None = None) -> HomogeneousFunction | SigmaPoly:
     """One application of the ambient weighted Laplacian; weight drops by 2,
-    the profile loses one valid order (one row, for int rows).  With a row and
-    an int-row profile, only the rho^row coefficient of u times the image's
-    profile, as an int row: the image's own when its lower rows vanish."""
+    the profile loses one valid order.  With a row, only the rho^row
+    coefficient of u times the image's profile: the image's own when its
+    lower rows vanish."""
     op, w = bg.prepared(RHO, _ambient_coefficients), func.weight
     args = (-2, 2 * w + bg.dm - 2, w, func.profile)
     return HomogeneousFunction(w - 2, op.apply(*args)) if row is None else op.row(*args, row)
@@ -152,11 +156,10 @@ def iterate_at_weight(
     """Apply the ambient Laplacian k times to t^w (1 + perturbation) and read
     the rho^0 coefficient.  Used both for the invariant weight and for the
     off-critical weights where the answer genuinely depends on the extension."""
-    profile = _profile_from_perturbation(bg, k, perturbation)
-    func = HomogeneousFunction(rat(w), as_rows(profile.coeffs))
+    func = HomogeneousFunction(rat(w), _profile_from_perturbation(bg, k, perturbation))
     for _ in range(k):
         func = ambient_laplacian(bg, func)
-    return row_poly(*func.profile[0])
+    return func.profile.coeff(0)
 
 
 def gjms_iterated(
@@ -177,24 +180,26 @@ def gjms_recursion(bg: Background, k: int) -> GjmsPolynomial:
     positive_k(k)
     w = critical_weight(bg, k)
     op = bg.prepared(RHO, _ambient_coefficients)
-    rows: list = []  # the residuals so far: rows 0, 1, ... of the image
+    rows: list[SigmaPoly] = []  # the residuals so far: rows 0, 1, ... of the image
 
-    def residual(prof: list, t: int) -> tuple[list[int], int]:
-        return op.row(0, 0, w, prof, t, rows)
+    def residual(jets: list[SigmaPoly], t: int) -> SigmaPoly:
+        return op.row(0, 0, w, TruncatedSeries(RHO, jets, len(jets) - 1), t, rows)
 
-    ints, den = residual(solve_order_by_order(residual, lambda j: 2 * j * (k - j), k - 1), k - 1)
-    scale = factorial(k - 1) / jet_normalization(k)
-    return GjmsPolynomial(k, bg, "recursion", row_poly([scale.numerator * v for v in ints], scale.denominator * den))
+    poly = residual(solve_order_by_order(residual, lambda j: 2 * j * (k - j), k - 1), k - 1)
+    return GjmsPolynomial(k, bg, "recursion", poly * (factorial(k - 1) / jet_normalization(k)))
 
 
-def _solve_extension_jets(bg: Background, w: Fraction, levels: int) -> list:
+def _solve_extension_jets(bg: Background, w: Fraction, levels: int) -> TruncatedSeries:
     """Jets a_0..a_levels making the ambient Laplacian vanish through order
-    levels-1, as int rows and a zero row.  Raises ObstructedWeight when the
-    forced divisor 2j(k-j), k = w + (d+m)/2, vanishes."""
+    levels-1, and a zero jet, as a series of order levels+1.  Raises
+    ObstructedWeight when the forced divisor 2j(k-j), k = w + (d+m)/2,
+    vanishes."""
     k = w + bg.dm / 2
-    return solve_order_by_order(
-        lambda prof, t: ambient_laplacian(bg, HomogeneousFunction(w, prof), t), lambda j: 2 * j * (k - j), levels
-    )
+
+    def residual(jets: list[SigmaPoly], t: int) -> SigmaPoly:
+        return ambient_laplacian(bg, HomogeneousFunction(w, TruncatedSeries(RHO, jets, len(jets) - 1)), t)
+
+    return TruncatedSeries(RHO, solve_order_by_order(residual, lambda j: 2 * j * (k - j), levels), levels + 1)
 
 
 def harmonic_extension(bg: Background, w: RatLike, order: int) -> HomogeneousFunction:
@@ -205,8 +210,7 @@ def harmonic_extension(bg: Background, w: RatLike, order: int) -> HomogeneousFun
     1..order.
     """
     w = rat(w)
-    jets = [row_poly(*a) for a in _solve_extension_jets(bg, w, order)]
-    return HomogeneousFunction(w, TruncatedSeries(RHO, jets[: order + 1], order))
+    return HomogeneousFunction(w, _solve_extension_jets(bg, w, order).truncate(order))
 
 
 def obstruction(bg: Background, k: int) -> GjmsPolynomial:
@@ -215,8 +219,8 @@ def obstruction(bg: Background, k: int) -> GjmsPolynomial:
     2^(k-1), since Q = 2 rho t^2)."""
     positive_k(k)
     w = critical_weight(bg, k)
-    ints, den = ambient_laplacian(bg, HomogeneousFunction(w, _solve_extension_jets(bg, w, k - 1)), k - 1)
-    return GjmsPolynomial(k, bg, "obstruction", row_poly(ints, den << (k - 1)))
+    image = ambient_laplacian(bg, HomogeneousFunction(w, _solve_extension_jets(bg, w, k - 1)), k - 1)
+    return GjmsPolynomial(k, bg, "obstruction", image / 2 ** (k - 1))
 
 
 def random_admissible_perturbation(rng: random.Random, order: int) -> TruncatedSeries:

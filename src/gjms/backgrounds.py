@@ -165,9 +165,9 @@ class Background:
     def from_json(cls, data: dict[str, Any]) -> "Background":
         kind = data["kind"]
         if kind == QUASI_EINSTEIN:
-            return cls.quasi_einstein(int(data["d"]), data["m"], data["lambda"])
+            return cls.quasi_einstein(data["d"], data["m"], data["lambda"])
         if kind == GOVER_LEITNER:
-            return cls.gover_leitner(int(data["d"]), data["m"])
+            return cls.gover_leitner(data["d"], data["m"])
         raise AlgebraError(f"unknown background kind {kind!r}")
 
 

@@ -8,7 +8,9 @@ float: all downstream checks are decidable polynomial identities.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from itertools import zip_longest
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int, str]
 
@@ -69,65 +71,87 @@ def positive_k(k: int) -> int:
 
 
 class SigmaPoly:
-    """Polynomial in sigma with exact rational coefficients, ascending order.
+    """Polynomial in sigma with exact rational coefficients, ascending order,
+    stored as one integer row: coefficient i is ints[i] / den.
 
-    Canonical form: no trailing zero coefficients, each a ``Fraction``.  The
-    zero polynomial has an empty coefficient tuple and degree ``None``.  The
-    constructor coerces only entries that are not already ``Fraction``s (the
-    integer-row series product hands it finished ones), and a product with a
-    scalar or a constant polynomial scales without a convolution.
+    Canonical form: ``ints`` a tuple with no trailing zero over ``den > 0``
+    sharing no factor with every entry, so equal polynomials have equal rows;
+    the zero polynomial is ((), 1), of degree ``None``.  ``coeffs`` makes one
+    ``Fraction`` per coefficient.  Arithmetic runs on the rows and reduces
+    each result once (``from_row``); the series kernels read the rows too.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()):
-        cs = [c if isinstance(c, Fraction) else rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        cs = [c if isinstance(c, (int, Fraction)) else rat(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        row = SigmaPoly.from_row([c.numerator * (den // c.denominator) for c in cs], den)
+        self.ints, self.den = row.ints, row.den
 
-    @classmethod
-    def zero(cls) -> "SigmaPoly":
-        return cls()
+    @staticmethod
+    def from_row(ints: list[int], den: int) -> "SigmaPoly":
+        """ints/den for a fresh list ints and den != 0: trailing zeros popped,
+        one content gcd divided out and the denominator made positive; a row
+        whose gcd is 1 is kept as it is."""
+        while ints and not ints[-1]:
+            ints.pop()
+        g = gcd(den, *ints)
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints, den = [v // g for v in ints], den // g
+        p = object.__new__(SigmaPoly)
+        p.ints, p.den = tuple(ints), den
+        return p
 
-    @classmethod
-    def one(cls) -> "SigmaPoly":
-        return cls((1,))
+    @staticmethod
+    def zero() -> "SigmaPoly":
+        return _ZERO
+
+    @staticmethod
+    def one() -> "SigmaPoly":
+        return _ONE
 
     @classmethod
     def const(cls, c: RatLike) -> "SigmaPoly":
-        return cls((rat(c),))
+        return cls((c,))
 
     @classmethod
     def sigma(cls) -> "SigmaPoly":
         return cls((0, 1))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients in ascending order, one Fraction each."""
+        return tuple(Fraction(x, self.den) for x in self.ints)
+
+    @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.ints) - 1 if self.ints else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.ints) and self.ints[-1] == self.den
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.ints[i], self.den) if 0 <= i < len(self.ints) else Fraction(0)
 
     def __add__(self, other: "SigmaPoly | RatLike") -> "SigmaPoly":
         if not isinstance(other, (SigmaPoly, Fraction, int, str)):
             return NotImplemented
-        a, b = self.coeffs, _as_poly(other).coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return SigmaPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+        other = _as_poly(other)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return SigmaPoly.from_row([fa * x + fb * y for x, y in zip_longest(self.ints, other.ints, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SigmaPoly":
-        return SigmaPoly(-c for c in self.coeffs)
+        return SigmaPoly.from_row([-x for x in self.ints], self.den)
 
     def __sub__(self, other: "SigmaPoly | RatLike") -> "SigmaPoly":
         if not isinstance(other, (SigmaPoly, Fraction, int, str)):
@@ -141,29 +165,19 @@ class SigmaPoly:
         if not isinstance(other, SigmaPoly):
             if not isinstance(other, (Fraction, int, str)):
                 return NotImplemented
-            return self._scaled(rat(other))
-        if len(other.coeffs) == 1:
-            return self._scaled(other.coeffs[0])
-        if len(self.coeffs) == 1:
-            return other._scaled(self.coeffs[0])
-        if self.is_zero() or other.is_zero():
-            return SigmaPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return SigmaPoly(out)
+            c = rat(other) if isinstance(other, str) else other
+            return SigmaPoly.from_row([c.numerator * x for x in self.ints], c.denominator * self.den)
+        row = [0] * (len(self.ints) + len(other.ints) - 1)
+        _add_product(row, self.ints, other.ints)
+        return SigmaPoly.from_row(row, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def _scaled(self, c: Fraction) -> "SigmaPoly":
-        return SigmaPoly([c * a for a in self.coeffs] if c else ())
 
     def __truediv__(self, scalar: RatLike) -> "SigmaPoly":
         c = rat(scalar)
         if c == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return SigmaPoly(a / c for a in self.coeffs)
+        return SigmaPoly.from_row([c.denominator * x for x in self.ints], c.numerator * self.den)
 
     def __pow__(self, n: int) -> "SigmaPoly":
         if n < 0:
@@ -176,19 +190,19 @@ class SigmaPoly:
     def __call__(self, value: RatLike) -> Fraction:
         x = rat(value)
         acc = Fraction(0)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.ints):
             acc = acc * x + c
-        return acc
+        return acc / self.den
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, str)):
             other = _as_poly(other)
         if not isinstance(other, SigmaPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.ints == other.ints and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def to_strings(self) -> list[str]:
         """Ascending coefficient array of "p/q" strings."""
@@ -199,10 +213,18 @@ class SigmaPoly:
         return signed_sum(reversed(terms))
 
     def __repr__(self) -> str:
-        return f"SigmaPoly({[rat_str(c) for c in self.coeffs]})"
+        return f"SigmaPoly({self.to_strings()})"
+
+
+_ZERO, _ONE = SigmaPoly.from_row([], 1), SigmaPoly.from_row([1], 1)
+
+
+def _add_product(row: list[int], xs: Sequence[int], ys: Sequence[int]) -> None:
+    """row += xs * ys, all three ascending int sigma-coefficient lists."""
+    for p, x in enumerate(xs):
+        for q, y in enumerate(ys):
+            row[p + q] += x * y
 
 
 def _as_poly(value: "SigmaPoly | RatLike") -> SigmaPoly:
-    if isinstance(value, SigmaPoly):
-        return value
-    return SigmaPoly.const(rat(value))
+    return value if isinstance(value, SigmaPoly) else SigmaPoly.const(value)

@@ -23,13 +23,13 @@ from .scattering import gjms_route_scattering
 
 def _root_product(bg: Background, k: int, roots: list[Fraction]) -> GjmsPolynomial:
     """prod (sigma + root): over the roots' common denominator D, the int
-    polynomial prod (D*sigma + D*root), then one Fraction per coefficient."""
+    polynomial prod (D*sigma + D*root), divided by D^k once."""
     d = lcm(*(r.denominator for r in roots))
     poly = [1]
     for r in roots:
         n = r.numerator * (d // r.denominator)
         poly = [n * x + d * y for x, y in zip(poly + [0], [0] + poly)]
-    return GjmsPolynomial(k, bg, "factorization", SigmaPoly([Fraction(x, d**k) for x in poly]))
+    return GjmsPolynomial(k, bg, "factorization", SigmaPoly(poly) / d**k)
 
 
 def qe_product(d: int, m: RatLike, lam: RatLike, k: int) -> GjmsPolynomial:

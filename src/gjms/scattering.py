@@ -11,7 +11,8 @@ where s = (d+m)/2 + k, T is the r-picture drift trace and LF the sector
 scaling of the base Laplacian; ``Background.prepared`` builds it.  The
 expansion is solved order by order with divisor j(2k-j); the order-2k log
 coefficient reproduces the ambient operator up to the normalization d_k and
-a global sign.
+a global sign.  The solver's jets are the SigmaPolys ``ScatteringSolution``
+keeps, and the log coefficient is the last row over 2k.
 
 Sign pinning: the whole package uses the trace-convention weighted Laplacian
 (the one the ambient formula forces), under which the log coefficient comes
@@ -34,7 +35,7 @@ from typing import Any
 from .ambient import GjmsPolynomial
 from .backgrounds import Background
 from .core import SigmaPoly, positive_k, rat_str
-from .series import R, TruncatedSeries, row_poly, solve_order_by_order
+from .series import R, TruncatedSeries, solve_order_by_order
 
 SCATTERING_SIGN = Fraction(-1)
 
@@ -67,12 +68,10 @@ def _radial_coefficients(t: TruncatedSeries, lf: TruncatedSeries) -> tuple[Trunc
     return -t, -(SigmaPoly.sigma() * lf).mul_var(), t
 
 
-def _ds_plain(
-    bg: Background, s: Fraction, series: TruncatedSeries | list, row: int | None = None
-) -> TruncatedSeries | list | tuple:
-    """D_s applied to a log-free radial series or its int rows, valid one
-    order lower.  With a row and int rows, only the r^row coefficient of u
-    times the image, an int row: the image's own when its lower rows vanish."""
+def _ds_plain(bg: Background, s: Fraction, series: TruncatedSeries, row: int | None = None) -> TruncatedSeries | SigmaPoly:
+    """D_s applied to a log-free radial series, valid one order lower.  With
+    a row, only the r^row coefficient of u times the image: the image's own
+    when its lower rows vanish."""
     op, x = bg.prepared(R, _radial_coefficients), s - bg.dm
     args = (-1, x + s - 1, x, series)
     return op.apply(*args) if row is None else op.row(*args, row)
@@ -83,9 +82,11 @@ def scattering_solve(bg: Background, k: int) -> ScatteringSolution:
     coefficient at order 2k."""
     positive_k(k)
     s = bg.dm / 2 + k
-    v = solve_order_by_order(lambda rows, t: _ds_plain(bg, s, rows, t), lambda j: j * (2 * k - j), 2 * k - 1)
-    ints, den = _ds_plain(bg, s, v, 2 * k - 1)
-    return ScatteringSolution(k, s, bg, tuple(row_poly(*a) for a in v[: 2 * k]), row_poly(ints, 2 * k * den))
+    v = solve_order_by_order(
+        lambda jets, t: _ds_plain(bg, s, TruncatedSeries(R, jets, len(jets) - 1), t), lambda j: j * (2 * k - j), 2 * k - 1
+    )
+    log = _ds_plain(bg, s, TruncatedSeries(R, v, 2 * k), 2 * k - 1)
+    return ScatteringSolution(k, s, bg, tuple(v[: 2 * k]), log / (2 * k))
 
 
 def gjms_route_scattering(bg: Background, k: int) -> GjmsPolynomial:

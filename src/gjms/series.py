@@ -13,19 +13,20 @@ u times each of them as a polynomial and computes u*L*P one row at a time, at
 O(deg) products a row.  The full image divides each row by u with a recurrence
 of at most deg(u) terms; an order-by-order solve reads one row a level.
 
-The routes keep their series as int rows from preparation to read-off, one
-reduced (ints, den) per coefficient: its sigma-coefficients times den.
-``row_poly`` makes one Fraction per coefficient, where a route returns.
+Every coefficient is a SigmaPoly, whose integer row (``ints`` over ``den``)
+the kernels here read directly: a product, a power, an operator row and a
+jet are each computed in ints over one common denominator and reduced once,
+with no Fraction made until a caller reads ``coeffs``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
-from typing import Callable, Iterable, Union
+from math import lcm
+from typing import Callable, Iterable, Sequence, Union
 
-from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, _as_poly, rat
+from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, _add_product, _as_poly, rat
 
 RHO = "rho"
 R = "r"
@@ -42,40 +43,11 @@ class ObstructedWeight(AlgebraError):
 
 
 def _integer_rows(coeffs: Iterable[SigmaPoly]) -> tuple[int, list[list[int]]]:
-    """The lcm D of every coefficient's denominator, and one row
-    [D * sigma-coefficient as int, ...] per coefficient (empty for zero)."""
-    rows = [c.coeffs for c in coeffs]
-    d = lcm(*(x.denominator for cs in rows for x in cs))
-    return d, [[x.numerator * (d // x.denominator) for x in cs] for cs in rows]
-
-
-def _add_product(row: list[int], xs: list[int], ys: list[int]) -> None:
-    """row += xs * ys, all three ascending int sigma-coefficient lists."""
-    for p, x in enumerate(xs):
-        for q, y in enumerate(ys):
-            row[p + q] += x * y
-
-
-def _reduced(ints: list[int], den: int) -> tuple[list[int], int]:
-    """ints/den as an int row: trailing zeros dropped, one content gcd
-    divided out, the denominator positive (1 for the zero row)."""
-    while ints and not ints[-1]:
-        ints.pop()
-    g = gcd(den, *ints) if den > 0 else -gcd(den, *ints)
-    return [v // g for v in ints], den // g
-
-
-def as_rows(coeffs: Iterable[SigmaPoly]) -> list[tuple[list[int], int]]:
-    """One int row (ints, den) per SigmaPoly, den its own lcm."""
-    return [(rows[0], den) for den, rows in (_integer_rows([c]) for c in coeffs)]
-
-
-def row_poly(ints: list[int], den: int) -> SigmaPoly:
-    """ints/den as a SigmaPoly: trailing zeros popped from ints, then one
-    Fraction(num, den) per coefficient."""
-    while ints and not ints[-1]:
-        ints.pop()
-    return SigmaPoly([Fraction(x, den) for x in ints])
+    """The lcm D of the coefficients' denominators, and each coefficient's
+    row brought over D (empty for zero)."""
+    cs = list(coeffs)
+    d = lcm(*(c.den for c in cs))
+    return d, [[x * (d // c.den) for x in c.ints] for c in cs]
 
 
 class TruncatedSeries:
@@ -172,11 +144,9 @@ class TruncatedSeries:
     def __mul__(self, other: "TruncatedSeries | CoeffLike") -> "TruncatedSeries":
         """Product truncated at the lower of the two orders.
 
-        Integer rows: each operand's prefix is scaled once to ints over the
-        lcm D of its sigma-coefficient denominators, one convolution over
-        (series order, sigma degree) runs on the ints, trailing zeros are
-        dropped as ints, and each output coefficient is one
-        Fraction(num, Da*Db), normalized once.
+        Each operand's prefix is brought over the lcm D of its coefficients'
+        denominators, one convolution over (series order, sigma degree) runs
+        on the ints, and each output row over Da*Db is reduced once.
         """
         if not isinstance(other, TruncatedSeries):
             c = _as_poly(other)
@@ -195,7 +165,7 @@ class TruncatedSeries:
                 if i + j > n:
                     break
                 _add_product(rows[i + j], ac, bc)
-        return TruncatedSeries(self.var, [row_poly(r, da * db) for r in rows], n)
+        return TruncatedSeries(self.var, [SigmaPoly.from_row(r, da * db) for r in rows], n)
 
     __rmul__ = __mul__
 
@@ -222,24 +192,24 @@ class TruncatedSeries:
         coefficients of self and p those of the power, p_0 = 1 and
         n p_n = sum_{i=1..n} ((e+1) i - n) a_i p_(n-i).  The sum runs over the
         nonzero a_i only, so a factor 1 + a*v costs O(N) coefficient products.
-        It runs on int rows: with e + 1 = f/q, each p_n is the int sum of
+        It runs on the rows: with e + 1 = f/q, each p_n is the int sum of
         (f i - n q) a_i p_(n-i) over the lcm L of its terms' denominators,
-        one row over n q L, reduced by one content gcd.
+        one row over n q L, reduced once.
         """
         if self.coeffs[0] != SigmaPoly.one():
             raise AlgebraError("rational power needs constant term 1")
         e = rat(exponent) + 1
-        terms = [(i, *as_rows([a])[0]) for i, a in enumerate(self.coeffs) if i and a.coeffs]
-        p = [([1], 1)]
+        terms = [(i, a) for i, a in enumerate(self.coeffs) if i and a.ints]
+        p = [SigmaPoly.one()]
         for n in range(1, self.order + 1):
-            live = [(i, a, da, *p[n - i]) for i, a, da in terms if i <= n]
-            big = lcm(*(da * dp for _, _, da, _, dp in live))
-            acc = [0] * max((len(a) + len(ps) - 1 for _, a, _, ps, _ in live), default=0)
-            for i, a, da, ps, dp in live:
-                f = (e.numerator * i - n * e.denominator) * (big // (da * dp))
-                _add_product(acc, [f * x for x in a], ps)
-            p.append(_reduced(acc, n * e.denominator * big))
-        return TruncatedSeries(self.var, [row_poly(*r) for r in p], self.order)
+            live = [(i, a, p[n - i]) for i, a in terms if i <= n]
+            big = lcm(*(a.den * b.den for _, a, b in live))
+            acc = [0] * max((len(a.ints) + len(b.ints) - 1 for _, a, b in live), default=0)
+            for i, a, b in live:
+                f = (e.numerator * i - n * e.denominator) * (big // (a.den * b.den))
+                _add_product(acc, [f * x for x in a.ints], b.ints)
+            p.append(SigmaPoly.from_row(acc, n * e.denominator * big))
+        return TruncatedSeries(self.var, p, self.order)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; like ``rpow``, the constant term must equal 1."""
@@ -295,8 +265,8 @@ class PolynomialOperator:
     only coefficients it reads.  Row t of L*P is M_t - sum_(i>=1)
     u_i*(L*P)_(t-i), in ints over the lcm of the rows' denominators and
     reduced; ``apply`` divides every row so, for P's full image one order
-    below P.  P is given as int rows, or as a TruncatedSeries to ``apply``,
-    whose order and variable are checked there.
+    below P.  P is a TruncatedSeries, whose order and variable both methods
+    check.
     """
 
     __slots__ = ("var", "_den", "_du", "_u", "_bc", "_div")
@@ -325,93 +295,90 @@ class PolynomialOperator:
         ai, b0i, xi = (v.numerator * (e // v.denominator) for v in (a, b0, x))
         return ai, b0i, e, xi, self._den * e
 
-    def _row(self, weights: tuple, ps: list[tuple[list[int], int]], t: int) -> tuple[list[int], int]:
-        """M_t as (ints, D*E*L), from P's int rows p_(t-deg)..p_(t+1)
-        brought over their lcm L."""
+    def _row(self, weights: tuple, ps: Sequence[SigmaPoly], t: int) -> SigmaPoly:
+        """M_t, from P's rows p_(t-deg)..p_(t+1) brought over their lcm L;
+        before its reduction the row is over D*E*L."""
         ai, b0i, e, xi, de = weights
         reach = min(t, len(self._u) - 1)
         window = ps[t - reach : t + 2]
-        big = lcm(*(q for _, q in window))
-        row = [0] * (max(map(len, self._bc)) + max(len(zs) for zs, _ in window))
+        big = lcm(*(q.den for q in window))
+        row = [0] * (max(map(len, self._bc)) + max(len(q.ints) for q in window))
         for i in range(reach + 1):
             s = t - i
-            (zs, q), (ys, r) = ps[s + 1], ps[s]
+            z, y = ps[s + 1], ps[s]
             f = self._u[i] * (ai * s + b0i) * (s + 1)
-            if f and zs:
-                _add_product(row, [f * (big // q)], zs)
-            if self._bc[i] and ys:
-                m = big // r
-                _add_product(row, [m * (e * (s * b + c0) + xi * c1) for b, c0, c1 in self._bc[i]], ys)
-        return row, de * big
+            if f and z.ints:
+                _add_product(row, [f * (big // z.den)], z.ints)
+            if self._bc[i] and y.ints:
+                m = big // y.den
+                _add_product(row, [m * (e * (s * b + c0) + xi * c1) for b, c0, c1 in self._bc[i]], y.ints)
+        return SigmaPoly.from_row(row, de * big)
 
-    def _divided(self, row: list[int], den: int, lower: list[tuple[list[int], int]]) -> tuple[list[int], int]:
-        """Row t of L*P as a reduced int row, from M_t = row/den and L*P's
-        rows 0..t-1 in lower, each an int row."""
+    def _divided(self, m: SigmaPoly, lower: list[SigmaPoly]) -> SigmaPoly:
+        """Row t of L*P, from M_t and L*P's rows 0..t-1 in lower."""
         terms = [(f, lower[-i]) for i, f in self._div if i <= len(lower)]
-        out = lcm(den, *(self._du * q for _, (_, q) in terms))
-        z = [v * (out // den) for v in row]
-        for f, (zs, q) in terms:
-            g = f * (out // (self._du * q))
-            z.extend([0] * (len(zs) - len(z)))
-            for n, v in enumerate(zs):
+        out = lcm(m.den, *(self._du * q.den for _, q in terms))
+        z = [v * (out // m.den) for v in m.ints]
+        for f, q in terms:
+            g = f * (out // (self._du * q.den))
+            z.extend([0] * (len(q.ints) - len(z)))
+            for n, v in enumerate(q.ints):
                 z[n] -= g * v
-        return _reduced(z, out)
+        return SigmaPoly.from_row(z, out)
 
-    def apply(
-        self, a: Fraction | int, b0: Fraction | int, x: Fraction | int, p: TruncatedSeries | list
-    ) -> TruncatedSeries | list:
-        """L*P, one row fewer than P: int rows for int rows, and for a
-        TruncatedSeries one of order one lower, each row one SigmaPoly."""
-        if isinstance(p, TruncatedSeries):  # of order 0, its order -1 image raises OrderShortfall
-            if p.var != self.var:
-                raise VariableMismatch(f"cannot apply an operator in {self.var!r} to a series in {p.var!r}")
-            return TruncatedSeries(p.var, [row_poly(*z) for z in self.apply(a, b0, x, as_rows(p.coeffs))], p.order - 1)
-        weights, out = self._weights(a, b0, x), []
-        for t in range(len(p) - 1):
-            out.append(self._divided(*self._row(weights, p, t), out))
-        return out
+    def _checked(self, p: TruncatedSeries) -> tuple[SigmaPoly, ...]:
+        """P's coefficients, once P is known to be in the operator's variable."""
+        if p.var != self.var:
+            raise VariableMismatch(f"cannot apply an operator in {self.var!r} to a series in {p.var!r}")
+        return p.coeffs
+
+    def apply(self, a: Fraction | int, b0: Fraction | int, x: Fraction | int, p: TruncatedSeries) -> TruncatedSeries:
+        """L*P, a series one order below P (an order-0 P raises OrderShortfall)."""
+        ps, weights, out = self._checked(p), self._weights(a, b0, x), []
+        for t in range(p.order):
+            out.append(self._divided(self._row(weights, ps, t), out))
+        return TruncatedSeries(p.var, out, p.order - 1)
 
     def row(
-        self, a: Fraction | int, b0: Fraction | int, x: Fraction | int, p: list, t: int, lower: list | None = None
-    ) -> tuple[list[int], int]:
-        """Row t of M = u*L*P as an int row, from P's int rows 0..t+1 at
-        least: that of L*P when the image's rows below t vanish, as at each
-        level of an order-by-order solve.  With lower, the caller's list of
-        L*P's rows 0..t-1, row t of L*P itself, appended to lower."""
-        if t >= len(p) - 1:
-            raise OrderShortfall(f"row {t} of the image of a series with {len(p)} coefficients")
-        row = self._row(self._weights(a, b0, x), p, t)
+        self, a: Fraction | int, b0: Fraction | int, x: Fraction | int, p: TruncatedSeries, t: int, lower: list | None = None
+    ) -> SigmaPoly:
+        """Row t of M = u*L*P, t below P's order: that of L*P when the
+        image's rows below t vanish, as at each level of an order-by-order
+        solve.  With lower, the caller's list of L*P's rows 0..t-1, row t of
+        L*P itself, appended to lower."""
+        ps = self._checked(p)
+        if t >= p.order:
+            raise OrderShortfall(f"row {t} of the image of an order-{p.order} series")
+        row = self._row(self._weights(a, b0, x), ps, t)
         if lower is not None:
             if len(lower) != t:
                 raise AlgebraError(f"row {t} of L*P needs its {t} rows below, not {len(lower)}")
-            row = self._divided(*row, lower)
+            row = self._divided(row, lower)
             lower.append(row)
         return row
 
 
 def solve_order_by_order(
-    residual: Callable[[list, int], tuple[list[int], int]], divisor: Callable[[int], Fraction | int], levels: int
-) -> list[tuple[list[int], int]]:
+    residual: Callable[[list[SigmaPoly], int], SigmaPoly], divisor: Callable[[int], Fraction | int], levels: int
+) -> list[SigmaPoly]:
     """The jets a_0 = 1, a_1, ..., a_levels of a series solved level by
-    level, as reduced int rows, then a zero row for a_(levels+1).
+    level, then a zero jet for a_(levels+1).
 
-    Level j sets a_j = -residual(P, j-1) / divisor(j), with one content gcd,
-    where P is the rows a_0..a_(j-1) and a zero row for a_j, residual(P, t) is
-    row t of the operator's image of P as an int row, and divisor(j) is the
-    factor the operator's principal part puts on a_j (the residual may include
-    or omit that part; it sees a_j = 0).  A zero divisor raises
-    ObstructedWeight(j).
+    Level j sets a_j = -residual(P, j-1) / divisor(j) on the integer row,
+    where P is the jets a_0..a_(j-1) and a zero jet for a_j, residual(P, t)
+    is row t of the operator's image of P, and divisor(j) is the factor the
+    operator's principal part puts on a_j (the residual may include or omit
+    that part; it sees a_j = 0).  A zero divisor raises ObstructedWeight(j).
 
     The solve has zeroed the image's rows 0..j-2 and u_0 = 1, so row j-1 of
     u*L*P is the residual: one ``PolynomialOperator.row`` a level, O(deg) int
-    row products.  The zero row at the end lets one more call read the next.
+    row products.  The zero jet at the end lets one more call read the next.
     """
-    jets: list[tuple[list[int], int]] = [([1], 1), ([], 1)]
+    jets = [SigmaPoly.one(), SigmaPoly.zero()]
     for j in range(1, levels + 1):
-        ints, den = residual(jets, j - 1)
-        div = divisor(j)
+        r, div = residual(jets, j - 1), divisor(j)
         if not div:
             raise ObstructedWeight(j)
-        jets[j] = _reduced([-div.denominator * v for v in ints], div.numerator * den)
-        jets.append(([], 1))
+        jets[j] = SigmaPoly.from_row([-div.denominator * v for v in r.ints], div.numerator * r.den)
+        jets.append(SigmaPoly.zero())
     return jets

@@ -4,18 +4,20 @@ accessors by its own module, the radial operator on series with a log
 part (the log-ansatz check of the scattering expansion), the Green
 pairing computed as the full order-2k series product, the closed-form
 products as one SigmaPoly product per root, the two printers of exact
-sums written out separately, and Miller's power recurrence on Fractions."""
+sums written out separately, Miller's power recurrence on Fractions, and
+SigmaPoly as a tuple of Fractions."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
+from typing import Iterable
 
 from gjms.backgrounds import WINDOW, Background
-from gjms.core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, rat, rat_str
+from gjms.core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, rat, rat_str, signed_sum
 from gjms.scattering import GreensLogReport, ScatteringSolution, _ds_plain
-from gjms.series import RHO, R, PolynomialOperator, TruncatedSeries, _add_product, _integer_rows, row_poly
+from gjms.series import RHO, R, PolynomialOperator, TruncatedSeries, _add_product, _integer_rows
 from gjms.sl2 import NcPoly
 
 
@@ -75,7 +77,7 @@ class SecondOrderOperator:
                     w = [j * u + v for u, v in zip_longest(bs[t - j], cs[t - j], fillvalue=0)]
                     _add_product(row, w, ps[j])
             out.append(row)
-        return TruncatedSeries(p.var, [row_poly(row, d * dp) for row in out], n - 1)
+        return TruncatedSeries(p.var, [SigmaPoly([Fraction(x, d * dp) for x in row]) for row in out], n - 1)
 
 
 def miller_rpow(s: TruncatedSeries, exponent: RatLike) -> TruncatedSeries:
@@ -277,3 +279,139 @@ def gl_product_reference(d: int, m: RatLike, k: int) -> SigmaPoly:
         root = rat(2 * k - 4 * j - dm) * rat(2 - d + bg.m - 2 * k + 4 * j) / 4
         poly = poly * (SigmaPoly.sigma() + SigmaPoly.const(root))
     return poly
+
+
+class FractionPoly:
+    """SigmaPoly as a tuple of Fractions, the reference for its integer row:
+    canonical with no trailing zero coefficient, each a ``Fraction``; the zero
+    polynomial has an empty tuple and degree ``None``.  A product with a
+    scalar or a constant polynomial scales without a convolution."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[RatLike] = ()):
+        cs = [c if isinstance(c, Fraction) else rat(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+
+    @classmethod
+    def zero(cls) -> "FractionPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "FractionPoly":
+        return cls((1,))
+
+    @classmethod
+    def const(cls, c: RatLike) -> "FractionPoly":
+        return cls((rat(c),))
+
+    @classmethod
+    def sigma(cls) -> "FractionPoly":
+        return cls((0, 1))
+
+    @property
+    def degree(self) -> int | None:
+        """Degree, or None for the zero polynomial."""
+        return len(self.coeffs) - 1 if self.coeffs else None
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def is_monic(self) -> bool:
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def coeff(self, i: int) -> Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, other: "FractionPoly | RatLike") -> "FractionPoly":
+        if not isinstance(other, (FractionPoly, Fraction, int, str)):
+            return NotImplemented
+        a, b = self.coeffs, _as_fraction_poly(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return FractionPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other: "FractionPoly | RatLike") -> "FractionPoly":
+        if not isinstance(other, (FractionPoly, Fraction, int, str)):
+            return NotImplemented
+        return self + (-_as_fraction_poly(other))
+
+    def __rsub__(self, other: "FractionPoly | RatLike") -> "FractionPoly":
+        return _as_fraction_poly(other) + (-self)
+
+    def __mul__(self, other: "FractionPoly | RatLike") -> "FractionPoly":
+        if not isinstance(other, FractionPoly):
+            if not isinstance(other, (Fraction, int, str)):
+                return NotImplemented
+            return self._scaled(rat(other))
+        if len(other.coeffs) == 1:
+            return self._scaled(other.coeffs[0])
+        if len(self.coeffs) == 1:
+            return other._scaled(self.coeffs[0])
+        if self.is_zero() or other.is_zero():
+            return FractionPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly(out)
+
+    __rmul__ = __mul__
+
+    def _scaled(self, c: Fraction) -> "FractionPoly":
+        return FractionPoly([c * a for a in self.coeffs] if c else ())
+
+    def __truediv__(self, scalar: RatLike) -> "FractionPoly":
+        c = rat(scalar)
+        if c == 0:
+            raise ZeroDivisionError("division of a polynomial by zero")
+        return FractionPoly(a / c for a in self.coeffs)
+
+    def __pow__(self, n: int) -> "FractionPoly":
+        if n < 0:
+            raise AlgebraError("negative polynomial power")
+        out = FractionPoly.one()
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __call__(self, value: RatLike) -> Fraction:
+        x = rat(value)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (int, Fraction, str)):
+            other = _as_fraction_poly(other)
+        if not isinstance(other, FractionPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def to_strings(self) -> list[str]:
+        """Ascending coefficient array of "p/q" strings."""
+        return [rat_str(c) for c in self.coeffs]
+
+    def __str__(self) -> str:
+        terms = [(c, "sigma" if i == 1 else f"sigma^{i}" if i else "") for i, c in enumerate(self.coeffs)]
+        return signed_sum(reversed(terms))
+
+    def __repr__(self) -> str:
+        return f"FractionPoly({[rat_str(c) for c in self.coeffs]})"
+
+
+def _as_fraction_poly(value: "FractionPoly | RatLike") -> FractionPoly:
+    if isinstance(value, FractionPoly):
+        return value
+    return FractionPoly.const(rat(value))

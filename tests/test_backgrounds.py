@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gjms import ambient, scattering
 from gjms.backgrounds import Background, verify_spaceform_conditions
+from gjms.cli import VERIFY_MATRIX
 from gjms.core import AlgebraError
 from gjms.factorization import cross_route_report
 from gjms.scattering import greens_log_coefficient, scattering_solve
@@ -40,8 +41,17 @@ class TestConstruction:
         assert GL.label() == "GL(d=3, m=2)"
 
     def test_json_round_trip(self):
-        for bg in (QE, GL, Background.quasi_einstein(4, F(1, 2), F(-1, 3))):
+        for bg in (QE, GL, Background.quasi_einstein(4, F(1, 2), F(-1, 3))) + VERIFY_MATRIX:
             assert Background.from_json(bg.to_json()) == bg
+
+    @pytest.mark.parametrize("d", [3.7, "3", F(7, 2), True])
+    @pytest.mark.parametrize("kind", ["quasi_einstein", "gover_leitner"])
+    def test_from_json_takes_d_as_given(self, kind, d):
+        # d is not coerced: 3.7 is not read as 3, nor "3" as 3, but each is
+        # the constructors' stated error
+        data = {"kind": kind, "d": d, "m": "2", "lambda": "1"}
+        with pytest.raises(AlgebraError, match=r"^d must be an integer >= 2$"):
+            Background.from_json(data)
 
     def test_fractional_m(self):
         bg = Background.quasi_einstein(4, F(7, 3), F(1, 2))

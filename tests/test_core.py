@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from gjms import ambient, scattering, series
 from gjms.backgrounds import Background
 from gjms.core import AlgebraError, OrderShortfall, SigmaPoly, VariableMismatch, rat, rat_str
-from gjms.series import RHO, R, ObstructedWeight, PolynomialOperator, TruncatedSeries, as_rows, row_poly, solve_order_by_order
+from gjms.series import RHO, R, ObstructedWeight, PolynomialOperator, TruncatedSeries, solve_order_by_order
 from gjms_reference import (
+    FractionPoly,
     LogSeries,
     SecondOrderOperator,
     ambient_operator,
@@ -105,14 +106,14 @@ def composed_second_order(a, b0, b1, c, p):
     return out
 
 
-def from_rows(var, rows):
-    """The series with one coefficient per int row, exact at order len(rows) - 1."""
-    return TruncatedSeries(var, [row_poly(*r) for r in rows], len(rows) - 1)
+def jet_series(var, jets):
+    """The series of a solver's jets, exact at order len(jets) - 1."""
+    return TruncatedSeries(var, jets, len(jets) - 1)
 
 
-def int_residual(apply, var):
-    """A solver residual from a series map: row t of apply(P) as an int row."""
-    return lambda rows, t: as_rows(apply(from_rows(var, rows)).coeffs)[t]
+def row_residual(apply, var):
+    """A solver residual from a series map: row t of apply(P)."""
+    return lambda jets, t: apply(jet_series(var, jets)).coeff(t)
 
 
 def full_order_solve(apply, divisor, levels, var):
@@ -376,9 +377,9 @@ class TestKernelsMatchReferences:
             def apply(p, weights=weights):
                 return op.apply(*weights, p)
 
-            solved = outcome(solve_order_by_order, int_residual(apply, RHO), divisor, levels)
+            solved = outcome(solve_order_by_order, row_residual(apply, RHO), divisor, levels)
             expected = outcome(full_order_solve, apply, divisor, levels, RHO)
-            assert (solved if isinstance(solved, int) else from_rows(RHO, solved)) == expected
+            assert (solved if isinstance(solved, int) else jet_series(RHO, solved)) == expected
 
 
 small_polys = st.lists(rationals, max_size=3).map(SigmaPoly)
@@ -495,12 +496,12 @@ class TestSecondOrderOperator:
             weight = data.draw(st.sampled_from([(a, b0, x), other]))
             image = PolynomialOperator(*coefficients).apply(*weight, q)
             assert op.apply(*weight, q) == image
-            assert [row_poly(*z) for z in op.apply(*weight, as_rows(q.coeffs))] == list(image.coeffs)
             u_image = coefficients[0].as_exact(q.order) * image
             rows: list = []
             for t in range(q.order):
-                assert row_poly(*op.row(*weight, as_rows(q.coeffs), t)) == u_image.coeff(t)
-                assert row_poly(*op.row(*weight, as_rows(q.coeffs), t, rows)) == image.coeff(t)
+                assert op.row(*weight, q, t) == u_image.coeff(t)
+                assert op.row(*weight, q, t, rows) == image.coeff(t)
+            assert rows == list(image.coeffs)
 
     @pytest.mark.parametrize("b1_order, c_order", [(2, 4), (3, 3)])
     def test_short_coefficients_are_rejected(self, b1_order, c_order):
@@ -554,15 +555,15 @@ class TestSecondOrderOperator:
     def test_solver_reproduces_the_exponential(self):
         # P' - P = 0 with a_0 = 1 forces a_j = a_(j-1) / j
         op = SecondOrderOperator(TruncatedSeries.zero(R, 8), TruncatedSeries.zero(R, 8), TruncatedSeries.constant(R, 1, 8))
-        sol = solve_order_by_order(int_residual(lambda p: op.apply(0, 1, -1, p), R), lambda j: j, 6)
+        sol = solve_order_by_order(row_residual(lambda p: op.apply(0, 1, -1, p), R), lambda j: j, 6)
         assert len(sol) == 8
-        assert [row_poly(*a).coeff(0) for a in sol] == [F(1, factorial(j)) for j in range(7)] + [0]
+        assert [a.coeff(0) for a in sol] == [F(1, factorial(j)) for j in range(7)] + [0]
 
     def test_solver_raises_at_a_zero_divisor(self):
         zero = TruncatedSeries.zero(RHO, 8)
         op = SecondOrderOperator(zero, zero, zero)
         with pytest.raises(ObstructedWeight) as exc:
-            solve_order_by_order(int_residual(lambda p: op.apply(0, 1, 0, p), RHO), lambda j: j - 3, 6)
+            solve_order_by_order(row_residual(lambda p: op.apply(0, 1, 0, p), RHO), lambda j: j - 3, 6)
         assert exc.value.level == 3
 
 
@@ -607,7 +608,7 @@ class TestPolynomialOperator:
 
             def read(p, t):
                 row = residual(p, t)
-                assert row_poly(*row) == dense.apply(*weights, from_rows(var, p)).coeff(t)
+                assert row == dense.apply(*weights, jet_series(var, p)).coeff(t)
                 levels.append(t + 1)
                 return row
 
@@ -658,6 +659,8 @@ class TestPolynomialOperator:
         with pytest.raises(VariableMismatch):
             op.apply(1, 1, 1, TruncatedSeries.constant(R, 1, 3))
         with pytest.raises(VariableMismatch):
+            op.row(1, 1, 1, TruncatedSeries.constant(R, 1, 3), 0)
+        with pytest.raises(VariableMismatch):
             PolynomialOperator(u, zero, TruncatedSeries.zero(R, 8), zero)
 
     def test_any_order_from_one_preparation(self):
@@ -665,8 +668,8 @@ class TestPolynomialOperator:
         # so one preparation serves a solve to any depth, one row a level
         u, zero = TruncatedSeries(R, [1, -1], 8), TruncatedSeries.zero(R, 8)
         op = PolynomialOperator(u, zero, zero, TruncatedSeries.constant(R, 1, 8))
-        sol = solve_order_by_order(lambda p, t: op.row(0, 1, -1, p, t), lambda j: j, 40)
-        assert [row_poly(*a).coeff(0) for a in sol] == [F(1, factorial(j)) for j in range(41)] + [0]
+        sol = solve_order_by_order(lambda p, t: op.row(0, 1, -1, jet_series(R, p), t), lambda j: j, 40)
+        assert [a.coeff(0) for a in sol] == [F(1, factorial(j)) for j in range(41)] + [0]
 
     def test_a_row_of_u_times_the_image_needs_the_lower_rows_to_vanish(self):
         # P' - P over the unit 1 - v on P = 1: L*P = -1, so u*L*P = -1 + v.
@@ -676,14 +679,13 @@ class TestPolynomialOperator:
         op = PolynomialOperator(u, zero, zero, TruncatedSeries.constant(R, 1, 8))
         p = TruncatedSeries.constant(R, 1, 3)
         assert op.apply(0, 1, -1, p).coeffs == (-1, 0, 0)
-        ps = as_rows(p.coeffs)
-        assert [row_poly(*op.row(0, 1, -1, ps, t)) for t in range(3)] == [-1, 1, 0]
+        assert [op.row(0, 1, -1, p, t) for t in range(3)] == [-1, 1, 0]
         rows: list = []
-        assert [op.row(0, 1, -1, ps, t, rows) for t in range(3)] == [([-1], 1), ([], 1), ([], 1)]
+        assert [op.row(0, 1, -1, p, t, rows) for t in range(3)] == [-1, 0, 0]
         with pytest.raises(AlgebraError):
-            op.row(0, 1, -1, ps, 2, [])
+            op.row(0, 1, -1, p, 2, [])
         with pytest.raises(OrderShortfall):
-            op.row(0, 1, -1, ps, 3)
+            op.row(0, 1, -1, p, 3)
 
     @settings(max_examples=30, deadline=None)
     @given(backgrounds(), st.integers(2, 8))
@@ -694,7 +696,7 @@ class TestPolynomialOperator:
         op = bg.prepared(RHO, ambient._ambient_coefficients)
         p = TruncatedSeries(RHO, [1] * (n + 1), n)
         image = op.apply(-2, 1, 0, p)
-        assert any(row_poly(*op.row(-2, 1, 0, as_rows(p.coeffs), t)) != image.coeff(t) for t in range(n))
+        assert any(op.row(-2, 1, 0, p, t) != image.coeff(t) for t in range(n))
 
 
 mixed_scalars = st.one_of(
@@ -763,6 +765,59 @@ class TestSigmaPolyCanonicalForm:
         assert_canonical(p + SigmaPoly([-1, F(-1, 2), 3]), [])
         assert_canonical(SigmaPoly([0, 1, 2]) + SigmaPoly([5, 0, -2]), [5, 1])
         assert_canonical(SigmaPoly([F(2, 4), "3/6", " 0 ", 0, "0/9"]), [F(1, 2), F(1, 2)])
+
+
+def assert_reduced_row(p):
+    """p's integer row is canonical: a tuple of ints with no trailing zero
+    over a positive int den sharing no factor with every entry."""
+    assert type(p.ints) is tuple and all(type(x) is int for x in p.ints) and type(p.den) is int
+    assert p.den > 0 and gcd(p.den, *p.ints) == 1
+    assert not p.ints or p.ints[-1] != 0
+
+
+row_rationals = st.one_of(st.sampled_from([0, 1, -1]), rationals, st.fractions(max_denominator=10**6))
+coefficient_lists = st.lists(row_rationals, max_size=5)
+
+
+class TestSigmaPolyMatchesTheFractionReference:
+    # the integer row against the tuple of Fractions it replaced, operation
+    # by operation
+    @settings(max_examples=300)
+    @given(coefficient_lists, coefficient_lists, row_rationals, row_rationals)
+    def test_every_operation(self, a, b, c, x):
+        p, q, rp, rq = SigmaPoly(a), SigmaPoly(b), FractionPoly(a), FractionPoly(b)
+        results = [(p, rp), (q, rq), (p + q, rp + rq), (p - q, rp - rq), (p * q, rp * rq), (-p, -rp)]
+        results += [(p + c, rp + c), (c - p, c - rp), (p * c, rp * c), (c * p, c * rp), (p**2, rp**2)]
+        if c:
+            results.append((p / c, rp / c))
+        else:
+            for poly in (p, rp):
+                with pytest.raises(ZeroDivisionError):
+                    poly / c
+        for got, ref in results:
+            assert_reduced_row(got)
+            assert got.coeffs == ref.coeffs and all(type(v) is F for v in got.coeffs)
+            assert got.degree == ref.degree and got.is_monic() == ref.is_monic() and got.is_zero() == ref.is_zero()
+            assert got.to_strings() == ref.to_strings() and str(got) == str(ref)
+            assert [got.coeff(i) for i in range(-1, 7)] == [ref.coeff(i) for i in range(-1, 7)]
+            assert got(x) == ref(x) and type(got(x)) is F
+            assert (got == c) == (ref == c) and (got == rat_str(c)) == (ref == rat_str(c))
+        assert (p == q) == (rp == rq)
+        if p == q:
+            assert hash(p) == hash(q)
+
+    @pytest.mark.parametrize("divisor", [-3, F(-2, 5), "-7/4", 6])
+    def test_division_by_a_negative_or_positive_scalar(self, divisor):
+        p, ref = SigmaPoly([F(3, 4), -2, F(1, 6)]), FractionPoly([F(3, 4), -2, F(1, 6)])
+        assert_reduced_row(p / divisor)
+        assert (p / divisor).coeffs == (ref / divisor).coeffs
+
+    def test_the_constructors_make_reduced_rows(self):
+        for p in (SigmaPoly.zero(), SigmaPoly.one(), SigmaPoly.sigma(), SigmaPoly.const("-6/4"), SigmaPoly([F(2, 4), "3/6", 0])):
+            assert_reduced_row(p)
+        assert (SigmaPoly.zero().ints, SigmaPoly.zero().den) == ((), 1)
+        assert (SigmaPoly([F(1, 2), F(1, 3), 0]).ints, SigmaPoly([F(1, 2), F(1, 3)]).den) == ((3, 2), 6)
+        assert SigmaPoly.from_row([4, -6, 0, 0], -8) == SigmaPoly([F(-1, 2), F(3, 4)])
 
 
 class TestLogSeries:

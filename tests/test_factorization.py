@@ -300,7 +300,7 @@ class TestPreparedOperators:
         route_polynomial(Background.quasi_einstein(5, F(7, 3), F(-5, 7)), 48, "recursion")
         (lower,) = {id(rows): rows for rows in stored}.values()
         assert len(lower) == 48
-        assert all(den > 0 and gcd(den, *ints) == 1 for ints, den in lower)
+        assert all(p.den > 0 and gcd(p.den, *p.ints) == 1 and (not p.ints or p.ints[-1]) for p in lower)
 
     @pytest.mark.parametrize("k", [12, 24])
     def test_a_scattering_level_makes_at_most_two_products_per_unit_coefficient(self, monkeypatch, k):
@@ -360,8 +360,8 @@ FAULTS = {
     },
     "preparation: b1 * (1+eps)": mutate_preparation(lambda u, b1, c0, c1: (u, EPS * b1, c0, c1)),
     "preparation: c0 one order up": mutate_preparation(lambda u, b1, c0, c1: (u, b1, c0.mul_var(), c1)),
-    "row kernel: P read one coefficient late": mutate_kernel("_row", lambda w, ps, t: (w, ps[1:] + [([], 1)], t)),
-    "one-row division: lower rows one step stale": mutate_kernel("_divided", lambda z, den, lower: (z, den, lower[:-1])),
+    "row kernel: P read one coefficient late": mutate_kernel("_row", lambda w, ps, t: (w, ps[1:] + (SigmaPoly.zero(),), t)),
+    "one-row division: lower rows one step stale": mutate_kernel("_divided", lambda m, lower: (m, lower[:-1])),
     "solver: divisor * (1+eps)": mutate_solver(lambda div: lambda j: EPS * div(j)),
     "solver: divisor one level up": mutate_solver(lambda div: lambda j: div(j + 1)),
 }

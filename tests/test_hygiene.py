@@ -169,3 +169,31 @@ def test_the_scan_finds_an_unreferenced_definition():
         "b": ast.parse("import gjms.a as alias\ndef used(): return alias.Box\n"),
     }
     assert unreferenced(modules) == ["a.Box.read", "a.dead"]
+
+
+# SigmaPoly's integer row is read by its class and the series kernels only.
+ROW_ATTRIBUTES = {"ints", "den", "from_row"}
+ROW_MODULES = {"core", "series"}
+
+
+def row_reads(tree: ast.Module) -> list[str]:
+    """Attributes that read a SigmaPoly's integer row or build one from a row."""
+    found = [
+        (node.lineno, node.col_offset, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ROW_ATTRIBUTES
+    ]
+    return [f"{attr} (line {line})" for line, _, attr in sorted(found)]
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - ROW_MODULES))
+def test_the_integer_row_stays_in_core_and_series(name):
+    assert row_reads(MODULES[name]) == []
+
+
+def test_the_scan_finds_a_row_read():
+    tree = ast.parse(
+        "def f(p, q):\n    x = p.ints[0] * q.coeffs[0]\n    return SigmaPoly.from_row([x], p.den)\n"
+        "den, ints = 1, []\n"
+    )
+    assert row_reads(tree) == ["ints (line 2)", "from_row (line 3)", "den (line 3)"]
