@@ -196,7 +196,10 @@ class SigmaPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, str)):
-            other = _as_poly(other)
+            try:
+                other = _as_poly(other)
+            except ValueError:  # a string that is not a rational
+                return NotImplemented
         if not isinstance(other, SigmaPoly):
             return NotImplemented
         return self.ints == other.ints and self.den == other.den

@@ -295,9 +295,9 @@ class PolynomialOperator:
         ai, b0i, xi = (v.numerator * (e // v.denominator) for v in (a, b0, x))
         return ai, b0i, e, xi, self._den * e
 
-    def _row(self, weights: tuple, ps: Sequence[SigmaPoly], t: int) -> SigmaPoly:
-        """M_t, from P's rows p_(t-deg)..p_(t+1) brought over their lcm L;
-        before its reduction the row is over D*E*L."""
+    def _row(self, weights: tuple, ps: Sequence[SigmaPoly], t: int) -> tuple[list[int], int]:
+        """M_t as an unreduced int row over D*E*L, from P's rows
+        p_(t-deg)..p_(t+1) brought over their lcm L."""
         ai, b0i, e, xi, de = weights
         reach = min(t, len(self._u) - 1)
         window = ps[t - reach : t + 2]
@@ -312,13 +312,15 @@ class PolynomialOperator:
             if self._bc[i] and y.ints:
                 m = big // y.den
                 _add_product(row, [m * (e * (s * b + c0) + xi * c1) for b, c0, c1 in self._bc[i]], y.ints)
-        return SigmaPoly.from_row(row, de * big)
+        return row, de * big
 
-    def _divided(self, m: SigmaPoly, lower: list[SigmaPoly]) -> SigmaPoly:
-        """Row t of L*P, from M_t and L*P's rows 0..t-1 in lower."""
+    def _divided(self, m: tuple[list[int], int], lower: list[SigmaPoly]) -> SigmaPoly:
+        """Row t of L*P, reduced once, from M_t's unreduced row and L*P's
+        rows 0..t-1 in lower."""
+        ints, den = m
         terms = [(f, lower[-i]) for i, f in self._div if i <= len(lower)]
-        out = lcm(m.den, *(self._du * q.den for _, q in terms))
-        z = [v * (out // m.den) for v in m.ints]
+        out = lcm(den, *(self._du * q.den for _, q in terms))
+        z = [v * (out // den) for v in ints]
         for f, q in terms:
             g = f * (out // (self._du * q.den))
             z.extend([0] * (len(q.ints) - len(z)))
@@ -353,9 +355,9 @@ class PolynomialOperator:
         if lower is not None:
             if len(lower) != t:
                 raise AlgebraError(f"row {t} of L*P needs its {t} rows below, not {len(lower)}")
-            row = self._divided(row, lower)
-            lower.append(row)
-        return row
+            lower.append(self._divided(row, lower))
+            return lower[-1]
+        return SigmaPoly.from_row(*row)
 
 
 def solve_order_by_order(

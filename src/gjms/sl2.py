@@ -10,9 +10,16 @@ y^c x = x y^c - c (h + c - 1) y^(c-1) and h^b x = x (h+2)^b):
     x^a h^b y^c * h = x^a h^b (h + 2c) y^c
     x^a h^b y^c * x = x^(a+1) (h+2)^b y^c - c x^a h^b (h + c - 1) y^(c-1)
 
-Like monomials are merged after every letter, so the cost is polynomial in
-the word length (see Kassel, Quantum Groups, GTM 155, for the PBW reordering
-in U(sl2)).
+Rewriting starts after a word's longest PBW-ordered prefix, which is already
+a monomial.  Like monomials are merged after every letter, so the cost is
+polynomial in the word length (see Kassel, Quantum Groups, GTM 155, for the
+PBW reordering in U(sl2)).
+
+A polynomial is stored as SigmaPoly is: integer coefficients over one
+positive scale, canonical so that equal polynomials have equal data.  The
+closed forms above have integer coefficients, so the rewrite runs on ints and
+carries the scale through unchanged; a ``Fraction`` is made only when a
+caller reads ``terms``.
 
 Reading "mod Q" (= mod -4x) off a normal form means dropping every word that
 starts with x, which is why x comes first in the PBW order.
@@ -21,7 +28,7 @@ starts with x, which is why x comes first in the PBW order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Mapping
 
 from .core import AlgebraError, RatLike, positive_k, rat, signed_sum
@@ -36,9 +43,18 @@ _RANK = {"x": 0, "h": 1, "y": 2}
 
 
 class NcPoly:
-    """Noncommutative polynomial: a map from words over {x, h, y} to rationals."""
+    """Noncommutative polynomial: a map from words over {x, h, y} to rationals,
+    stored as integer coefficients over one scale: word w has coefficient
+    ``_nums[w] / _scale``.
 
-    __slots__ = ("terms",)
+    Canonical form: no zero entry, and ``_scale > 0`` sharing no factor with
+    every entry, so equal polynomials have equal data; zero is ({}, 1).  The
+    public constructor checks every letter and coefficient; arithmetic and
+    ``normal_form`` build their results through ``_reduced``, which trusts
+    its words.  ``terms`` makes one ``Fraction`` per word.
+    """
+
+    __slots__ = ("_nums", "_scale")
 
     def __init__(self, terms: Mapping[Word, RatLike] | Iterable[tuple[Word, RatLike]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -48,15 +64,30 @@ class NcPoly:
             for letter in word:
                 if letter not in _GENERATORS:
                     raise AlgebraError(f"unknown generator {letter!r}")
-            c = rat(c)
-            if c == 0:
-                continue
-            new = acc.get(word, Fraction(0)) + c
-            if new == 0:
-                acc.pop(word, None)
-            else:
-                acc[word] = new
-        self.terms: dict[Word, Fraction] = acc
+            acc[word] = acc.get(word, 0) + rat(c)
+        scale = lcm(*(c.denominator for c in acc.values()))
+        p = NcPoly._reduced(((w, c.numerator * (scale // c.denominator)) for w, c in acc.items()), scale)
+        self._nums, self._scale = p._nums, p._scale
+
+    @staticmethod
+    def _reduced(items: Iterable[tuple[Word, int]], scale: int) -> "NcPoly":
+        """The sum of the int terms over scale > 0, for words already checked:
+        like words merged, zeros dropped and one content gcd divided out."""
+        acc: dict[Word, int] = {}
+        for word, v in items:
+            acc[word] = acc.get(word, 0) + v
+        nums = {w: v for w, v in acc.items() if v}
+        g = gcd(scale, *nums.values())
+        if g != 1:
+            nums, scale = {w: v // g for w, v in nums.items()}, scale // g
+        p = object.__new__(NcPoly)
+        p._nums, p._scale = nums, scale
+        return p
+
+    @property
+    def terms(self) -> dict[Word, Fraction]:
+        """The nonzero coefficients, one Fraction per word (a fresh dict)."""
+        return {w: Fraction(v, self._scale) for w, v in self._nums.items()}
 
     # -- constructors -------------------------------------------------------
 
@@ -88,14 +119,15 @@ class NcPoly:
 
     def __add__(self, other: "NcPoly | RatLike") -> "NcPoly":
         other = _as_nc(other)
-        out = dict(self.terms)
-        items = list(out.items()) + list(other.terms.items())
-        return NcPoly(items)
+        scale = lcm(self._scale, other._scale)
+        fa, fb = scale // self._scale, scale // other._scale
+        items = [(w, fa * v) for w, v in self._nums.items()] + [(w, fb * v) for w, v in other._nums.items()]
+        return NcPoly._reduced(items, scale)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NcPoly":
-        return NcPoly({w: -c for w, c in self.terms.items()})
+        return NcPoly._reduced(((w, -v) for w, v in self._nums.items()), self._scale)
 
     def __sub__(self, other: "NcPoly | RatLike") -> "NcPoly":
         return self + (-_as_nc(other))
@@ -106,12 +138,9 @@ class NcPoly:
     def __mul__(self, other: "NcPoly | RatLike") -> "NcPoly":
         if not isinstance(other, NcPoly):
             c = rat(other)
-            return NcPoly({w: c * a for w, a in self.terms.items()})
-        items = []
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                items.append((w1 + w2, c1 * c2))
-        return NcPoly(items)
+            return NcPoly._reduced(((w, c.numerator * v) for w, v in self._nums.items()), c.denominator * self._scale)
+        items = [(w1 + w2, v1 * v2) for w1, v1 in self._nums.items() for w2, v2 in other._nums.items()]
+        return NcPoly._reduced(items, self._scale * other._scale)
 
     def __rmul__(self, other: RatLike) -> "NcPoly":
         return self * other
@@ -126,35 +155,42 @@ class NcPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, str)):
-            other = _as_nc(other)
+            try:
+                other = _as_nc(other)
+            except ValueError:  # a string that is not a rational
+                return NotImplemented
         if not isinstance(other, NcPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._scale == other._scale and self._nums == other._nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self._nums.items()), self._scale))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     # -- normal form -----------------------------------------------------
 
     def normal_form(self) -> "NcPoly":
         """Rewrite every word into PBW order x^a h^b y^c.
 
-        Each word is appended letter by letter to a map of exponent triples
-        (a, b, c), using the three closed forms in the module docstring:
-        ``*y`` raises c, ``*h`` gives x^a h^b (h + 2c) y^c, and ``*x`` gives
-        x^(a+1) (h+2)^b y^c - c x^a h^b (h + c - 1) y^(c-1).
+        Each word's longest PBW prefix is read as one exponent triple
+        (a, b, c), and its remaining letters are appended one at a time to a
+        map of triples with int coefficients, using the three closed forms in
+        the module docstring: ``*y`` raises c, ``*h`` gives x^a h^b (h + 2c)
+        y^c, and ``*x`` gives x^(a+1) (h+2)^b y^c - c x^a h^b (h + c - 1)
+        y^(c-1).  The rewrite has integer coefficients, so the scale carries
+        through.
         """
-        acc: dict[Pbw, Fraction] = {}
-        for word, coeff in self.terms.items():
-            prefix = {(0, 0, 0): coeff}
-            for letter in word:
+        acc: dict[Pbw, int] = {}
+        for word, coeff in self._nums.items():
+            n = _pbw_length(word)
+            prefix = {(word[:n].count("x"), word[:n].count("h"), word[:n].count("y")): coeff}
+            for letter in word[n:]:
                 prefix = _append(prefix, letter)
             for key, c in prefix.items():
                 acc[key] = acc.get(key, 0) + c
-        return NcPoly((("x",) * a + ("h",) * b + ("y",) * c, v) for (a, b, c), v in acc.items())
+        return NcPoly._reduced(((("x",) * a + ("h",) * b + ("y",) * c, v) for (a, b, c), v in acc.items()), self._scale)
 
     def substitute_h(self, value: RatLike) -> "NcPoly":
         """Replace the generator h by a scalar (valid on normal forms)."""
@@ -169,7 +205,8 @@ class NcPoly:
         return NcPoly(items)
 
     def __str__(self) -> str:
-        return signed_sum((self.terms[w], "*".join(w)) for w in sorted(self.terms, key=lambda w: (len(w), w)))
+        terms = self.terms
+        return signed_sum((terms[w], "*".join(w)) for w in sorted(terms, key=lambda w: (len(w), w)))
 
     def __repr__(self) -> str:
         return f"NcPoly({self})"
@@ -178,35 +215,49 @@ class NcPoly:
 def _as_nc(value: "NcPoly | RatLike") -> NcPoly:
     if isinstance(value, NcPoly):
         return value
-    return NcPoly({(): rat(value)})
+    c = rat(value)
+    return NcPoly._reduced([((), c.numerator)], c.denominator)
+
+
+def _pbw_length(word: Word) -> int:
+    """Length of word's longest prefix whose letters are non-decreasing in
+    the PBW order x < h < y."""
+    for n in range(1, len(word)):
+        if _RANK[word[n - 1]] > _RANK[word[n]]:
+            return n
+    return len(word)
 
 
 def _is_pbw(word: Word) -> bool:
     """True iff the letters are non-decreasing in the PBW order x < h < y."""
-    return all(_RANK[a] <= _RANK[b] for a, b in zip(word, word[1:]))
+    return _pbw_length(word) == len(word)
 
 
-def _append(terms: dict[Pbw, Fraction], letter: str) -> dict[Pbw, Fraction]:
-    """(sum of coeff * x^a h^b y^c) * letter, again as PBW exponent triples."""
-    out: dict[Pbw, Fraction] = {}
-
-    def add(key: Pbw, c: Fraction) -> None:
-        out[key] = out.get(key, 0) + c
-
-    for (a, b, c), coeff in terms.items():
-        if letter == "y":
-            add((a, b, c + 1), coeff)
-        elif letter == "h":
-            add((a, b + 1, c), coeff)
+def _append(terms: dict[Pbw, int], letter: str) -> dict[Pbw, int]:
+    """(sum of coeff * x^a h^b y^c) * letter, again as PBW exponent triples
+    with int coefficients."""
+    if letter == "y":  # (a, b, c) -> (a, b, c + 1) merges nothing
+        return {(a, b, c + 1): v for (a, b, c), v in terms.items()}
+    out: dict[Pbw, int] = {}
+    get = out.get
+    if letter == "h":
+        for (a, b, c), v in terms.items():
+            key = (a, b + 1, c)
+            out[key] = get(key, 0) + v
             if c:
-                add((a, b, c), 2 * c * coeff)
-        else:
-            for j in range(b + 1):  # h^b x = x (h+2)^b
-                add((a + 1, j, c), comb(b, j) * 2 ** (b - j) * coeff)
-            if c:  # - c x^a h^b (h + c - 1) y^(c-1)
-                add((a, b + 1, c - 1), -c * coeff)
-                if c > 1:
-                    add((a, b, c - 1), -c * (c - 1) * coeff)
+                key = (a, b, c)
+                out[key] = get(key, 0) + 2 * c * v
+        return out
+    for (a, b, c), v in terms.items():
+        for j in range(b + 1):  # h^b x = x (h+2)^b
+            key = (a + 1, j, c)
+            out[key] = get(key, 0) + comb(b, j) * 2 ** (b - j) * v
+        if c:  # - c x^a h^b (h + c - 1) y^(c-1)
+            key = (a, b + 1, c - 1)
+            out[key] = get(key, 0) - c * v
+            if c > 1:
+                key = (a, b, c - 1)
+                out[key] = get(key, 0) - c * (c - 1) * v
     return out
 
 
@@ -251,17 +302,16 @@ def extract_Zk(k: int) -> NcPoly:
     """
     positive_k(k)
     x, y = NcPoly.x(), NcPoly.y()
-    lead = Fraction(-1) ** (k - 1) * factorial(k - 1) * falling_h_product(k)
-    remainder = (y ** (k - 1) * x ** (k - 1) - lead).normal_form()
-    items = []
-    for word, c in remainder.terms.items():
+    lead = (-1) ** (k - 1) * factorial(k - 1) * falling_h_product(k)
+    expr = y ** (k - 1) * x ** (k - 1) - lead
+    remainder = expr.normal_form()
+    for word in remainder._nums:
         if not word or word[0] != "x":
             raise AlgebraError(
                 f"remainder term {word} is not divisible by x; rewriting kernel broken"
             )
-        items.append((word[1:], c))
-    zk = NcPoly(items)
-    check = (y ** (k - 1) * x ** (k - 1) - lead - x * zk).normal_form()
+    zk = NcPoly._reduced(((w[1:], v) for w, v in remainder._nums.items()), remainder._scale)
+    check = (expr - x * zk).normal_form()
     if not check.is_zero():
         raise AlgebraError("extracted Z_k does not close the identity")
     return zk

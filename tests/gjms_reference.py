@@ -4,21 +4,22 @@ accessors by its own module, the radial operator on series with a log
 part (the log-ansatz check of the scattering expansion), the Green
 pairing computed as the full order-2k series product, the closed-form
 products as one SigmaPoly product per root, the two printers of exact
-sums written out separately, Miller's power recurrence on Fractions, and
-SigmaPoly as a tuple of Fractions."""
+sums written out separately, Miller's power recurrence on Fractions,
+SigmaPoly as a tuple of Fractions, and NcPoly as a dict of Fractions with
+its PBW rewrite on Fractions."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
-from typing import Iterable
+from math import comb, lcm
+from typing import Iterable, Mapping
 
 from gjms.backgrounds import WINDOW, Background
 from gjms.core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, rat, rat_str, signed_sum
 from gjms.scattering import GreensLogReport, ScatteringSolution, _ds_plain
 from gjms.series import RHO, R, PolynomialOperator, TruncatedSeries, _add_product, _integer_rows
-from gjms.sl2 import NcPoly
+from gjms.sl2 import NcPoly, Word
 
 
 class SecondOrderOperator:
@@ -415,3 +416,135 @@ def _as_fraction_poly(value: "FractionPoly | RatLike") -> FractionPoly:
     if isinstance(value, FractionPoly):
         return value
     return FractionPoly.const(rat(value))
+
+
+_NC_RANK = {"x": 0, "h": 1, "y": 2}
+
+
+class FractionNcPoly:
+    """NcPoly as a dict from words to nonzero Fractions, the reference for its
+    integer coefficients over one scale: every operation merges Fractions,
+    and the PBW rewrite appends every letter of a word, from the empty
+    prefix, with Fraction coefficients."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[Word, RatLike] | Iterable[tuple[Word, RatLike]] = ()):
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        acc: dict[Word, Fraction] = {}
+        for word, c in items:
+            word = tuple(word)
+            for letter in word:
+                if letter not in _NC_RANK:
+                    raise AlgebraError(f"unknown generator {letter!r}")
+            c = rat(c)
+            if c == 0:
+                continue
+            new = acc.get(word, Fraction(0)) + c
+            if new == 0:
+                acc.pop(word, None)
+            else:
+                acc[word] = new
+        self.terms: dict[Word, Fraction] = acc
+
+    @classmethod
+    def one(cls) -> "FractionNcPoly":
+        return cls({(): 1})
+
+    def __add__(self, other: "FractionNcPoly | RatLike") -> "FractionNcPoly":
+        other = _as_fraction_nc(other)
+        return FractionNcPoly(list(self.terms.items()) + list(other.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionNcPoly":
+        return FractionNcPoly({w: -c for w, c in self.terms.items()})
+
+    def __sub__(self, other: "FractionNcPoly | RatLike") -> "FractionNcPoly":
+        return self + (-_as_fraction_nc(other))
+
+    def __rsub__(self, other: RatLike) -> "FractionNcPoly":
+        return _as_fraction_nc(other) + (-self)
+
+    def __mul__(self, other: "FractionNcPoly | RatLike") -> "FractionNcPoly":
+        if not isinstance(other, FractionNcPoly):
+            c = rat(other)
+            return FractionNcPoly({w: c * a for w, a in self.terms.items()})
+        return FractionNcPoly(
+            (w1 + w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()
+        )
+
+    def __rmul__(self, other: RatLike) -> "FractionNcPoly":
+        return self * other
+
+    def __pow__(self, n: int) -> "FractionNcPoly":
+        if n < 0:
+            raise AlgebraError("negative power of a noncommutative polynomial")
+        out = FractionNcPoly.one()
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = _as_fraction_nc(other)
+        if not isinstance(other, FractionNcPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def normal_form(self) -> "FractionNcPoly":
+        acc: dict[tuple[int, int, int], Fraction] = {}
+        for word, coeff in self.terms.items():
+            prefix = {(0, 0, 0): coeff}
+            for letter in word:
+                prefix = _fraction_append(prefix, letter)
+            for key, c in prefix.items():
+                acc[key] = acc.get(key, 0) + c
+        return FractionNcPoly((("x",) * a + ("h",) * b + ("y",) * c, v) for (a, b, c), v in acc.items())
+
+    def substitute_h(self, value: RatLike) -> "FractionNcPoly":
+        val = rat(value)
+        items = []
+        for word, c in self.terms.items():
+            n_h = word.count("h")
+            if n_h and any(_NC_RANK[a] > _NC_RANK[b] for a, b in zip(word, word[1:])):
+                raise AlgebraError("h-substitution requires a PBW normal form")
+            items.append((tuple(letter for letter in word if letter != "h"), c * val**n_h))
+        return FractionNcPoly(items)
+
+    def __str__(self) -> str:
+        return signed_sum((self.terms[w], "*".join(w)) for w in sorted(self.terms, key=lambda w: (len(w), w)))
+
+
+def _as_fraction_nc(value: "FractionNcPoly | RatLike") -> FractionNcPoly:
+    return value if isinstance(value, FractionNcPoly) else FractionNcPoly({(): rat(value)})
+
+
+def _fraction_append(
+    terms: dict[tuple[int, int, int], Fraction], letter: str
+) -> dict[tuple[int, int, int], Fraction]:
+    """(sum of coeff * x^a h^b y^c) * letter: y^c h = (h + 2c) y^c,
+    y^c x = x y^c - c (h + c - 1) y^(c-1) and h^b x = x (h+2)^b."""
+    out: dict[tuple[int, int, int], Fraction] = {}
+
+    def add(key: tuple[int, int, int], c: Fraction) -> None:
+        out[key] = out.get(key, 0) + c
+
+    for (a, b, c), coeff in terms.items():
+        if letter == "y":
+            add((a, b, c + 1), coeff)
+        elif letter == "h":
+            add((a, b + 1, c), coeff)
+            if c:
+                add((a, b, c), 2 * c * coeff)
+        else:
+            for j in range(b + 1):
+                add((a + 1, j, c), comb(b, j) * 2 ** (b - j) * coeff)
+            if c:
+                add((a, b + 1, c - 1), -c * coeff)
+                if c > 1:
+                    add((a, b, c - 1), -c * (c - 1) * coeff)
+    return out

@@ -186,6 +186,13 @@ class TestSigmaPoly:
         assert p.to_strings() == ["105/4", "-11", "1"]
         assert SigmaPoly(p.to_strings()) == p
 
+    def test_comparison_with_a_string(self):
+        # a string that is not a rational compares unequal instead of raising
+        assert (SigmaPoly.sigma() == "sigma") is False and SigmaPoly.sigma() != "sigma"
+        assert SigmaPoly.one() not in [2, "a"]
+        assert SigmaPoly.const(F(1, 2)) == "1/2" and SigmaPoly.one() == " 1 " and SigmaPoly.zero() == "0/3"
+        assert SigmaPoly.one() != "1/0"
+
     def test_str(self):
         assert str(SigmaPoly([F(3, 4), 1])) == "sigma + 3/4"
         assert str(SigmaPoly([F(105, 4), -11, 1])) == "sigma^2 - 11*sigma + 105/4"

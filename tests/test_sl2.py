@@ -1,14 +1,14 @@
 import importlib.util
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjms.core import AlgebraError
+from gjms.core import AlgebraError, rat_str
 from gjms.sl2 import (
     NcPoly,
     _is_pbw,
@@ -18,7 +18,7 @@ from gjms.sl2 import (
     jacobi_defect,
     verify_commutator_identity,
 )
-from gjms_reference import nc_poly_str
+from gjms_reference import FractionNcPoly, nc_poly_str
 
 X, H, Y = NcPoly.x(), NcPoly.h(), NcPoly.y()
 
@@ -61,8 +61,40 @@ def random_ncpoly(rng: random.Random, max_len: int = 6, n_terms: int = 4) -> NcP
     items = []
     for _ in range(rng.randint(1, n_terms)):
         word = tuple(rng.choice("xhy") for _ in range(rng.randint(0, max_len)))
-        items.append((word, F(rng.randint(-5, 5))))
+        items.append((word, F(rng.randint(-5, 5), rng.randint(1, 6))))
     return NcPoly(items)
+
+
+def bench_workloads():
+    """benchmarks/workloads.py, loaded by path (benchmarks/ is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+nc_words = st.lists(st.sampled_from("xhy"), max_size=5).map(tuple)
+nc_coeffs = st.one_of(st.sampled_from([1, -1]), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@st.composite
+def nc_term_lists(draw, words=nc_words):
+    """(word, rational) pairs with mixed denominators, a few of them
+    cancelling an earlier pair."""
+    items = draw(st.lists(st.tuples(words, nc_coeffs), max_size=6))
+    if items:
+        items += [(w, -c) for w, c in draw(st.lists(st.sampled_from(items), max_size=3))]
+    return items
+
+
+def assert_canonical(p):
+    """p's terms are nonzero Fractions, and its data is the canonical
+    integer form: nonzero ints over a positive scale sharing no factor with
+    every entry."""
+    assert all(type(c) is F and c for c in p.terms.values())
+    assert all(type(v) is int and v for v in p._nums.values())
+    assert type(p._scale) is int and p._scale > 0 and gcd(p._scale, *p._nums.values()) == 1
 
 
 class TestRelations:
@@ -113,10 +145,17 @@ class TestRelations:
             assert random_order_normal_form(p, rng) == p.normal_form()
 
     @settings(max_examples=60)
-    @given(st.lists(st.sampled_from("xhy"), max_size=8), st.integers(0, 10**6))
-    def test_normal_form_matches_rule_rewriting(self, letters, seed):
-        p = NcPoly({tuple(letters): 1})
+    @given(nc_term_lists(st.lists(st.sampled_from("xhy"), max_size=8).map(tuple)), st.integers(0, 10**6))
+    def test_normal_form_matches_rule_rewriting(self, items, seed):
+        p = NcPoly(items)
         assert p.normal_form() == random_order_normal_form(p, random.Random(seed))
+
+    def test_comparison_with_a_string(self):
+        # a string that is not a rational compares unequal instead of raising
+        assert (X == "x") is False and X != "x"
+        assert X not in [1, "a"]
+        assert NcPoly({(): F(1, 2)}) == "1/2" and NcPoly.one() == " 1 " and NcPoly.zero() == "0/3"
+        assert NcPoly.one() != "1/0"
 
     @pytest.mark.parametrize("n", range(7))
     def test_append_formulas(self, n):
@@ -171,15 +210,46 @@ class TestZkExtraction:
         extract_Zk(k)
 
     def test_digests_match_the_benchmark_pins(self):
-        # benchmarks/ is not a package, so load workloads.py by path
-        path = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("bench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = bench_workloads()
         pins = workloads.Sl2Kernel.zk_sha256
         assert sorted(pins) == list(range(1, 7))
         for k, digest in pins.items():
             assert workloads.nc_digest(extract_Zk(k)) == digest, k
+
+    # nc_digest of Z_7 .. Z_12 as the Fraction implementation computed them,
+    # before NcPoly moved to integer coefficients over one scale
+    ZK_SHA256 = {
+        7: "d1d972ea34cff7708703aa7c22471d4c174bdeb0a46c7b2cb10a3b85c380cd68",
+        8: "c6b391400d39128e2ed0dae5d284c91045e49120fbf92d48d94a39543da09b25",
+        9: "567b0905558a040138fde369563e017f769439e29e5294bbec6fdfa76934e48e",
+        10: "5607a1568b5a3350d9190a609b12fc2e6f7a88ebad5339c9944f8d8bc54d5c61",
+        11: "035275d2cb30af051141108c58beb42e3e4edc7acbfbc50c1320cbb70aefe229",
+        12: "61ea18efff1f75c5eadb8acc5b44414391ba2b5e051fcebc45c652c74c4890eb",
+    }
+
+    @pytest.mark.parametrize("k", sorted(ZK_SHA256))
+    def test_digests_beyond_the_benchmark_pins(self, k):
+        assert bench_workloads().nc_digest(extract_Zk(k)) == self.ZK_SHA256[k]
+
+    def test_a_remainder_not_divisible_by_x_raises(self, monkeypatch):
+        # with no rewriting the remainder keeps the word y...yx...x
+        monkeypatch.setattr(NcPoly, "normal_form", lambda self: self)
+        with pytest.raises(AlgebraError, match="not divisible by x"):
+            extract_Zk(3)
+
+    def test_the_closure_check_runs_its_own_normal_form(self, monkeypatch):
+        calls = []
+        real = NcPoly.normal_form
+
+        def second_call_off_by_x(self):
+            calls.append(self)
+            out = real(self)
+            return out + X if len(calls) == 2 else out
+
+        monkeypatch.setattr(NcPoly, "normal_form", second_call_off_by_x)
+        with pytest.raises(AlgebraError, match="does not close the identity"):
+            extract_Zk(3)
+        assert len(calls) == 2
 
     def test_z1_z2(self):
         assert extract_Zk(1).is_zero()
@@ -205,3 +275,46 @@ class TestWeights:
         for k in range(1, 7):
             special = F(-1) ** (k - 1) * factorial(k - 1)
             assert 4 ** (k - 1) * factorial(k - 1) * special == iterated_vs_obstruction_constant(k)
+
+
+class TestNcPolyMatchesTheFractionReference:
+    # integer coefficients over one scale against the dict of Fractions they
+    # replaced, operation by operation
+    @settings(max_examples=200)
+    @given(nc_term_lists(), nc_term_lists(), st.one_of(st.just(0), nc_coeffs), st.integers(0, 3), nc_coeffs)
+    def test_every_operation(self, a, b, c, n, v):
+        p, q, rp, rq = NcPoly(a), NcPoly(b), FractionNcPoly(a), FractionNcPoly(b)
+        results = [(p, rp), (q, rq), (p + q, rp + rq), (p - q, rp - rq), (p * q, rp * rq), (-p, -rp)]
+        results += [(p + c, rp + c), (c - p, c - rp), (p * c, rp * c), (c * p, c * rp), (p * rat_str(c), rp * c)]
+        results += [(p**n, rp**n), (p.normal_form(), rp.normal_form()), (q.normal_form(), rq.normal_form())]
+        results.append((p.normal_form().substitute_h(v), rp.normal_form().substitute_h(v)))
+        for got, ref in results:
+            assert_canonical(got)
+            assert got.terms == ref.terms
+            assert str(got) == str(ref) == nc_poly_str(got)
+            assert got.is_zero() == (not ref.terms)
+            assert (got == c) == (ref == c) and (got == rat_str(c)) == (ref == c)
+        assert (p == q) == (rp == rq)
+        if p == q:
+            assert hash(p) == hash(q)
+        same = NcPoly(reversed(a))
+        assert same == p and hash(same) == hash(p)
+
+    @settings(max_examples=100)
+    @given(nc_term_lists(), nc_coeffs)
+    def test_substitute_h(self, a, v):
+        def outcome(poly):
+            try:
+                return poly.substitute_h(v).terms
+            except AlgebraError:
+                return "raises"
+
+        assert outcome(NcPoly(a)) == outcome(FractionNcPoly(a))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_commutator_words(self, k):
+        x, y, h = FractionNcPoly({("x",): 1}), FractionNcPoly({("y",): 1}), FractionNcPoly({("h",): 1})
+        ref = (y ** (k - 1) * x ** (k - 1) - F(1, k) * h**k).normal_form()
+        got = (Y ** (k - 1) * X ** (k - 1) - F(1, k) * H**k).normal_form()
+        assert_canonical(got)
+        assert got.terms == ref.terms
