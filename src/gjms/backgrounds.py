@@ -163,12 +163,7 @@ class Background:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "Background":
-        kind = data["kind"]
-        if kind == QUASI_EINSTEIN:
-            return cls.quasi_einstein(data["d"], data["m"], data["lambda"])
-        if kind == GOVER_LEITNER:
-            return cls.gover_leitner(data["d"], data["m"])
-        raise AlgebraError(f"unknown background kind {kind!r}")
+        return cls(data["kind"], data["d"], data["m"], data.get("lambda"))
 
 
 @dataclass(frozen=True)

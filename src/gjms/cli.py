@@ -30,7 +30,7 @@ from .ambient import (
     random_admissible_perturbation,
     ambient_laplacian,
 )
-from .backgrounds import Background, check_dimensions, verify_spaceform_conditions
+from .backgrounds import GOVER_LEITNER, QUASI_EINSTEIN, Background, check_dimensions, verify_spaceform_conditions
 from .core import AlgebraError, positive_k, rat, rat_str
 from .factorization import RouteReport, cross_route_report, route_polynomial
 from .scattering import greens_log_coefficient, log_normalization, scattering_solve
@@ -38,32 +38,25 @@ from .sl2 import extract_Zk, falling_h_product, jacobi_defect, verify_commutator
 
 ROUTE_CHOICES = ROUTES + ("all",)
 
+# The CLI's kind names; argparse offers its keys and Background takes its values.
+KINDS = {"qe": QUASI_EINSTEIN, "gl": GOVER_LEITNER}
+
 # Fixed matrix the verify command sweeps; chosen to cover both background
 # kinds, fractional m, lambda of both signs, the flat case, and an even d+m.
 VERIFY_MATRIX = (
-    Background.quasi_einstein(3, 2, 1),
-    Background.quasi_einstein(2, 2, Fraction(1, 6)),
-    Background.quasi_einstein(4, Fraction(1, 2), -1),
-    Background.quasi_einstein(3, 2, 0),
-    Background.gover_leitner(3, 2),
-    Background.gover_leitner(2, Fraction(1, 2)),
+    Background(QUASI_EINSTEIN, 3, 2, 1),
+    Background(QUASI_EINSTEIN, 2, 2, Fraction(1, 6)),
+    Background(QUASI_EINSTEIN, 4, Fraction(1, 2), -1),
+    Background(QUASI_EINSTEIN, 3, 2, 0),
+    Background(GOVER_LEITNER, 3, 2),
+    Background(GOVER_LEITNER, 2, Fraction(1, 2)),
 )
 
 GREEN_MATRIX = (
-    Background.quasi_einstein(3, 2, 1),
-    Background.quasi_einstein(2, 2, Fraction(1, 6)),
-    Background.gover_leitner(3, 2),
+    Background(QUASI_EINSTEIN, 3, 2, 1),
+    Background(QUASI_EINSTEIN, 2, 2, Fraction(1, 6)),
+    Background(GOVER_LEITNER, 3, 2),
 )
-
-
-def _parse_background(args: argparse.Namespace) -> Background:
-    if args.kind == "qe":
-        if args.lam is None:
-            raise AlgebraError("quasi-Einstein backgrounds require --lambda")
-        return Background.quasi_einstein(args.d, rat(args.m), rat(args.lam))
-    if args.lam is not None:
-        raise AlgebraError("Gover-Leitner backgrounds take no --lambda")
-    return Background.gover_leitner(args.d, rat(args.m))
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -73,7 +66,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     m = check_dimensions(args.d, args.m)
     for k in sorted(ks):
         check_k_restriction_dm(args.d + m, k, args.override)
-    bg = _parse_background(args)
+    bg = Background(KINDS[args.kind], args.d, m, args.lam)
     routes = ROUTES if args.route == "all" else (args.route,)
     try:
         results = [
@@ -101,9 +94,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_spaceform(args: argparse.Namespace) -> int:
-    report = verify_spaceform_conditions(
-        args.d, rat(args.m), rat(args.mu), rat(args.kappa), rat(args.f0)
-    )
+    report = verify_spaceform_conditions(args.d, args.m, args.mu, args.kappa, args.f0)
     if args.format == "json":
         sys.stdout.write(json.dumps(report.to_json()) + "\n")
     else:
@@ -113,14 +104,19 @@ def cmd_spaceform(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    # A grid skips invalid backgrounds, so the lambda rule is checked for the
+    # whole table, before any list is read.
+    qe = args.kind == "qe"
+    if qe != bool(args.lam):
+        raise AlgebraError("qe tables require --lambda" if qe else "gl tables take no --lambda")
     ds, ms = _int_list(args.d, "d must be an integer >= 2"), _rat_list(args.m)
     ks = [positive_k(k) for k in _int_list(args.k, "k must be a positive integer")]
-    lams = _rat_list(args.lam) if args.kind == "qe" else [None]
+    lams = _rat_list(args.lam) if qe else [None]
     grid = list(product(ds, ms, lams))
     backgrounds = []
     for d, m, lam in grid:
         try:
-            bg = Background.quasi_einstein(d, m, lam) if args.kind == "qe" else Background.gover_leitner(d, m)
+            bg = Background(KINDS[args.kind], d, m, lam)
         except AlgebraError:
             continue
         backgrounds.append(bg)
@@ -310,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="compute operator polynomials for one background")
-    comp.add_argument("kind", choices=("qe", "gl"))
+    comp.add_argument("kind", choices=KINDS)
     comp.add_argument("--d", type=int, required=True)
     comp.add_argument("--m", required=True)
     comp.add_argument("--lambda", dest="lam", default=None)
@@ -329,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(func=cmd_verify)
 
     tab = sub.add_parser("table", help="route-comparison table over a parameter grid")
-    tab.add_argument("kind", choices=("qe", "gl"))
+    tab.add_argument("kind", choices=KINDS)
     tab.add_argument("--d", required=True, help="comma-separated integers")
     tab.add_argument("--m", required=True, help="comma-separated rationals")
     tab.add_argument("--lambda", dest="lam", default="", help="comma-separated rationals (qe only)")
@@ -352,10 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "table" and args.kind == "qe" and not args.lam:
-        parser.error("qe tables require --lambda")
-    if args.command == "table" and args.kind == "gl" and args.lam:
-        parser.error("gl tables take no --lambda")
     try:
         return args.func(args)
     except ValueError as exc:  # AlgebraError is a ValueError

@@ -44,6 +44,20 @@ class TestConstruction:
         for bg in (QE, GL, Background.quasi_einstein(4, F(1, 2), F(-1, 3))) + VERIFY_MATRIX:
             assert Background.from_json(bg.to_json()) == bg
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            # a missing "lambda" is the constructor's error, not a KeyError
+            ({"kind": "quasi_einstein", "d": 3, "m": "2"}, "quasi-Einstein background needs lambda"),
+            # a stray "lambda" is rejected, not dropped
+            ({"kind": "gover_leitner", "d": 3, "m": "2", "lambda": "1"}, "Gover-Leitner background has no lambda"),
+            ({"kind": "bogus", "d": 3, "m": "2"}, "unknown background kind 'bogus'"),
+        ],
+    )
+    def test_from_json_raises_the_constructors_errors(self, data, message):
+        with pytest.raises(AlgebraError, match=f"^{message}$"):
+            Background.from_json(data)
+
     @pytest.mark.parametrize("d", [3.7, "3", F(7, 2), True])
     @pytest.mark.parametrize("kind", ["quasi_einstein", "gover_leitner"])
     def test_from_json_takes_d_as_given(self, kind, d):

@@ -20,6 +20,8 @@ CLI = [sys.executable, "-m", "gjms.cli"]
 GOLDEN_STDOUT = {
     ("verify", "all", "--kmax", "3"):
         "5860134351db2c3b72047a0999bfb83f17d5c578b6a752cd383c331d0e3a8110",
+    ("verify", "all", "--kmax", "5"):
+        "7253b7a0e9b02d44c76ec42cf7fc545b53f75e4ec6366a05319d56ebc3d50d9a",
     ("table", "qe", "--d", "3,4,5", "--m", "1,2", "--lambda=-1,1", "--k", "1,2,3"):
         "85c00b7ce423f978e61676774a4ebb6d5421b035d1d3d020124821e6c80d2c15",
     ("compute", "gl", "--d", "3", "--m", "2", "--kmax", "3", "--route", "all", "--format", "json"):
@@ -66,6 +68,11 @@ class TestCompute:
         res = run_cli("compute", "qe", "--d", "3", "--m", "2", "--k", "1")
         assert res.returncode == 2
         assert "lambda" in res.stderr
+
+    def test_stray_lambda_is_usage_error(self):
+        res = run_cli("compute", "gl", "--d", "3", "--m", "2", "--lambda", "1", "--k", "1")
+        assert res.returncode == 2
+        assert res.stderr == "error: Gover-Leitner background has no lambda\n"
 
     def test_restricted_k_is_usage_error(self):
         res = run_cli("compute", "qe", "--d", "4", "--m", "2", "--k", "4")
@@ -395,7 +402,9 @@ class TestRouteFailures:
 
 
 class TestGoldenOutput:
-    @pytest.mark.parametrize("args", list(GOLDEN_STDOUT), ids=lambda args: " ".join(args[:2]))
+    @pytest.mark.parametrize(
+        "args", list(GOLDEN_STDOUT), ids=lambda args: " ".join(args if args[0] == "verify" else args[:2])
+    )
     def test_stdout_digest(self, args):
         # bytes, not text: the csv writer ends rows with \r\n
         res = subprocess.run(CLI + list(args), capture_output=True)
@@ -476,8 +485,15 @@ class TestTable:
         assert cells[0]["all_agree"] is True
 
     def test_lambda_validation(self):
-        assert run_cli("table", "qe", "--d", "3", "--m", "2", "--k", "1").returncode == 2
-        assert run_cli("table", "gl", "--d", "3", "--m", "2", "--k", "1", "--lambda", "1").returncode == 2
+        for args, message in (
+            (("qe", "--d", "3", "--m", "2", "--k", "1"), "qe tables require --lambda"),
+            (("gl", "--d", "3", "--m", "2", "--k", "1", "--lambda", "1"), "gl tables take no --lambda"),
+            # the lambda rule is reported before a malformed list
+            (("qe", "--d", "x", "--m", "2", "--k", "0"), "qe tables require --lambda"),
+        ):
+            res = run_cli("table", *args)
+            assert res.returncode == 2
+            assert (res.stdout, res.stderr) == ("", f"error: {message}\n")
 
 
 class TestSpaceform:
