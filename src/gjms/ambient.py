@@ -182,24 +182,24 @@ def gjms_recursion(bg: Background, k: int) -> GjmsPolynomial:
     op = bg.prepared(RHO, _ambient_coefficients)
     rows: list[SigmaPoly] = []  # the residuals so far: rows 0, 1, ... of the image
 
-    def residual(jets: list[SigmaPoly], t: int) -> SigmaPoly:
-        return op.row(0, 0, w, TruncatedSeries(RHO, jets, len(jets) - 1), t, rows)
+    def residual(p: TruncatedSeries, t: int) -> SigmaPoly:
+        return op.row(0, 0, w, p, t, rows)
 
-    poly = residual(solve_order_by_order(residual, lambda j: 2 * j * (k - j), k - 1), k - 1)
+    poly = residual(solve_order_by_order(RHO, residual, lambda j: 2 * j * (k - j), k - 1), k - 1)
     return GjmsPolynomial(k, bg, "recursion", poly * (factorial(k - 1) / jet_normalization(k)))
 
 
 def _solve_extension_jets(bg: Background, w: Fraction, levels: int) -> TruncatedSeries:
-    """Jets a_0..a_levels making the ambient Laplacian vanish through order
-    levels-1, and a zero jet, as a series of order levels+1.  Raises
-    ObstructedWeight when the forced divisor 2j(k-j), k = w + (d+m)/2,
-    vanishes."""
+    """The solver's series of jets a_0..a_levels making the ambient Laplacian
+    vanish through order levels-1, at order levels+1 with a zero top jet.
+    Raises ObstructedWeight when the forced divisor 2j(k-j),
+    k = w + (d+m)/2, vanishes."""
     k = w + bg.dm / 2
 
-    def residual(jets: list[SigmaPoly], t: int) -> SigmaPoly:
-        return ambient_laplacian(bg, HomogeneousFunction(w, TruncatedSeries(RHO, jets, len(jets) - 1)), t)
+    def residual(profile: TruncatedSeries, t: int) -> SigmaPoly:
+        return ambient_laplacian(bg, HomogeneousFunction(w, profile), t)
 
-    return TruncatedSeries(RHO, solve_order_by_order(residual, lambda j: 2 * j * (k - j), levels), levels + 1)
+    return solve_order_by_order(RHO, residual, lambda j: 2 * j * (k - j), levels)
 
 
 def harmonic_extension(bg: Background, w: RatLike, order: int) -> HomogeneousFunction:

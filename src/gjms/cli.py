@@ -121,7 +121,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             continue
         backgrounds.append(bg)
     cells = [cross_route_report(bg, k) for bg, k in _cells(backgrounds, ks)]
-    if grid and ks and not cells:
+    if not cells:
         raise AlgebraError("no admissible cell: every background is invalid or every k exceeds (d+m)/2")
     status = 0 if all(cell.all_agree() for cell in cells) else 1
     if args.format == "json":
@@ -136,7 +136,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             if name in cell.routes:
                 row.append(" ".join(cell.routes[name].poly.to_strings()))
             else:
-                row.append(f"error: {cell.errors.get(name, 'unavailable')}")
+                row.append(f"error: {cell.errors[name]}")
         writer.writerow(row + [str(cell.all_agree()).lower()])
     return status
 

@@ -11,8 +11,8 @@ where s = (d+m)/2 + k, T is the r-picture drift trace and LF the sector
 scaling of the base Laplacian; ``Background.prepared`` builds it.  The
 expansion is solved order by order with divisor j(2k-j); the order-2k log
 coefficient reproduces the ambient operator up to the normalization d_k and
-a global sign.  The solver's jets are the SigmaPolys ``ScatteringSolution``
-keeps, and the log coefficient is the last row over 2k.
+a global sign.  ``ScatteringSolution`` keeps the solved series through order
+2k-1, and the log coefficient is row 2k-1 of that series' image over 2k.
 
 Sign pinning: the whole package uses the trace-convention weighted Laplacian
 (the one the ambient formula forces), under which the log coefficient comes
@@ -82,11 +82,9 @@ def scattering_solve(bg: Background, k: int) -> ScatteringSolution:
     coefficient at order 2k."""
     positive_k(k)
     s = bg.dm / 2 + k
-    v = solve_order_by_order(
-        lambda jets, t: _ds_plain(bg, s, TruncatedSeries(R, jets, len(jets) - 1), t), lambda j: j * (2 * k - j), 2 * k - 1
-    )
-    log = _ds_plain(bg, s, TruncatedSeries(R, v, 2 * k), 2 * k - 1)
-    return ScatteringSolution(k, s, bg, tuple(v[: 2 * k]), log / (2 * k))
+    v = solve_order_by_order(R, lambda p, t: _ds_plain(bg, s, p, t), lambda j: j * (2 * k - j), 2 * k - 1)
+    log = _ds_plain(bg, s, v, 2 * k - 1)
+    return ScatteringSolution(k, s, bg, v.coeffs[: 2 * k], log / (2 * k))
 
 
 def gjms_route_scattering(bg: Background, k: int) -> GjmsPolynomial:

@@ -361,26 +361,26 @@ class PolynomialOperator:
 
 
 def solve_order_by_order(
-    residual: Callable[[list[SigmaPoly], int], SigmaPoly], divisor: Callable[[int], Fraction | int], levels: int
-) -> list[SigmaPoly]:
-    """The jets a_0 = 1, a_1, ..., a_levels of a series solved level by
-    level, then a zero jet for a_(levels+1).
+    var: str, residual: Callable[[TruncatedSeries, int], SigmaPoly], divisor: Callable[[int], Fraction | int], levels: int
+) -> TruncatedSeries:
+    """The series in var of a_0 = 1, a_1, ..., a_levels solved level by
+    level, at order levels+1 with a zero top coefficient.
 
     Level j sets a_j = -residual(P, j-1) / divisor(j) on the integer row,
-    where P is the jets a_0..a_(j-1) and a zero jet for a_j, residual(P, t)
-    is row t of the operator's image of P, and divisor(j) is the factor the
+    where P is the order-j series of a_0..a_(j-1) and a zero a_j, whose
+    image's row t is residual(P, t), and divisor(j) is the factor the
     operator's principal part puts on a_j (the residual may include or omit
     that part; it sees a_j = 0).  A zero divisor raises ObstructedWeight(j).
 
     The solve has zeroed the image's rows 0..j-2 and u_0 = 1, so row j-1 of
     u*L*P is the residual: one ``PolynomialOperator.row`` a level, O(deg) int
-    row products.  The zero jet at the end lets one more call read the next.
+    row products.  The zero top coefficient lets one more call read the next.
     """
     jets = [SigmaPoly.one(), SigmaPoly.zero()]
     for j in range(1, levels + 1):
-        r, div = residual(jets, j - 1), divisor(j)
+        r, div = residual(TruncatedSeries(var, jets, j), j - 1), divisor(j)
         if not div:
             raise ObstructedWeight(j)
         jets[j] = SigmaPoly.from_row([-div.denominator * v for v in r.ints], div.numerator * r.den)
         jets.append(SigmaPoly.zero())
-    return jets
+    return TruncatedSeries(var, jets, levels + 1)

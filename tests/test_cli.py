@@ -434,13 +434,6 @@ class TestTable:
         assert len(lines) == 1 + 8
         assert all(line.endswith(",true") for line in lines[1:])
 
-    def test_empty_grid_prints_header_only(self):
-        res = run_cli("table", "gl", "--d", "3", "--m", "2", "--k", "")
-        assert res.returncode == 0
-        assert res.stdout.strip().splitlines() == [
-            "kind,d,m,lambda,k,factorization,iterated,recursion,obstruction,scattering,all_agree"
-        ]
-
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize(
         "grid",
@@ -448,8 +441,11 @@ class TestTable:
             ("qe", "--d", "1", "--m", "2", "--lambda", "1", "--k", "1"),  # no valid background
             ("qe", "--d", "3", "--m", "1", "--lambda=1", "--k", "3"),  # every k beyond (d+m)/2
             ("gl", "--d", "1,3", "--m", "1", "--k", "3"),  # both at once
+            ("qe", "--d", "3", "--m", "1", "--lambda=,", "--k", "1"),  # an empty list is an empty grid
+            ("gl", "--d", ",", "--m", "1", "--k", "1"),
+            ("gl", "--d", "3", "--m", "1", "--k", ","),
         ],
-        ids=("invalid", "restricted", "both"),
+        ids=("invalid", "restricted", "both", "no-lambda", "no-d", "no-k"),
     )
     def test_grid_without_an_admissible_cell_is_usage_error(self, grid, fmt, capsys):
         code = cli.main(["table", *grid, "--format", fmt])

@@ -106,14 +106,9 @@ def composed_second_order(a, b0, b1, c, p):
     return out
 
 
-def jet_series(var, jets):
-    """The series of a solver's jets, exact at order len(jets) - 1."""
-    return TruncatedSeries(var, jets, len(jets) - 1)
-
-
-def row_residual(apply, var):
+def row_residual(apply):
     """A solver residual from a series map: row t of apply(P)."""
-    return lambda jets, t: apply(jet_series(var, jets)).coeff(t)
+    return lambda p, t: apply(p).coeff(t)
 
 
 def full_order_solve(apply, divisor, levels, var):
@@ -384,9 +379,9 @@ class TestKernelsMatchReferences:
             def apply(p, weights=weights):
                 return op.apply(*weights, p)
 
-            solved = outcome(solve_order_by_order, row_residual(apply, RHO), divisor, levels)
+            solved = outcome(solve_order_by_order, RHO, row_residual(apply), divisor, levels)
             expected = outcome(full_order_solve, apply, divisor, levels, RHO)
-            assert (solved if isinstance(solved, int) else jet_series(RHO, solved)) == expected
+            assert solved == expected
 
 
 small_polys = st.lists(rationals, max_size=3).map(SigmaPoly)
@@ -562,15 +557,25 @@ class TestSecondOrderOperator:
     def test_solver_reproduces_the_exponential(self):
         # P' - P = 0 with a_0 = 1 forces a_j = a_(j-1) / j
         op = SecondOrderOperator(TruncatedSeries.zero(R, 8), TruncatedSeries.zero(R, 8), TruncatedSeries.constant(R, 1, 8))
-        sol = solve_order_by_order(row_residual(lambda p: op.apply(0, 1, -1, p), R), lambda j: j, 6)
-        assert len(sol) == 8
-        assert [a.coeff(0) for a in sol] == [F(1, factorial(j)) for j in range(7)] + [0]
+        seen = []
+
+        def residual(p, t):
+            seen.append(p)
+            return op.apply(0, 1, -1, p).coeff(t)
+
+        sol = solve_order_by_order(R, residual, lambda j: j, 6)
+        assert sol.var == R and sol.order == 7
+        assert [a.coeff(0) for a in sol.coeffs] == [F(1, factorial(j)) for j in range(7)] + [0]
+        # level j hands the residual the order-j series of a_0..a_(j-1) and a zero a_j
+        assert [p.order for p in seen] == list(range(1, 7))
+        for p in seen:
+            assert p.var == R and p.coeffs[-1].is_zero() and p.coeffs[:-1] == sol.coeffs[: p.order]
 
     def test_solver_raises_at_a_zero_divisor(self):
         zero = TruncatedSeries.zero(RHO, 8)
         op = SecondOrderOperator(zero, zero, zero)
         with pytest.raises(ObstructedWeight) as exc:
-            solve_order_by_order(row_residual(lambda p: op.apply(0, 1, 0, p), RHO), lambda j: j - 3, 6)
+            solve_order_by_order(RHO, row_residual(lambda p: op.apply(0, 1, 0, p)), lambda j: j - 3, 6)
         assert exc.value.level == 3
 
 
@@ -608,18 +613,19 @@ class TestPolynomialOperator:
             "obstruction": ("ambient", (-2, 2 * w + bg.dm - 2, w)),
             "scattering": ("radial", (-1, 2 * s - bg.dm - 1, s - bg.dm)),
         }[route]
-        solve, levels, var = series.solve_order_by_order, [], PREPARED[which][0]
+        solve, levels = series.solve_order_by_order, []
 
-        def checked(residual, divisor, top):
+        def checked(var, residual, divisor, top):
+            assert var == PREPARED[which][0]
             dense = dense_route_operator(bg, which, top)
 
             def read(p, t):
                 row = residual(p, t)
-                assert row == dense.apply(*weights, jet_series(var, p)).coeff(t)
+                assert row == dense.apply(*weights, p).coeff(t)
                 levels.append(t + 1)
                 return row
 
-            return solve(read, divisor, top)
+            return solve(var, read, divisor, top)
 
         with pytest.MonkeyPatch.context() as mp:
             for owner in (ambient, scattering):
@@ -675,8 +681,8 @@ class TestPolynomialOperator:
         # so one preparation serves a solve to any depth, one row a level
         u, zero = TruncatedSeries(R, [1, -1], 8), TruncatedSeries.zero(R, 8)
         op = PolynomialOperator(u, zero, zero, TruncatedSeries.constant(R, 1, 8))
-        sol = solve_order_by_order(lambda p, t: op.row(0, 1, -1, jet_series(R, p), t), lambda j: j, 40)
-        assert [a.coeff(0) for a in sol] == [F(1, factorial(j)) for j in range(41)] + [0]
+        sol = solve_order_by_order(R, lambda p, t: op.row(0, 1, -1, p, t), lambda j: j, 40)
+        assert [a.coeff(0) for a in sol.coeffs] == [F(1, factorial(j)) for j in range(41)] + [0]
 
     def test_a_row_of_u_times_the_image_needs_the_lower_rows_to_vanish(self):
         # P' - P over the unit 1 - v on P = 1: L*P = -1, so u*L*P = -1 + v.
