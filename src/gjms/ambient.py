@@ -27,13 +27,12 @@ one SigmaPoly scaling; how a SigmaPoly is stored is left to ``core`` and
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Any
 
 from .backgrounds import Background
-from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, positive_k, rat, rat_str
+from .core import AlgebraError, OrderShortfall, RatLike, Record, SigmaPoly, positive_k, rat, rat_str
 from .series import RHO, ObstructedWeight, TruncatedSeries, solve_order_by_order
 
 
@@ -46,35 +45,30 @@ ROUTES = ("factorization", "iterated", "recursion", "obstruction", "scattering")
 _MONIC_ROUTES = {"factorization", "iterated", "recursion", "scattering"}
 
 
-@dataclass(frozen=True)
-class HomogeneousFunction:
+class HomogeneousFunction(Record):
     """t^weight * (profile series in rho) on a fixed sector."""
 
-    weight: Fraction
-    profile: TruncatedSeries
+    __slots__ = _fields = ("weight", "profile")
 
-    def __post_init__(self):
-        if self.profile.var != RHO:
+    def __init__(self, weight: RatLike, profile: TruncatedSeries):
+        if profile.var != RHO:
             raise AlgebraError("homogeneous-function profiles live in rho")
-        object.__setattr__(self, "weight", rat(self.weight))
+        Record.__init__(self, rat(weight), profile)
 
 
-@dataclass(frozen=True)
-class GjmsPolynomial:
-    k: int
-    background: Background
-    route: str
-    poly: SigmaPoly
+class GjmsPolynomial(Record):
+    __slots__ = _fields = ("k", "background", "route", "poly")
 
-    def __post_init__(self):
-        if self.route not in ROUTES:
-            raise AlgebraError(f"unknown route {self.route!r}")
-        if self.route in _MONIC_ROUTES:
-            if self.poly.degree != self.k or not self.poly.is_monic():
+    def __init__(self, k: int, background: Background, route: str, poly: SigmaPoly):
+        if route not in ROUTES:
+            raise AlgebraError(f"unknown route {route!r}")
+        if route in _MONIC_ROUTES:
+            if poly.degree != k or not poly.is_monic():
                 raise AlgebraError(
-                    f"route {self.route} produced a non-monic degree-"
-                    f"{self.poly.degree} polynomial for k={self.k}"
+                    f"route {route} produced a non-monic degree-"
+                    f"{poly.degree} polynomial for k={k}"
                 )
+        Record.__init__(self, k, background, route, poly)
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -13,12 +13,10 @@ meaning d/dr there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Callable
 
-from .core import AlgebraError, RatLike, rat, rat_str
+from .core import AlgebraError, RatLike, Record, rat, rat_str
 from .series import R, RHO, PolynomialOperator, TruncatedSeries
 
 QUASI_EINSTEIN = "quasi_einstein"
@@ -43,26 +41,23 @@ def check_dimensions(d: int, m: RatLike) -> Fraction:
     return m
 
 
-@dataclass(frozen=True)
-class Background:
-    kind: str
-    d: int
-    m: Fraction
-    lam: Fraction | None = None
-    # (picture, formula) -> the operator prepared on this instance; outside
-    # ==, hash and repr, so equal backgrounds stay equal
-    _operators: dict[tuple, PolynomialOperator] = field(default_factory=dict, init=False, repr=False, compare=False)
+class Background(Record):
+    _fields = ("kind", "d", "m", "lam")
+    # dm = d + m, and (picture, formula) -> the operator prepared on this
+    # instance; both outside ==, hash and repr, so equal backgrounds stay equal
+    __slots__ = _fields + ("dm", "_operators")
 
-    def __post_init__(self):
-        if self.lam is not None:
-            object.__setattr__(self, "lam", rat(self.lam))
-        if self.kind not in (QUASI_EINSTEIN, GOVER_LEITNER):
-            raise AlgebraError(f"unknown background kind {self.kind!r}")
-        object.__setattr__(self, "m", check_dimensions(self.d, self.m))
-        if self.kind == QUASI_EINSTEIN and self.lam is None:
+    def __init__(self, kind: str, d: int, m: RatLike, lam: RatLike | None = None):
+        if lam is not None:
+            lam = rat(lam)
+        if kind not in (QUASI_EINSTEIN, GOVER_LEITNER):
+            raise AlgebraError(f"unknown background kind {kind!r}")
+        m = check_dimensions(d, m)
+        if kind == QUASI_EINSTEIN and lam is None:
             raise AlgebraError("quasi-Einstein background needs lambda")
-        if self.kind == GOVER_LEITNER and self.lam is not None:
+        if kind == GOVER_LEITNER and lam is not None:
             raise AlgebraError("Gover-Leitner background has no lambda")
+        Record.__init__(self, kind, d, m, lam, d + m, {})
 
     @classmethod
     def quasi_einstein(cls, d: int, m: RatLike, lam: RatLike) -> "Background":
@@ -71,10 +66,6 @@ class Background:
     @classmethod
     def gover_leitner(cls, d: int, m: RatLike) -> "Background":
         return cls(GOVER_LEITNER, d, m)
-
-    @cached_property
-    def dm(self) -> Fraction:
-        return self.d + self.m
 
     def prepared(self, picture: str, coefficients: Callable) -> PolynomialOperator:
         """The route operator a*v*P'' + (b0 + v*b1)*P' + (c0 + x*c1)*P in the
@@ -166,15 +157,13 @@ class Background:
         return cls(data["kind"], data["d"], data["m"], data.get("lambda"))
 
 
-@dataclass(frozen=True)
-class SpaceformReport:
+class SpaceformReport(Record):
     """Scalar weighted-curvature data for a constant-curvature, constant-f input."""
 
-    R_phi: Fraction
-    J_phi: Fraction
-    P_coeff: Fraction
-    is_quasi_einstein: bool
-    is_gover_leitner: bool
+    __slots__ = _fields = ("R_phi", "J_phi", "P_coeff", "is_quasi_einstein", "is_gover_leitner")
+
+    def __init__(self, R_phi: Fraction, J_phi: Fraction, P_coeff: Fraction, is_quasi_einstein: bool, is_gover_leitner: bool):
+        Record.__init__(self, R_phi, J_phi, P_coeff, is_quasi_einstein, is_gover_leitner)
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -12,7 +12,6 @@ import csv
 import json
 import random
 import sys
-import traceback
 from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, product
@@ -73,7 +72,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             route_polynomial(bg, k, route, args.override) for k in sorted(ks) for route in sorted(routes)
         ]
     except Exception as exc:  # the input was valid, so the route is at fault
-        traceback.print_exc(file=sys.stderr)
+        sys.__excepthook__(*sys.exc_info())  # the interpreter's own traceback printer
         sys.stderr.write(f"error: internal defect: {type(exc).__name__}: {exc}\n")
         return 1
     out = sys.stdout
@@ -173,7 +172,7 @@ def run_checks(checks: Iterable[tuple[str, Callable[[], bool | tuple[bool, str]]
             outcome = test()
             ok, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
         except Exception as exc:
-            traceback.print_exc(file=sys.stderr)
+            sys.__excepthook__(*sys.exc_info())  # the interpreter's own traceback printer
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         out.write(f"{'ok  ' if ok else 'FAIL'} {description}\n")
         if not ok:
@@ -297,7 +296,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="gjms",
         description="Exact construction and cross-verification of weighted GJMS operators "

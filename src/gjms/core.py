@@ -70,6 +70,51 @@ def positive_k(k: int) -> int:
     return k
 
 
+class Record:
+    """A frozen value record.
+
+    A subclass names its fields in ``_fields`` and lists them, then any
+    attribute kept outside ==, hash and repr, in ``__slots__``; its
+    ``__init__`` validates and coerces its arguments, then passes one value
+    per slot, in order, to ``Record.__init__``.  ``==`` holds between records
+    of one class with equal fields, and ``hash`` and ``repr`` read the fields
+    in the same order; assignment and deletion raise AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        # the default copy and unpickling set slots with setattr, which a record
+        # refuses; rebuild through __init__ instead
+        return type(self), self._values()
+
+
 class SigmaPoly:
     """Polynomial in sigma with exact rational coefficients, ascending order,
     stored as one integer row: coefficient i is ints[i] / den.

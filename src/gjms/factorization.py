@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Any
@@ -17,7 +16,7 @@ from .ambient import (
     obstruction,
 )
 from .backgrounds import QUASI_EINSTEIN, Background
-from .core import AlgebraError, RatLike, SigmaPoly, positive_k
+from .core import AlgebraError, RatLike, Record, SigmaPoly, positive_k
 from .scattering import gjms_route_scattering
 
 
@@ -53,8 +52,7 @@ def factorization_product(bg: Background, k: int) -> GjmsPolynomial:
     return gl_product(bg.d, bg.m, k)
 
 
-@dataclass(frozen=True)
-class RouteReport:
+class RouteReport(Record):
     """All routes for one (background, k) cell, with pairwise exact agreement.
 
     The obstruction entry is stored pre-multiplied by (-4)^(k-1) ((k-1)!)^2
@@ -63,11 +61,17 @@ class RouteReport:
     (iterated, obstruction) entry, so ``all_agree()`` implies it.
     """
 
-    background: Background
-    k: int
-    routes: dict[str, GjmsPolynomial]
-    errors: dict[str, str]
-    agreement: dict[tuple[str, str], bool]
+    __slots__ = _fields = ("background", "k", "routes", "errors", "agreement")
+
+    def __init__(
+        self,
+        background: Background,
+        k: int,
+        routes: dict[str, GjmsPolynomial],
+        errors: dict[str, str],
+        agreement: dict[tuple[str, str], bool],
+    ):
+        Record.__init__(self, background, k, routes, errors, agreement)
 
     @property
     def constant_check(self) -> bool | None:

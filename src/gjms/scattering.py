@@ -27,14 +27,13 @@ normalization v_0 = 1, not the solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Any
 
 from .ambient import GjmsPolynomial
 from .backgrounds import Background
-from .core import SigmaPoly, positive_k, rat_str
+from .core import Record, SigmaPoly, positive_k, rat_str
 from .series import R, TruncatedSeries, solve_order_by_order
 
 SCATTERING_SIGN = Fraction(-1)
@@ -45,13 +44,18 @@ def log_normalization(k: int) -> Fraction:
     return Fraction(1, 2 ** (2 * k - 1) * factorial(k) * factorial(k - 1))
 
 
-@dataclass(frozen=True)
-class ScatteringSolution:
-    k: int
-    s: Fraction
-    background: Background
-    v_coeffs: tuple[SigmaPoly, ...]  # v_0 = 1 through v_{2k-1}
-    log_coeff: SigmaPoly  # coefficient of r^{2k} log r
+class ScatteringSolution(Record):
+    __slots__ = _fields = ("k", "s", "background", "v_coeffs", "log_coeff")
+
+    def __init__(
+        self,
+        k: int,
+        s: Fraction,
+        background: Background,
+        v_coeffs: tuple[SigmaPoly, ...],  # v_0 = 1 through v_{2k-1}
+        log_coeff: SigmaPoly,  # coefficient of r^{2k} log r
+    ):
+        Record.__init__(self, k, s, background, v_coeffs, log_coeff)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -95,14 +99,14 @@ def gjms_route_scattering(bg: Background, k: int) -> GjmsPolynomial:
     return GjmsPolynomial(k, bg, "scattering", poly)
 
 
-@dataclass(frozen=True)
-class GreensLogReport:
+class GreensLogReport(Record):
     """Both sides of the log-coefficient identity, as multiples of the formal
     pairing A = integral of v^2 against the weighted volume."""
 
-    lp: SigmaPoly
-    rhs: SigmaPoly
-    match: bool
+    __slots__ = _fields = ("lp", "rhs", "match")
+
+    def __init__(self, lp: SigmaPoly, rhs: SigmaPoly, match: bool):
+        Record.__init__(self, lp, rhs, match)
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -12,6 +11,7 @@ import pytest
 from gjms import cli, factorization, scattering
 from gjms.ambient import GjmsPolynomial, beyond_paper_range
 from gjms.core import AlgebraError
+from gjms.scattering import ScatteringSolution
 
 CLI = [sys.executable, "-m", "gjms.cli"]
 
@@ -325,7 +325,7 @@ class TestVerifyFailures:
                 return sol
             v = list(sol.v_coeffs)
             v[5] = v[5] + 1
-            return dataclasses.replace(sol, v_coeffs=tuple(v))
+            return ScatteringSolution(sol.k, sol.s, sol.background, tuple(v), sol.log_coeff)
 
         monkeypatch.setattr(cli, "scattering_solve", surviving_v5)
         code = cli.main(["verify", "scattering", "--kmax", "3"])
@@ -562,3 +562,48 @@ class TestUsageErrors:
         )
         assert res.returncode == 0
         assert "." not in res.stdout
+
+
+class TestStartup:
+    """What one command costs before it computes: the modules an import
+    loads and the parser ``main`` builds."""
+
+    QE_K2 = ["compute", "qe", "--d", "3", "--m", "2", "--lambda", "1", "--k", "2"]
+
+    def test_import_loads_no_dataclasses_inspect_or_traceback(self):
+        code = "import sys, gjms, gjms.cli; print(' '.join(sorted(sys.modules)))"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        loaded = set(res.stdout.split())
+        assert {"gjms", "gjms.cli", "gjms.core"} <= loaded
+        assert loaded & {"dataclasses", "inspect", "traceback"} == set()
+
+    def test_a_route_defect_prints_its_traceback(self, monkeypatch, capsys):
+        monkeypatch.setattr(factorization, "gjms_recursion", TestRouteFailures.broken)
+        assert cli.main([*self.QE_K2, "--route", "recursion"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert "in broken\n" in err
+        assert err.endswith("AlgebraError: injected defect\nerror: internal defect: AlgebraError: injected defect\n")
+
+    def test_a_raising_check_prints_its_traceback(self, monkeypatch, capsys):
+        def raising(kmax, report, solve):
+            yield "lookup", lambda: {}["missing"]
+
+        monkeypatch.setitem(cli.SUITES, "green", raising)
+        assert cli.main(["verify", "green", "--kmax", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "FAIL lookup\n     KeyError: 'missing'\nsummary: 1 check(s) FAILED\n"
+        assert captured.err.startswith("Traceback (most recent call last):\n")
+        assert captured.err.endswith("KeyError: 'missing'\n")
+
+    def test_main_builds_the_parser_once(self, monkeypatch, capsys):
+        parsers, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: parsers.append(build()) or parsers[-1])
+        outs = []
+        for argv in ([*self.QE_K2, "--format", "json"], self.QE_K2, [*self.QE_K2, "--format", "json"]):
+            assert cli.main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert len(parsers) == 3 and parsers[0] is parsers[1] is parsers[2]
+        assert outs[0] == outs[2] and json.loads(outs[0])["poly_sigma"] == ["105/4", "-11", "1"]
+        assert outs[1] == "sigma^2 - 11*sigma + 105/4\n"
