@@ -1,13 +1,10 @@
 """Closed-form expansion data for the two model backgrounds.
 
-Both models deform the base metric and weight by factors that are constant on
-the base manifold, so on a fixed eigenfunction sector every geometric input
-reduces to a scalar series:
-
-  quasi-Einstein:  g(x,rho) = (1+lam*rho)^2 g(x),  f(x,rho) = (1+lam*rho) f(x)
-  Gover-Leitner:   g(x,rho) = (1-rho/2)^2  g(x),   f(x,rho) = 1 + rho/2
-
-The r picture is the rho picture composed with rho = -r^2/2, with primes
+Both models deform the base metric and weight by polynomial factors in rho
+that are constant on the base manifold, g(x,rho) = c(rho)^2 g(x) and
+f(x,rho) = q(rho) f(x), so on a fixed eigenfunction sector every geometric
+input reduces to a scalar series.  ``Background`` states each family's c and
+q.  The r picture is the rho picture composed with rho = -r^2/2, with primes
 meaning d/dr there.
 """
 
@@ -21,11 +18,6 @@ from .series import R, RHO, PolynomialOperator, TruncatedSeries
 
 QUASI_EINSTEIN = "quasi_einstein"
 GOVER_LEITNER = "gover_leitner"
-
-# The order at which ``Background.prepared`` reads T, LF and the unit.  Times
-# the unit, every coefficient is a polynomial of degree at most 3 in rho and
-# 6 in r; PolynomialOperator checks that the upper half of the window vanishes.
-WINDOW = {RHO: 8, R: 16}
 
 
 def check_dimensions(d: int, m: RatLike) -> Fraction:
@@ -43,21 +35,23 @@ def check_dimensions(d: int, m: RatLike) -> Fraction:
 
 class Background(Record):
     _fields = ("kind", "d", "m", "lam")
-    # dm = d + m, and (picture, formula) -> the operator prepared on this
-    # instance; both outside ==, hash and repr, so equal backgrounds stay equal
-    __slots__ = _fields + ("dm", "_operators")
+    # dm = d + m; c and q, the factors' rho-coefficients (constant term 1);
+    # and (picture, formula) -> the operator prepared on this instance: all
+    # outside ==, hash and repr, so equal backgrounds stay equal
+    __slots__ = _fields + ("dm", "c", "q", "_operators")
 
     def __init__(self, kind: str, d: int, m: RatLike, lam: RatLike | None = None):
-        if lam is not None:
-            lam = rat(lam)
         if kind not in (QUASI_EINSTEIN, GOVER_LEITNER):
             raise AlgebraError(f"unknown background kind {kind!r}")
+        if lam is not None:
+            lam = rat(lam)
         m = check_dimensions(d, m)
         if kind == QUASI_EINSTEIN and lam is None:
             raise AlgebraError("quasi-Einstein background needs lambda")
         if kind == GOVER_LEITNER and lam is not None:
             raise AlgebraError("Gover-Leitner background has no lambda")
-        Record.__init__(self, kind, d, m, lam, d + m, {})
+        c, q = ((1, lam), (1, lam)) if kind == QUASI_EINSTEIN else ((1, Fraction(-1, 2)), (1, Fraction(1, 2)))
+        Record.__init__(self, kind, d, m, lam, d + m, c, q, {})
 
     @classmethod
     def quasi_einstein(cls, d: int, m: RatLike, lam: RatLike) -> "Background":
@@ -72,14 +66,16 @@ class Background(Record):
         picture's variable v, with (b1, c0, c1) = coefficients(T, LF).
 
         T (``trace_term``), LF (``laplacian_factor``) and the unit u = c^2 q
-        are read once, at the picture's WINDOW; PolynomialOperator keeps u,
-        u*b1, u*c0 and u*c1 as integer polynomials.  Made once per instance
-        and key, and shared by every weight, order and level; an equal
-        Background prepares its own.
+        are read once, at order 2 deg(u) + 2: times u, each coefficient has
+        degree at most deg(u) + 1, and PolynomialOperator checks that the
+        upper deg(u) + 1 vanish and keeps u, u*b1, u*c0 and u*c1 as integer
+        polynomials.  Made once per instance and key, and shared by every
+        weight, order and level; an equal Background prepares its own.
         """
         key = (picture, coefficients)
         if key not in self._operators:
-            n = WINDOW[picture]
+            deg_u = (2 * (len(self.c) - 1) + len(self.q) - 1) * (2 if picture == R else 1)
+            n = 2 * deg_u + 2
             t, lf = self.trace_term(picture, n), self.laplacian_factor(picture, n)
             self._operators[key] = PolynomialOperator(self.unit(picture, n), *coefficients(t, lf))
         return self._operators[key]
@@ -91,16 +87,12 @@ class Background(Record):
 
     # -- model factors -----------------------------------------------------
     #
-    # conformal factor c: g_picture = c^2 * g;  weight factor q: f_picture = q * f.
-    # Both are 1 + shift*rho in the rho picture; the r picture substitutes
+    # c or q as a series in the picture's variable: the r picture substitutes
     # rho = -r^2/2.
 
     def _factor(self, which: str, picture: str, order: int) -> TruncatedSeries:
-        if self.kind == QUASI_EINSTEIN:
-            shift = self.lam
-        else:
-            shift = Fraction(-1, 2) if which == "c" else Fraction(1, 2)
-        factor = TruncatedSeries(RHO, [1, shift], 1)
+        coeffs = getattr(self, which)
+        factor = TruncatedSeries(RHO, coeffs, len(coeffs) - 1)
         if picture == R:
             factor = factor.substitute_rho()
         elif picture != RHO:

@@ -124,6 +124,8 @@ class SigmaPoly:
     the zero polynomial is ((), 1), of degree ``None``.  ``coeffs`` makes one
     ``Fraction`` per coefficient.  Arithmetic runs on the rows and reduces
     each result once (``from_row``); the series kernels read the rows too.
+    A constant equals, and hashes as, the Fraction it is; it also equals a
+    string naming that rational, but cannot share str's hash.
     """
 
     __slots__ = ("ints", "den")
@@ -250,7 +252,7 @@ class SigmaPoly:
         return self.ints == other.ints and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.ints, self.den))
+        return hash(self.coeff(0) if len(self.ints) < 2 else (self.ints, self.den))
 
     def to_strings(self) -> list[str]:
         """Ascending coefficient array of "p/q" strings."""

@@ -51,7 +51,9 @@ class NcPoly:
     every entry, so equal polynomials have equal data; zero is ({}, 1).  The
     public constructor checks every letter and coefficient; arithmetic and
     ``normal_form`` build their results through ``_reduced``, which trusts
-    its words.  ``terms`` makes one ``Fraction`` per word.
+    its words.  ``terms`` makes one ``Fraction`` per word.  A constant (the
+    empty word alone, or zero) equals, and hashes as, the Fraction it is; it
+    also equals a string naming that rational, but cannot share str's hash.
     """
 
     __slots__ = ("_nums", "_scale")
@@ -164,6 +166,8 @@ class NcPoly:
         return self._scale == other._scale and self._nums == other._nums
 
     def __hash__(self) -> int:
+        if self._nums.keys() <= {()}:
+            return hash(Fraction(self._nums.get((), 0), self._scale))
         return hash((frozenset(self._nums.items()), self._scale))
 
     def is_zero(self) -> bool:

@@ -15,7 +15,7 @@ from itertools import zip_longest
 from math import comb, lcm
 from typing import Iterable, Mapping
 
-from gjms.backgrounds import WINDOW, Background
+from gjms.backgrounds import Background
 from gjms.core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, rat, rat_str, signed_sum
 from gjms.scattering import GreensLogReport, ScatteringSolution, _ds_plain
 from gjms.series import RHO, R, PolynomialOperator, TruncatedSeries, _add_product, _integer_rows
@@ -106,16 +106,17 @@ def miller_rpow(s: TruncatedSeries, exponent: RatLike) -> TruncatedSeries:
 
 def ambient_operator(bg: Background) -> PolynomialOperator:
     """The rho-picture operator as the ambient module built it: the two
-    traces and LF read at its window, b1 = -(Gtr + 2 MF), c1 = Gtr/2 + MF."""
-    n = WINDOW[RHO]
+    traces and LF read at order 8, b1 = -(Gtr + 2 MF), c1 = Gtr/2 + MF."""
+    n = 8
     gtr, mf = bg.metric_trace(RHO, n), bg.measure_trace(RHO, n)
     lf = bg.laplacian_factor(RHO, n)
     return PolynomialOperator(bg.unit(RHO, n), -(gtr + 2 * mf), SigmaPoly.sigma() * lf, Fraction(1, 2) * gtr + mf)
 
 
 def radial_operator(bg: Background) -> PolynomialOperator:
-    """The r-picture operator as the scattering module built it."""
-    n = WINDOW[R]
+    """The r-picture operator as the scattering module built it, with T and
+    LF read at order 16."""
+    n = 16
     trace, lf = bg.trace_term(R, n), bg.laplacian_factor(R, n)
     return PolynomialOperator(bg.unit(R, n), -trace, -(SigmaPoly.sigma() * lf).mul_var(), trace)
 

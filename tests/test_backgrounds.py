@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction as F
 
@@ -12,6 +14,7 @@ from gjms.core import AlgebraError
 from gjms.factorization import cross_route_report
 from gjms.scattering import greens_log_coefficient, scattering_solve
 from gjms.series import R, RHO, TruncatedSeries
+from gjms_reference import ambient_operator, radial_operator
 
 QE = Background.quasi_einstein(3, 2, 1)
 GL = Background.gover_leitner(3, 2)
@@ -89,6 +92,71 @@ class TestConstruction:
         kind = "gover_leitner" if lam is None else "quasi_einstein"
         with pytest.raises(TypeError):
             Background(kind, 3, m, lam)
+
+
+class TestFactorData:
+    def test_each_kind_states_its_factor_coefficients(self):
+        assert QE.c == QE.q == (1, 1)
+        assert GL.c == (1, F(-1, 2)) and GL.q == (1, F(1, 2))
+        flat = Background.quasi_einstein(3, 2, 0)
+        assert flat.c == flat.q == (1, 0)
+        bg = Background.quasi_einstein(4, F(1, 2), "-1/3")
+        assert bg.c == bg.q == (1, F(-1, 3)) and type(bg.c[1]) is F
+
+    def test_factor_series_are_the_coefficients(self):
+        for bg in (QE, GL) + VERIFY_MATRIX:
+            for which in ("c", "q"):
+                got = bg._factor(which, RHO, 3)
+                assert got == TruncatedSeries(RHO, getattr(bg, which), 3)
+                # rho = -r^2/2
+                assert leading(bg._factor(which, R, 2), 2) == [1, 0, -getattr(bg, which)[1] / 2]
+
+    def test_factors_stay_outside_equality_hash_and_repr(self):
+        bg = Background.quasi_einstein(3, F(1, 2), 1)
+        twin = Background("quasi_einstein", 3, "1/2", F(1))
+        assert bg == twin and hash(bg) == hash(twin)
+        assert repr(bg) == "Background(kind='quasi_einstein', d=3, m=Fraction(1, 2), lam=Fraction(1, 1))"
+        assert repr(GL) == "Background(kind='gover_leitner', d=3, m=Fraction(2, 1), lam=None)"
+
+    def test_copies_and_pickles_rebuild_the_factors(self):
+        for bg in (QE, GL) + VERIFY_MATRIX:
+            for clone in (copy.copy(bg), copy.deepcopy(bg), pickle.loads(pickle.dumps(bg))):
+                assert clone == bg and (clone.c, clone.q) == (bg.c, bg.q)
+
+    def test_assigning_or_deleting_a_factor_raises(self):
+        for which in ("c", "q"):
+            with pytest.raises(AttributeError):
+                setattr(QE, which, (1, 2))
+            with pytest.raises(AttributeError):
+                delattr(QE, which)
+        assert QE.c == QE.q == (1, 1)
+
+    @pytest.mark.parametrize("bg", VERIFY_MATRIX, ids=lambda bg: bg.label())
+    def test_windows_follow_from_the_factor_degrees(self, monkeypatch, bg):
+        # deg u = 2 deg c + deg q is 3 in rho and 6 in r, and T, LF and the
+        # unit are read at order 2 deg u + 2
+        orders = Counter()
+        unit = Background.unit
+
+        def counted(self, picture, order):
+            orders[picture, order] += 1
+            return unit(self, picture, order)
+
+        monkeypatch.setattr(Background, "unit", counted)
+        fresh = copy.copy(bg)
+        ops = fresh.prepared(RHO, ambient._ambient_coefficients), fresh.prepared(R, scattering._radial_coefficients)
+        assert orders == {(RHO, 8): 1, (R, 14): 1}
+        # the same integer polynomials as the reference's, read at r order 16
+        for op, ref in zip(ops, (ambient_operator(bg), radial_operator(bg))):
+            for name in ("var", "_den", "_u", "_bc", "_du", "_div"):
+                assert getattr(op, name) == getattr(ref, name), name
+
+    @pytest.mark.parametrize("lam", ["x", "1/0"])
+    def test_an_unknown_kind_is_reported_before_its_lambda_is_read(self, lam):
+        with pytest.raises(AlgebraError, match="^unknown background kind 'bogus'$"):
+            Background("bogus", 3, 2, lam)
+        with pytest.raises(AlgebraError, match="^unknown background kind 'bogus'$"):
+            Background.from_json({"kind": "bogus", "d": 3, "m": "2", "lambda": lam})
 
 
 class TestExpansionData:
@@ -217,7 +285,7 @@ class TestStoredAccessors:
     @pytest.mark.parametrize("which", (0, 1), ids=("qe", "gl"))
     def test_each_accessor_is_read_once_per_operator(self, monkeypatch, which):
         # Background.prepared reads trace_term (so both traces), LF and the
-        # unit once per picture, at WINDOW, and a Green pairing reads
+        # unit once per picture, at its window, and a Green pairing reads
         # density_factor once
         bg = fresh_backgrounds()[which]
         calls = Counter()

@@ -188,6 +188,14 @@ class TestSigmaPoly:
         assert SigmaPoly.const(F(1, 2)) == "1/2" and SigmaPoly.one() == " 1 " and SigmaPoly.zero() == "0/3"
         assert SigmaPoly.one() != "1/0"
 
+    @pytest.mark.parametrize("c", [0, 1, -3, F(1, 2), F(-7, 4)])
+    def test_a_constant_hashes_as_the_number_it_equals(self, c):
+        p = SigmaPoly.const(c)
+        assert p == c and hash(p) == hash(c) == hash(F(c))
+        assert p in {c} and c in {p} and p in {F(c)} and F(c) in {p}
+        assert {c: "number"}[p] == "number" and {p: "constant"}[c] == "constant"
+        assert SigmaPoly([c, 1]) not in {c}
+
     def test_str(self):
         assert str(SigmaPoly([F(3, 4), 1])) == "sigma + 3/4"
         assert str(SigmaPoly([F(105, 4), -11, 1])) == "sigma^2 - 11*sigma + 105/4"

@@ -157,6 +157,15 @@ class TestRelations:
         assert NcPoly({(): F(1, 2)}) == "1/2" and NcPoly.one() == " 1 " and NcPoly.zero() == "0/3"
         assert NcPoly.one() != "1/0"
 
+    @pytest.mark.parametrize("c", [0, 1, -3, F(1, 2), F(-7, 4)])
+    def test_a_constant_hashes_as_the_number_it_equals(self, c):
+        p = NcPoly({(): c})
+        assert p == c and hash(p) == hash(c) == hash(F(c))
+        assert p in {c} and c in {p} and p in {F(c)} and F(c) in {p}
+        assert {c: "number"}[p] == "number" and {p: "constant"}[c] == "constant"
+        assert NcPoly.one() in {1} and NcPoly.zero() in {0}
+        assert NcPoly({(): c, ("h",): 1}) not in {c}
+
     @pytest.mark.parametrize("n", range(7))
     def test_append_formulas(self, n):
         # y^n h = (h + 2n) y^n,  y^n x = x y^n - n (h + n - 1) y^(n-1),  h^n x = x (h+2)^n
