@@ -19,7 +19,10 @@ A polynomial is stored as SigmaPoly is: integer coefficients over one
 positive scale, canonical so that equal polynomials have equal data.  The
 closed forms above have integer coefficients, so the rewrite runs on ints and
 carries the scale through unchanged; a ``Fraction`` is made only when a
-caller reads ``terms``.
+caller reads ``terms``.  The generators and the constants 0 and 1 are built
+once, at import, on the same trusted integer path as every result, and an int
+scalar enters through its own numerator and denominator, so the identities
+below make no ``Fraction``; the public constructor is for callers' input.
 
 Reading "mod Q" (= mod -4x) off a normal form means dropping every word that
 starts with x, which is why x comes first in the PBW order.
@@ -27,9 +30,9 @@ starts with x, which is why x comes first in the PBW order.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, Mapping
 
 from .core import AlgebraError, RatLike, positive_k, rat, signed_sum
 
@@ -49,11 +52,15 @@ class NcPoly:
 
     Canonical form: no zero entry, and ``_scale > 0`` sharing no factor with
     every entry, so equal polynomials have equal data; zero is ({}, 1).  The
-    public constructor checks every letter and coefficient; arithmetic and
-    ``normal_form`` build their results through ``_reduced``, which trusts
-    its words.  ``terms`` makes one ``Fraction`` per word.  A constant (the
-    empty word alone, or zero) equals, and hashes as, the Fraction it is; it
-    also equals a string naming that rational, but cannot share str's hash.
+    public constructor is for callers' input: it checks every letter and
+    coefficient.  Everything else is built through ``_reduced``, which trusts
+    its words: ``x()``, ``h()``, ``y()``, ``zero()`` and ``one()`` return
+    instances built once at import, and each operation reduces its result
+    once.  An int scalar (a bool too) enters as its own numerator and
+    denominator, with no ``Fraction``; ``terms`` makes one per word.  A
+    constant (the empty word alone, or zero) equals, and hashes as, the
+    Fraction it is; it also equals a string naming that rational, but cannot
+    share str's hash.
     """
 
     __slots__ = ("_nums", "_scale")
@@ -93,38 +100,37 @@ class NcPoly:
 
     # -- constructors -------------------------------------------------------
 
-    @classmethod
-    def zero(cls) -> "NcPoly":
-        return cls()
+    @staticmethod
+    def zero() -> "NcPoly":
+        return _ZERO
 
-    @classmethod
-    def one(cls) -> "NcPoly":
-        return cls({(): 1})
+    @staticmethod
+    def one() -> "NcPoly":
+        return _ONE
 
-    @classmethod
-    def gen(cls, letter: str) -> "NcPoly":
-        return cls({(letter,): 1})
+    @staticmethod
+    def x() -> "NcPoly":
+        return _X
 
-    @classmethod
-    def x(cls) -> "NcPoly":
-        return cls.gen("x")
+    @staticmethod
+    def h() -> "NcPoly":
+        return _H
 
-    @classmethod
-    def h(cls) -> "NcPoly":
-        return cls.gen("h")
-
-    @classmethod
-    def y(cls) -> "NcPoly":
-        return cls.gen("y")
+    @staticmethod
+    def y() -> "NcPoly":
+        return _Y
 
     # -- ring structure ------------------------------------------------------
 
-    def __add__(self, other: "NcPoly | RatLike") -> "NcPoly":
-        other = _as_nc(other)
+    def _combined(self, other: "NcPoly", sign: int) -> "NcPoly":
+        """self + sign * other, reduced once."""
         scale = lcm(self._scale, other._scale)
-        fa, fb = scale // self._scale, scale // other._scale
+        fa, fb = scale // self._scale, sign * (scale // other._scale)
         items = [(w, fa * v) for w, v in self._nums.items()] + [(w, fb * v) for w, v in other._nums.items()]
         return NcPoly._reduced(items, scale)
+
+    def __add__(self, other: "NcPoly | RatLike") -> "NcPoly":
+        return self._combined(_as_nc(other), 1)
 
     __radd__ = __add__
 
@@ -132,15 +138,15 @@ class NcPoly:
         return NcPoly._reduced(((w, -v) for w, v in self._nums.items()), self._scale)
 
     def __sub__(self, other: "NcPoly | RatLike") -> "NcPoly":
-        return self + (-_as_nc(other))
+        return self._combined(_as_nc(other), -1)
 
     def __rsub__(self, other: RatLike) -> "NcPoly":
-        return _as_nc(other) + (-self)
+        return _as_nc(other)._combined(self, -1)
 
     def __mul__(self, other: "NcPoly | RatLike") -> "NcPoly":
         if not isinstance(other, NcPoly):
-            c = rat(other)
-            return NcPoly._reduced(((w, c.numerator * v) for w, v in self._nums.items()), c.denominator * self._scale)
+            num, den = _num_den(other)
+            return NcPoly._reduced(((w, num * v) for w, v in self._nums.items()), den * self._scale)
         items = [(w1 + w2, v1 * v2) for w1, v1 in self._nums.items() for w2, v2 in other._nums.items()]
         return NcPoly._reduced(items, self._scale * other._scale)
 
@@ -150,8 +156,8 @@ class NcPoly:
     def __pow__(self, n: int) -> "NcPoly":
         if n < 0:
             raise AlgebraError("negative power of a noncommutative polynomial")
-        out = NcPoly.one()
-        for _ in range(n):
+        out = self if n else _ONE
+        for _ in range(n - 1):
             out = out * self
         return out
 
@@ -216,11 +222,22 @@ class NcPoly:
         return f"NcPoly({self})"
 
 
+_ZERO, _ONE = NcPoly._reduced((), 1), NcPoly._reduced([((), 1)], 1)
+_X, _H, _Y = (NcPoly._reduced([((g,), 1)], 1) for g in _GENERATORS)
+
+
+def _num_den(value: RatLike) -> tuple[int, int]:
+    """A scalar's numerator and denominator: an int (or bool) gives its own,
+    with no Fraction made; a Fraction or a rational string goes through rat."""
+    c = value if isinstance(value, int) else rat(value)
+    return c.numerator, c.denominator
+
+
 def _as_nc(value: "NcPoly | RatLike") -> NcPoly:
     if isinstance(value, NcPoly):
         return value
-    c = rat(value)
-    return NcPoly._reduced([((), c.numerator)], c.denominator)
+    num, den = _num_den(value)
+    return NcPoly._reduced([((), num)], den)
 
 
 def _pbw_length(word: Word) -> int:
@@ -271,9 +288,10 @@ def commutator(a: NcPoly, b: NcPoly) -> NcPoly:
 
 def falling_h_product(k: int) -> NcPoly:
     """h(h+1)...(h+k-2); the empty product (k = 1) is 1."""
-    out = NcPoly.one()
+    positive_k(k)
+    out = _ONE
     for i in range(k - 1):
-        out = out * (NcPoly.h() + i)
+        out = out * (_H + i)
     return out
 
 
@@ -284,7 +302,7 @@ def verify_commutator_identity(kind: str, k: int) -> tuple[bool, NcPoly]:
     LHS - RHS (zero iff the identity holds).
     """
     positive_k(k)
-    x, y, h = NcPoly.x(), NcPoly.y(), NcPoly.h()
+    x, y, h = _X, _Y, _H
     if kind == "yk_x":
         lhs = commutator(y**k, x)
         rhs = -k * y ** (k - 1) * (h - (k - 1))
@@ -305,7 +323,7 @@ def extract_Zk(k: int) -> NcPoly:
     broken.
     """
     positive_k(k)
-    x, y = NcPoly.x(), NcPoly.y()
+    x, y = _X, _Y
     lead = (-1) ** (k - 1) * factorial(k - 1) * falling_h_product(k)
     expr = y ** (k - 1) * x ** (k - 1) - lead
     remainder = expr.normal_form()
@@ -323,7 +341,7 @@ def extract_Zk(k: int) -> NcPoly:
 
 def jacobi_defect() -> NcPoly:
     """Normal form of [[x,y],h] + [[y,h],x] + [[h,x],y] (zero in any Lie algebra)."""
-    x, y, h = NcPoly.x(), NcPoly.y(), NcPoly.h()
+    x, y, h = _X, _Y, _H
     expr = (
         commutator(commutator(x, y), h)
         + commutator(commutator(y, h), x)

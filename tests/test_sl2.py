@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gjms.core import AlgebraError, rat_str
+from gjms.core import AlgebraError, rat, rat_str
 from gjms.sl2 import (
     NcPoly,
     _is_pbw,
@@ -76,6 +76,11 @@ def bench_workloads():
 
 nc_words = st.lists(st.sampled_from("xhy"), max_size=5).map(tuple)
 nc_coeffs = st.one_of(st.sampled_from([1, -1]), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+# every kind of scalar the arithmetic takes: ints far from +-1, bools, and
+# strings naming an integer as well as Fractions
+nc_scalars = st.one_of(
+    nc_coeffs, st.integers(-(10**6), 10**6), st.booleans(), st.integers(-(10**6), 10**6).map(str)
+)
 
 
 @st.composite
@@ -268,6 +273,11 @@ class TestZkExtraction:
         # hand reduction of y^2 x^2 gives x^2 y^2 - 4 x h y - 8 x y + 2h^2 + 2h
         assert extract_Zk(3) == X * Y * Y - 4 * H * Y - 8 * Y
 
+    @pytest.mark.parametrize("k", [0, -2, F(3, 2), True, 2.0])
+    def test_falling_h_product_takes_only_a_positive_integer_k(self, k):
+        with pytest.raises(AlgebraError, match="k must be a positive integer"):
+            falling_h_product(k)
+
     def test_leading_term_at_special_h(self):
         # h(h+1)...(h+k-2) at h = -(k-1) is (-1)^(k-1) (k-1)!
         for k in range(1, 7):
@@ -320,6 +330,64 @@ class TestNcPolyMatchesTheFractionReference:
 
         assert outcome(NcPoly(a)) == outcome(FractionNcPoly(a))
 
+    @settings(max_examples=200)
+    @given(nc_term_lists(), nc_scalars)
+    def test_every_kind_of_scalar(self, a, s):
+        p, rp, c = NcPoly(a), FractionNcPoly(a), rat(s)
+        results = [(p + s, rp + c), (s + p, c + rp), (p - s, rp - c), (s - p, c - rp)]
+        results += [(p * s, rp * c), (s * p, c * rp), (NcPoly({(): s}), FractionNcPoly({(): c}))]
+        for got, ref in results:
+            assert_canonical(got)
+            assert got.terms == ref.terms
+            assert str(got) == str(ref)
+            assert (got == s) == (ref == c)
+        assert (p == s) == (rp == c)
+
+    @settings(max_examples=60)
+    @given(nc_term_lists())
+    def test_a_power_is_the_product_of_its_copies(self, a):
+        p, product = NcPoly(a), NcPoly({(): 1})
+        for n in range(5):
+            assert_canonical(p**n)
+            assert p**n == product
+            assert (p**n).terms == (FractionNcPoly(a) ** n).terms
+            product = product * p
+        with pytest.raises(AlgebraError, match="negative power"):
+            p**-1
+
+    def test_generators_and_constants_are_built_once_and_canonical(self):
+        # the identities and Z_k read the shared instances and must leave them as built
+        for k in range(1, 6):
+            extract_Zk(k), verify_commutator_identity("yk_x", k), verify_commutator_identity("xk_y", k)
+        for make, terms in [
+            (NcPoly.x, {("x",): 1}),
+            (NcPoly.h, {("h",): 1}),
+            (NcPoly.y, {("y",): 1}),
+            (NcPoly.one, {(): 1}),
+            (NcPoly.zero, {}),
+        ]:
+            p, public = make(), NcPoly(terms)
+            assert p is make()
+            assert_canonical(p)
+            assert p == public and hash(p) == hash(public) and repr(p) == repr(public)
+            assert (p._nums, p._scale) == (public._nums, public._scale) == (terms, 1)
+
+    @settings(max_examples=60)
+    @given(nc_term_lists(), nc_term_lists(), nc_scalars, st.integers(0, 3))
+    def test_no_operation_changes_its_operands(self, a, b, s, n):
+        # x(), h(), y(), one() and zero() are shared by every caller
+        shared = [NcPoly.x(), NcPoly.h(), NcPoly.y(), NcPoly.one(), NcPoly.zero()]
+        operands = [NcPoly(a), NcPoly(b), *shared]
+        before = [(dict(o._nums), o._scale) for o in operands]
+        results = []
+        for u in operands:
+            for v in operands:
+                results += [u + v, u - v, u * v]
+            results += [u + s, s + u, u - s, s - u, u * s, s * u, u**n, -u]
+            results.append(u.normal_form().substitute_h(s))
+        assert all(isinstance(r, NcPoly) for r in results)
+        assert [(o._nums, o._scale) for o in operands] == before
+
     @pytest.mark.parametrize("k", range(1, 9))
     def test_commutator_words(self, k):
         x, y, h = FractionNcPoly({("x",): 1}), FractionNcPoly({("y",): 1}), FractionNcPoly({("h",): 1})
@@ -327,3 +395,29 @@ class TestNcPolyMatchesTheFractionReference:
         got = (Y ** (k - 1) * X ** (k - 1) - F(1, k) * H**k).normal_form()
         assert_canonical(got)
         assert got.terms == ref.terms
+
+
+class TestIntegerPath:
+    def test_the_identities_make_no_fraction_and_no_public_construction(self, monkeypatch):
+        counts = {"Fraction": 0, "NcPoly": 0}
+        real_new, real_init = F.__new__, NcPoly.__init__
+
+        def counting_new(cls, *args, **kwargs):
+            counts["Fraction"] += 1
+            return real_new(cls, *args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            counts["NcPoly"] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(NcPoly, "__init__", counting_init)
+        for k in range(1, 9):
+            for kind in ("yk_x", "xk_y"):
+                assert verify_commutator_identity(kind, k)[0]
+            extract_Zk(k)
+        seen = dict(counts)
+        NcPoly({("x",): F(1, 2)})  # the counters do count
+        monkeypatch.undo()
+        assert seen == {"Fraction": 0, "NcPoly": 0}
+        assert counts["Fraction"] >= 1 and counts["NcPoly"] == 1
