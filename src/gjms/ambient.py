@@ -203,6 +203,8 @@ def harmonic_extension(bg: Background, w: RatLike, order: int) -> HomogeneousFun
     Errors with the obstructed level when w + (d+m)/2 is an integer in
     1..order.
     """
+    if order < 0:
+        raise AlgebraError(f"harmonic extension order must be >= 0, not {order}")
     w = rat(w)
     return HomogeneousFunction(w, _solve_extension_jets(bg, w, order).truncate(order))
 

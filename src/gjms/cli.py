@@ -197,12 +197,12 @@ def sl2_checks(kmax: int, report, solve):
         # extract_Zk raises unless y^(k-1)x^(k-1) - lead - x Z_k reduces to 0
         return extract_Zk(k) is not None
 
-    def route_ratio(k: int) -> bool:
-        # h evaluated at -(k-1) turns the product into the iterated/obstruction ratio
-        val = falling_h_product(k).substitute_h(-(k - 1)).terms.get((), Fraction(0))
-        return val == Fraction(-1) ** (k - 1) * factorial(k - 1) and (
-            4 ** (k - 1) * factorial(k - 1) * val == iterated_vs_obstruction_constant(k)
-        )
+    def route_ratio(k: int) -> tuple[bool, str]:
+        # h evaluated at -(k-1) turns the product into the iterated/obstruction
+        # ratio; the whole polynomial must be that constant, so no word survives
+        val, lead = falling_h_product(k).substitute_h(-(k - 1)), (-1) ** (k - 1) * factorial(k - 1)
+        ok = val == lead and 4 ** (k - 1) * factorial(k - 1) * lead == iterated_vs_obstruction_constant(k)
+        return ok, f"h-product at h=-(k-1): {val}"
 
     for k in range(1, kmax + 1):
         for kind, label in (("yk_x", "[y^k,x] = -k y^(k-1)(h-k+1)"), ("xk_y", "[x^k,y] = k x^(k-1)(h+k-1)")):

@@ -269,7 +269,7 @@ class PolynomialOperator:
     check.
     """
 
-    __slots__ = ("var", "_den", "_du", "_u", "_bc", "_div")
+    __slots__ = ("var", "_den", "_u", "_bc")
 
     def __init__(self, u: TruncatedSeries, b1: TruncatedSeries, c0: TruncatedSeries, c1: TruncatedSeries):
         polys = [u] + [u * s for s in (b1, c0, c1)]
@@ -286,8 +286,6 @@ class PolynomialOperator:
         self._u = [r[0] if r else 0 for r in rows[:h]]
         # per u_i: ((u*b1)_i, (u*c0)_i, (u*c1)_i) as zipped triples of ints
         self._bc = [list(zip_longest(*r, fillvalue=0)) for r in zip(rows[h : 2 * h], rows[2 * h : 3 * h], rows[3 * h :])]
-        self._du, us = _integer_rows(u.coeffs[:h])
-        self._div = [(i, r[0]) for i, r in enumerate(us) if i and r]
 
     def _weights(self, a: Fraction | int, b0: Fraction | int, x: Fraction | int) -> tuple[int, ...]:
         """a*E, b0*E, E, x*E and D*E, E the lcm of a's, b0's and x's denominators."""
@@ -318,11 +316,11 @@ class PolynomialOperator:
         """Row t of L*P, reduced once, from M_t's unreduced row and L*P's
         rows 0..t-1 in lower."""
         ints, den = m
-        terms = [(f, lower[-i]) for i, f in self._div if i <= len(lower)]
-        out = lcm(den, *(self._du * q.den for _, q in terms))
+        terms = [(f, lower[-i]) for i, f in enumerate(self._u[1 : len(lower) + 1], 1) if f]
+        out = lcm(den, *(self._den * q.den for _, q in terms))
         z = [v * (out // den) for v in ints]
         for f, q in terms:
-            g = f * (out // (self._du * q.den))
+            g = f * (out // (self._den * q.den))
             z.extend([0] * (len(q.ints) - len(z)))
             for n, v in enumerate(q.ints):
                 z[n] -= g * v

@@ -22,7 +22,8 @@ carries the scale through unchanged; a ``Fraction`` is made only when a
 caller reads ``terms``.  The generators and the constants 0 and 1 are built
 once, at import, on the same trusted integer path as every result, and an int
 scalar enters through its own numerator and denominator, so the identities
-below make no ``Fraction``; the public constructor is for callers' input.
+below and ``substitute_h`` make no ``Fraction``; the public constructor is
+for callers' input only.
 
 Reading "mod Q" (= mod -4x) off a normal form means dropping every word that
 starts with x, which is why x comes first in the PBW order.
@@ -203,16 +204,18 @@ class NcPoly:
         return NcPoly._reduced(((("x",) * a + ("h",) * b + ("y",) * c, v) for (a, b, c), v in acc.items()), self._scale)
 
     def substitute_h(self, value: RatLike) -> "NcPoly":
-        """Replace the generator h by a scalar (valid on normal forms)."""
-        val = rat(value)
+        """Replace the generator h by a scalar (valid on normal forms), on the
+        integer path: with the scalar num/den, a word with n_h letters h gets
+        v*num^n_h*den^(top-n_h) over scale*den^top, top the largest n_h."""
+        num, den = _num_den(value)
+        top = max((word.count("h") for word in self._nums), default=0)
         items = []
-        for word, c in self.terms.items():
-            n_h = sum(1 for letter in word if letter == "h")
-            rest = tuple(letter for letter in word if letter != "h")
-            if n_h and not _is_pbw(word):
+        for word, v in self._nums.items():
+            n_h = word.count("h")
+            if n_h and _pbw_length(word) < len(word):
                 raise AlgebraError("h-substitution requires a PBW normal form")
-            items.append((rest, c * val**n_h))
-        return NcPoly(items)
+            items.append((tuple(g for g in word if g != "h"), v * num**n_h * den ** (top - n_h)))
+        return NcPoly._reduced(items, self._scale * den**top)
 
     def __str__(self) -> str:
         terms = self.terms
@@ -247,11 +250,6 @@ def _pbw_length(word: Word) -> int:
         if _RANK[word[n - 1]] > _RANK[word[n]]:
             return n
     return len(word)
-
-
-def _is_pbw(word: Word) -> bool:
-    """True iff the letters are non-decreasing in the PBW order x < h < y."""
-    return _pbw_length(word) == len(word)
 
 
 def _append(terms: dict[Pbw, int], letter: str) -> dict[Pbw, int]:

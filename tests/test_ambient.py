@@ -242,6 +242,17 @@ class TestHarmonicExtension:
                     harmonic_extension(bg, critical_weight(bg, k), 8)
                 assert exc.value.level == k
 
+    @pytest.mark.parametrize("order", [-1, -2])
+    def test_a_negative_order_is_named_before_any_solve(self, order):
+        # the message is about the argument, not about an internal series
+        with pytest.raises(AlgebraError, match=f"^harmonic extension order must be >= 0, not {order}$"):
+            harmonic_extension(QE, F(-13, 6), order)
+
+    def test_order_zero_is_the_bare_power(self):
+        ext = harmonic_extension(QE, F(-13, 6), 0)
+        assert ext.weight == F(-13, 6)
+        assert ext.profile == TruncatedSeries.constant(RHO, 1, 0)
+
 
 class TestObstructionRoute:
     def test_constant_values(self):

@@ -148,7 +148,7 @@ class TestFactorData:
         assert orders == {(RHO, 8): 1, (R, 14): 1}
         # the same integer polynomials as the reference's, read at r order 16
         for op, ref in zip(ops, (ambient_operator(bg), radial_operator(bg))):
-            for name in ("var", "_den", "_u", "_bc", "_du", "_div"):
+            for name in ("var", "_den", "_u", "_bc"):
                 assert getattr(op, name) == getattr(ref, name), name
 
     @pytest.mark.parametrize("lam", ["x", "1/0"])

@@ -12,6 +12,7 @@ from gjms import cli, factorization, scattering
 from gjms.ambient import GjmsPolynomial, beyond_paper_range
 from gjms.core import AlgebraError
 from gjms.scattering import ScatteringSolution
+from gjms.sl2 import NcPoly
 
 CLI = [sys.executable, "-m", "gjms.cli"]
 
@@ -331,6 +332,23 @@ class TestVerifyFailures:
         code = cli.main(["verify", "scattering", "--kmax", "3"])
         assert code == 1
         assert self.fail_lines(capsys.readouterr().out) == [f"FAIL odd radial coefficients vanish on {bg.label()} k=3"]
+
+    def test_a_word_left_by_the_substitution_fails_the_route_ratio(self, monkeypatch, capsys):
+        # the constant term alone is still right; the surviving word x must fail
+        real = NcPoly.substitute_h
+        monkeypatch.setattr(NcPoly, "substitute_h", lambda self, value: real(self, value) + NcPoly.x())
+        code = cli.main(["verify", "sl2", "--kmax", "3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert [line for line in out.splitlines() if not line.startswith("ok  ")] == [
+            "FAIL sl2 h-product at h=-(k-1) reproduces the route ratio at k=1",
+            "     h-product at h=-(k-1): 1 + x",
+            "FAIL sl2 h-product at h=-(k-1) reproduces the route ratio at k=2",
+            "     h-product at h=-(k-1): -1 + x",
+            "FAIL sl2 h-product at h=-(k-1) reproduces the route ratio at k=3",
+            "     h-product at h=-(k-1): 2 + x",
+            "summary: 3 check(s) FAILED",
+        ]
 
     def test_checker_reports_any_exception(self, capsys):
         out = io.StringIO()

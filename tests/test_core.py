@@ -606,7 +606,7 @@ class TestPolynomialOperator:
         # two traces: the same rationals, so the same integer polynomials
         for which, reference in (("ambient", ambient_operator), ("radial", radial_operator)):
             op, ref = bg.prepared(*PREPARED[which]), reference(bg)
-            for name in ("var", "_den", "_u", "_bc", "_du", "_div"):
+            for name in ("var", "_den", "_u", "_bc"):
                 assert getattr(op, name) == getattr(ref, name), (which, name)
 
     @settings(max_examples=30, deadline=None)

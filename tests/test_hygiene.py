@@ -114,7 +114,7 @@ def test_the_scan_finds_a_nested_import():
 UNREFERENCED_ALLOWED = {
     "backgrounds.Background.from_json": "the public inverse of to_json",
     "cli.entry": "the console script",
-    "series.TruncatedSeries.variable": "the benchmark tracer reads it",
+    "series.TruncatedSeries.variable": "benchmarks/test_tracer.py reads it",
 }
 
 
@@ -197,3 +197,29 @@ def test_the_scan_finds_a_row_read():
         "den, ints = 1, []\n"
     )
     assert row_reads(tree) == ["ints (line 2)", "from_row (line 3)", "den (line 3)"]
+
+
+def public_nc_constructions(tree: ast.Module) -> list[str]:
+    """Calls of the name ``NcPoly`` itself: the checked constructor for
+    callers' input.  ``NcPoly._reduced(...)`` and text naming NcPoly are not
+    such calls."""
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "NcPoly"
+    ]
+    return [f"NcPoly() (line {line})" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_library_code_calls_the_public_nc_constructor(name):
+    # the library builds every NcPoly on the trusted integer path
+    assert public_nc_constructions(MODULES[name]) == []
+
+
+def test_the_scan_finds_a_public_nc_construction():
+    tree = ast.parse(
+        "def f(items):\n    p = NcPoly(items)\n    return NcPoly._reduced(items, 1), f'NcPoly({p})'\n"
+        "q = NcPoly()\n"
+    )
+    assert public_nc_constructions(tree) == ["NcPoly() (line 2)", "NcPoly() (line 4)"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gjms.core import AlgebraError, rat, rat_str
 from gjms.sl2 import (
     NcPoly,
-    _is_pbw,
+    _pbw_length,
     commutator,
     extract_Zk,
     falling_h_product,
@@ -25,7 +25,7 @@ X, H, Y = NcPoly.x(), NcPoly.h(), NcPoly.y()
 
 def is_normal(p):
     """Every word of p is in PBW order x^a h^b y^c."""
-    return all(_is_pbw(w) for w in p.terms)
+    return all(_pbw_length(w) == len(w) for w in p.terms)
 
 # The sl(2) relations oriented toward the PBW order x < h < y, as a rewriting
 # system: word pair -> list of (replacement word, coefficient factor).
@@ -416,6 +416,8 @@ class TestIntegerPath:
             for kind in ("yk_x", "xk_y"):
                 assert verify_commutator_identity(kind, k)[0]
             extract_Zk(k)
+        for k in range(1, 13):  # the route-ratio sweep of `verify sl2 --kmax 12`
+            assert falling_h_product(k).substitute_h(-(k - 1)) == (-1) ** (k - 1) * factorial(k - 1)
         seen = dict(counts)
         NcPoly({("x",): F(1, 2)})  # the counters do count
         monkeypatch.undo()
