@@ -10,7 +10,8 @@ a*rho*P'' + (b0 + rho*b1)*P' + c*P with c = c0 + w*c1 and
 
 where T = (1/2) g^{ij} g'_{ij} + (m/f) f' is the rho-picture drift trace and
 LF the sector scaling of the base Laplacian; ``Background.prepared`` builds
-it.  The iterated, extension and obstruction constructions apply this map.
+it.  The iterated and extension constructions apply this map, and the
+obstruction route applies it once more to the extension it reads.
 The jet recursion applies the same operator without its principal part
 (a = b0 = 0), folded into the divisor 2j(k-j) instead, so it solves the
 obstruction route's jets: its polynomial is the raw obstruction polynomial
@@ -127,18 +128,13 @@ def ambient_laplacian(bg: Background, func: HomogeneousFunction, row: int | None
     return HomogeneousFunction(w - 2, op.apply(*args)) if row is None else op.row(*args, row)
 
 
-def _profile_from_perturbation(
-    bg: Background, k: int, perturbation: TruncatedSeries | None
-) -> TruncatedSeries:
-    if perturbation is None:
-        return TruncatedSeries.constant(RHO, 1, k)
-    if not perturbation.coeff(0).is_zero():
-        raise AlgebraError("a Q*H perturbation has no rho^0 coefficient")
-    if perturbation.order < k:
-        raise OrderShortfall(
-            f"perturbation valid to order {perturbation.order}; need order >= {k}"
-        )
-    return perturbation + 1
+def _count(value: int, name: str) -> int:
+    """Return value, or raise naming it unless it is an int >= 0, not a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise AlgebraError(f"{name} must be an integer >= 0, not {value!r}")
+    if value < 0:
+        raise AlgebraError(f"{name} must be >= 0, not {value}")
+    return value
 
 
 def iterate_at_weight(
@@ -150,7 +146,16 @@ def iterate_at_weight(
     """Apply the ambient Laplacian k times to t^w (1 + perturbation) and read
     the rho^0 coefficient.  Used both for the invariant weight and for the
     off-critical weights where the answer genuinely depends on the extension."""
-    func = HomogeneousFunction(rat(w), _profile_from_perturbation(bg, k, perturbation))
+    _count(k, "iteration count k")
+    if perturbation is None:
+        profile = TruncatedSeries.constant(RHO, 1, k)
+    elif not perturbation.coeff(0).is_zero():
+        raise AlgebraError("a Q*H perturbation has no rho^0 coefficient")
+    elif perturbation.order < k:
+        raise OrderShortfall(f"perturbation valid to order {perturbation.order}; need order >= {k}")
+    else:
+        profile = perturbation + 1
+    func = HomogeneousFunction(rat(w), profile)
     for _ in range(k):
         func = ambient_laplacian(bg, func)
     return func.profile.coeff(0)
@@ -183,39 +188,33 @@ def gjms_recursion(bg: Background, k: int) -> GjmsPolynomial:
     return GjmsPolynomial(k, bg, "recursion", poly * (factorial(k - 1) / jet_normalization(k)))
 
 
-def _solve_extension_jets(bg: Background, w: Fraction, levels: int) -> TruncatedSeries:
-    """The solver's series of jets a_0..a_levels making the ambient Laplacian
-    vanish through order levels-1, at order levels+1 with a zero top jet.
-    Raises ObstructedWeight when the forced divisor 2j(k-j),
-    k = w + (d+m)/2, vanishes."""
-    k = w + bg.dm / 2
-
-    def residual(profile: TruncatedSeries, t: int) -> SigmaPoly:
-        return ambient_laplacian(bg, HomogeneousFunction(w, profile), t)
-
-    return solve_order_by_order(RHO, residual, lambda j: 2 * j * (k - j), levels)
-
-
 def harmonic_extension(bg: Background, w: RatLike, order: int) -> HomogeneousFunction:
-    """Unique formal harmonic extension of t^w through the given order.
+    """Unique formal harmonic extension of t^w through the given order: the
+    jets a_0 = 1, a_1, ..., a_order solved level by level, level j dividing
+    by the forced factor 2j(k-j), k = w + (d+m)/2.
 
     The ambient Laplacian of the result has zero profile through order-1.
     Errors with the obstructed level when w + (d+m)/2 is an integer in
     1..order.
     """
-    if order < 0:
-        raise AlgebraError(f"harmonic extension order must be >= 0, not {order}")
+    _count(order, "harmonic extension order")
     w = rat(w)
-    return HomogeneousFunction(w, _solve_extension_jets(bg, w, order).truncate(order))
+    k = w + bg.dm / 2
+
+    def residual(profile: TruncatedSeries, t: int) -> SigmaPoly:
+        return ambient_laplacian(bg, HomogeneousFunction(w, profile), t)
+
+    jets = solve_order_by_order(RHO, residual, lambda j: 2 * j * (k - j), order)
+    return HomogeneousFunction(w, jets.truncate(order))
 
 
 def obstruction(bg: Background, k: int) -> GjmsPolynomial:
-    """Obstruction route: apply the ambient Laplacian once to the partial
-    harmonic extension and read the Q^(k-1) coefficient (rho^(k-1) over
-    2^(k-1), since Q = 2 rho t^2)."""
+    """Obstruction route: apply the ambient Laplacian once to the harmonic
+    extension through order k-1, whose jets past k-1 vanish, and read the
+    Q^(k-1) coefficient (rho^(k-1) over 2^(k-1), since Q = 2 rho t^2)."""
     positive_k(k)
-    w = critical_weight(bg, k)
-    image = ambient_laplacian(bg, HomogeneousFunction(w, _solve_extension_jets(bg, w, k - 1)), k - 1)
+    ext = harmonic_extension(bg, critical_weight(bg, k), k - 1)
+    image = ambient_laplacian(bg, HomogeneousFunction(ext.weight, ext.profile.as_exact(k)), k - 1)
     return GjmsPolynomial(k, bg, "obstruction", image / 2 ** (k - 1))
 
 

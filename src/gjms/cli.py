@@ -30,10 +30,10 @@ from .ambient import (
     ambient_laplacian,
 )
 from .backgrounds import GOVER_LEITNER, QUASI_EINSTEIN, Background, check_dimensions, verify_spaceform_conditions
-from .core import AlgebraError, positive_k, rat, rat_str
+from .core import AlgebraError, SigmaPoly, positive_k, rat, rat_str
 from .factorization import RouteReport, cross_route_report, route_polynomial
 from .scattering import greens_log_coefficient, log_normalization, scattering_solve
-from .sl2 import extract_Zk, falling_h_product, jacobi_defect, verify_commutator_identity
+from .sl2 import NcPoly, extract_Zk, falling_h_product, jacobi_defect, verify_commutator_identity
 
 ROUTE_CHOICES = ROUTES + ("all",)
 
@@ -207,10 +207,18 @@ def sl2_checks(kmax: int, report, solve):
     for k in range(1, kmax + 1):
         for kind, label in (("yk_x", "[y^k,x] = -k y^(k-1)(h-k+1)"), ("xk_y", "[x^k,y] = k x^(k-1)(h+k-1)")):
             yield f"sl2 {label} at k={k}", partial(identity, kind, k)
-    yield "sl2 Jacobi identity reduces to 0", lambda: jacobi_defect().is_zero()
+    yield "sl2 Jacobi identity reduces to 0", lambda: _first_nonzero([("Jacobi defect", jacobi_defect())])
     for k in range(1, kmax + 1):
         yield f"sl2 y^(k-1)x^(k-1) = (-1)^(k-1)(k-1)! h(h+1)..(h+k-2) + x Z_k at k={k}", partial(extracts, k)
         yield f"sl2 h-product at h=-(k-1) reproduces the route ratio at k={k}", partial(route_ratio, k)
+
+
+def _first_nonzero(named: Iterable[tuple[str, SigmaPoly | NcPoly]]) -> tuple[bool, str]:
+    """ok when every polynomial is zero; otherwise the first nonzero one, named."""
+    for name, poly in named:
+        if not poly.is_zero():
+            return False, f"{name}: {poly}"
+    return True, ""
 
 
 def _witness(report: RouteReport, names) -> str:
@@ -226,18 +234,20 @@ def ambient_checks(kmax: int, report, solve):
         cell = report(bg, k)
         return cell.all_agree(), _witness(cell, sorted(ROUTES))
 
-    def independent(bg: Background, k: int) -> bool | tuple[bool, str]:
+    def independent(bg: Background, k: int) -> tuple[bool, str]:
         cell = report(bg, k)
         if "iterated" in cell.errors:
             return False, _witness(cell, ("iterated",))
         base = cell.routes["iterated"].poly
-        return all(
-            gjms_iterated(bg, k, random_admissible_perturbation(rng, k + 2)).poly == base for _ in range(3)
-        )
+        for _ in range(3):
+            poly = gjms_iterated(bg, k, random_admissible_perturbation(rng, k + 2)).poly
+            if poly != base:
+                return False, f"perturbed: {poly}; unperturbed: {base}"
+        return True, ""
 
-    def closes(bg: Background) -> bool:
+    def closes(bg: Background) -> tuple[bool, str]:
         image = ambient_laplacian(bg, harmonic_extension(bg, critical_weight(bg, 1) + Fraction(1, 3), 4))
-        return all(image.profile.coeff(j).is_zero() for j in range(4))
+        return _first_nonzero((f"image rho^{j} coefficient", image.profile.coeff(j)) for j in range(4))
 
     for bg in VERIFY_MATRIX:
         for _, k in _cells((bg,), range(1, kmax + 1)):
@@ -247,18 +257,18 @@ def ambient_checks(kmax: int, report, solve):
 
 
 def scattering_checks(kmax: int, report, solve):
-    def odd_vanish(bg: Background, k: int) -> bool:
+    def odd_vanish(bg: Background, k: int) -> tuple[bool, str]:
         v = solve(bg, k).v_coeffs
-        return all(v[j].is_zero() for j in range(1, 2 * k, 2))
+        return _first_nonzero((f"v_{j}", v[j]) for j in range(1, 2 * k, 2))
 
     def equals_iterated(bg: Background, k: int) -> tuple[bool, str]:
         cell = report(bg, k)
         pair = ("iterated", "scattering")
         return cell.agreement.get(pair, False), _witness(cell, pair)
 
-    def monic(bg: Background, k: int) -> bool:
+    def monic(bg: Background, k: int) -> tuple[bool, str]:
         normalized = solve(bg, k).log_coeff / log_normalization(k)
-        return normalized.degree == k and abs(normalized.coeffs[-1]) == 1
+        return normalized.degree == k and abs(normalized.coeffs[-1]) == 1, f"log coefficient over d_k: {normalized}"
 
     for bg, k in _cells(VERIFY_MATRIX, range(1, kmax + 1)):
         yield f"odd radial coefficients vanish on {bg.label()} k={k}", partial(odd_vanish, bg, k)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gjms import ambient
 from gjms.ambient import (
     ROUTES,
     HomogeneousFunction,
@@ -254,6 +255,45 @@ class TestHarmonicExtension:
         assert ext.profile == TruncatedSeries.constant(RHO, 1, 0)
 
 
+class TestCounts:
+    """harmonic_extension's order and iterate_at_weight's k are counts: an
+    int >= 0, not a bool, checked and named before any operator runs."""
+
+    PERTURBATION = TruncatedSeries(RHO, [0, SIGMA, 1], 2)
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            (-1, "must be >= 0, not -1"),
+            (F(3, 2), "must be an integer >= 0, not Fraction(3, 2)"),
+            (2.0, "must be an integer >= 0, not 2.0"),
+            (True, "must be an integer >= 0, not True"),
+        ],
+        ids=["-1", "3/2", "2.0", "True"],
+    )
+    @pytest.mark.parametrize(
+        "construct, name",
+        [
+            (lambda n: harmonic_extension(QE, F(1, 3), n), "harmonic extension order"),
+            (lambda n: iterate_at_weight(QE, F(1, 3), n), "iteration count k"),
+            (lambda n: iterate_at_weight(QE, F(1, 3), n, TestCounts.PERTURBATION), "iteration count k"),
+        ],
+        ids=["harmonic_extension", "iterate_at_weight", "iterate_at_weight_perturbed"],
+    )
+    def test_a_bad_count_is_named_before_any_solve(self, construct, name, count, message, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("the ambient Laplacian ran")
+
+        monkeypatch.setattr(ambient, "ambient_laplacian", no_solve)
+        with pytest.raises(AlgebraError) as exc:
+            construct(count)
+        assert str(exc.value) == f"{name} {message}"
+
+    @pytest.mark.parametrize("perturbation", [None, PERTURBATION], ids=["bare", "perturbed"])
+    def test_zero_applications_read_the_constant_term(self, perturbation):
+        assert iterate_at_weight(QE, F(1, 3), 0, perturbation) == SigmaPoly.one()
+
+
 class TestObstructionRoute:
     def test_constant_values(self):
         assert iterated_vs_obstruction_constant(1) == 1
@@ -270,3 +310,22 @@ class TestObstructionRoute:
 
     def test_k1_obstruction_equals_iterated(self):
         assert obstruction(QE, 1).poly == gjms_iterated(QE, 1).poly
+
+    def test_the_route_reads_the_harmonic_extension(self, monkeypatch):
+        # a wrong jet a_1 in the extension must reach the obstruction route,
+        # and must not reach the iterated route, which solves no jet
+        real = ambient.harmonic_extension
+
+        def scaled_a1(bg, w, order):
+            ext = real(bg, w, order)
+            jets = list(ext.profile.coeffs)
+            jets[1] = jets[1] * F(1001, 1000)
+            return HomogeneousFunction(ext.weight, TruncatedSeries(RHO, jets, ext.profile.order))
+
+        cells = [(bg, k) for bg in (QE, GL) for k in (2, 3)]
+        before = [(obstruction(bg, k).poly, gjms_iterated(bg, k).poly) for bg, k in cells]
+        monkeypatch.setattr(ambient, "harmonic_extension", scaled_a1)
+        after = [(obstruction(bg, k).poly, gjms_iterated(bg, k).poly) for bg, k in cells]
+        for (obs, it), (obs_after, it_after) in zip(before, after):
+            assert obs_after != obs
+            assert it_after == it

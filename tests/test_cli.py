@@ -9,9 +9,10 @@ from functools import cache
 import pytest
 
 from gjms import cli, factorization, scattering
-from gjms.ambient import GjmsPolynomial, beyond_paper_range
+from gjms.ambient import GjmsPolynomial, HomogeneousFunction, beyond_paper_range
 from gjms.core import AlgebraError
 from gjms.scattering import ScatteringSolution
+from gjms.series import RHO, TruncatedSeries
 from gjms.sl2 import NcPoly
 
 CLI = [sys.executable, "-m", "gjms.cli"]
@@ -349,6 +350,65 @@ class TestVerifyFailures:
             "     h-product at h=-(k-1): 2 + x",
             "summary: 3 check(s) FAILED",
         ]
+
+    @staticmethod
+    def witnessed(out: str, fail: str) -> str:
+        """The line under the FAIL line for the first failing cell of a check."""
+        lines = out.splitlines()
+        return lines[lines.index(fail) + 1]
+
+    def test_a_jacobi_defect_is_the_witness(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "jacobi_defect", NcPoly.x)
+        assert cli.main(["verify", "sl2", "--kmax", "1"]) == 1
+        out = capsys.readouterr().out
+        assert self.witnessed(out, "FAIL sl2 Jacobi identity reduces to 0") == "     Jacobi defect: x"
+
+    def test_a_perturbed_iteration_that_differs_is_the_witness(self, monkeypatch, capsys):
+        real = cli.gjms_iterated
+
+        def moved_by_a_perturbation(bg, k, perturbation=None):
+            g = real(bg, k)
+            return g if perturbation is None else GjmsPolynomial(k, bg, "iterated", g.poly + 1)
+
+        monkeypatch.setattr(cli, "gjms_iterated", moved_by_a_perturbation)
+        assert cli.main(["verify", "ambient", "--kmax", "1"]) == 1
+        out = capsys.readouterr().out
+        assert self.witnessed(out, "FAIL extension independence on QE(d=3, m=2, lambda=1) k=1") == \
+            "     perturbed: sigma - 13/2; unperturbed: sigma - 15/2"
+
+    def test_an_open_extension_names_its_first_nonzero_coefficient(self, monkeypatch, capsys):
+        # the bare power t^w: its image's rho^0 coefficient is sigma + lam*w*(d+m),
+        # w = -7/6 on QE(3, 2, 1)
+        def bare_power(bg, w, order):
+            return HomogeneousFunction(w, TruncatedSeries.constant(RHO, 1, order))
+
+        monkeypatch.setattr(cli, "harmonic_extension", bare_power)
+        assert cli.main(["verify", "ambient", "--kmax", "1"]) == 1
+        out = capsys.readouterr().out
+        assert self.witnessed(out, "FAIL harmonic extension closes to order 3 on QE(d=3, m=2, lambda=1)") == \
+            "     image rho^0 coefficient: sigma - 35/6"
+
+    def test_the_first_nonzero_odd_radial_coefficient_is_the_witness(self, monkeypatch, capsys):
+        real, bg = cli.scattering_solve, cli.VERIFY_MATRIX[0]
+
+        def surviving_v3_v5(cell, k):
+            sol = real(cell, k)
+            v = list(sol.v_coeffs)
+            v[3], v[5] = v[3] + 1, v[5] + 1
+            return ScatteringSolution(sol.k, sol.s, sol.background, tuple(v), sol.log_coeff)
+
+        monkeypatch.setattr(cli, "scattering_solve", surviving_v3_v5)
+        assert cli.main(["verify", "scattering", "--kmax", "3"]) == 1
+        out = capsys.readouterr().out
+        assert self.witnessed(out, f"FAIL odd radial coefficients vanish on {bg.label()} k=3") == "     v_3: 1"
+
+    def test_a_non_monic_log_coefficient_is_the_witness(self, monkeypatch, capsys):
+        real = cli.log_normalization
+        monkeypatch.setattr(cli, "log_normalization", lambda k: 2 * real(k))
+        assert cli.main(["verify", "scattering", "--kmax", "1"]) == 1
+        out = capsys.readouterr().out
+        fail = "FAIL log coefficient over d_k is +/-monic degree 1 on QE(d=3, m=2, lambda=1)"
+        assert self.witnessed(out, fail) == "     log coefficient over d_k: -1/2*sigma + 15/4"
 
     def test_checker_reports_any_exception(self, capsys):
         out = io.StringIO()
