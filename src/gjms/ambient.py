@@ -27,7 +27,6 @@ one SigmaPoly scaling; how a SigmaPoly is stored is left to ``core`` and
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import factorial
 from typing import Any
@@ -118,13 +117,20 @@ def _ambient_coefficients(t: TruncatedSeries, lf: TruncatedSeries) -> tuple[Trun
     return -2 * t, SigmaPoly.sigma() * lf, t
 
 
+def _ambient_scalars(dm: Fraction, w: Fraction | int) -> tuple[int, Fraction, Fraction | int]:
+    """(a, b0, x) = (-2, 2w + d+m - 2, w), b0 made as one Fraction from the
+    numerators and denominators of d+m and w."""
+    n, e = dm.numerator, dm.denominator
+    return -2, Fraction(2 * w.numerator * e + (n - 2 * e) * w.denominator, w.denominator * e), w
+
+
 def ambient_laplacian(bg: Background, func: HomogeneousFunction, row: int | None = None) -> HomogeneousFunction | SigmaPoly:
     """One application of the ambient weighted Laplacian; weight drops by 2,
     the profile loses one valid order.  With a row, only the rho^row
     coefficient of u times the image's profile: the image's own when its
     lower rows vanish."""
     op, w = bg.prepared(RHO, _ambient_coefficients), func.weight
-    args = (-2, 2 * w + bg.dm - 2, w, func.profile)
+    args = (*_ambient_scalars(bg.dm, w), func.profile)
     return HomogeneousFunction(w - 2, op.apply(*args)) if row is None else op.row(*args, row)
 
 
@@ -200,11 +206,12 @@ def harmonic_extension(bg: Background, w: RatLike, order: int) -> HomogeneousFun
     _count(order, "harmonic extension order")
     w = rat(w)
     k = w + bg.dm / 2
+    kn, kd = k.numerator, k.denominator
 
     def residual(profile: TruncatedSeries, t: int) -> SigmaPoly:
         return ambient_laplacian(bg, HomogeneousFunction(w, profile), t)
 
-    jets = solve_order_by_order(RHO, residual, lambda j: 2 * j * (k - j), order)
+    jets = solve_order_by_order(RHO, residual, lambda j: Fraction(2 * j * (kn - j * kd), kd), order)
     return HomogeneousFunction(w, jets.truncate(order))
 
 
@@ -217,12 +224,3 @@ def obstruction(bg: Background, k: int) -> GjmsPolynomial:
     image = ambient_laplacian(bg, HomogeneousFunction(ext.weight, ext.profile.as_exact(k)), k - 1)
     return GjmsPolynomial(k, bg, "obstruction", image / 2 ** (k - 1))
 
-
-def random_admissible_perturbation(rng: random.Random, order: int) -> TruncatedSeries:
-    """Random Q*H perturbation profile: zero constant term, coefficients of
-    sigma-degree at most 2 with rationals p/q, |p| <= 6, 1 <= q <= 4."""
-    coeffs = [SigmaPoly.zero()]
-    for _ in range(order):
-        poly = SigmaPoly(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
-        coeffs.append(poly)
-    return TruncatedSeries(RHO, coeffs, order)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
 from fractions import Fraction
 from functools import cache, partial
@@ -26,14 +25,14 @@ from .ambient import (
     gjms_iterated,
     harmonic_extension,
     iterated_vs_obstruction_constant,
-    random_admissible_perturbation,
     ambient_laplacian,
 )
 from .backgrounds import GOVER_LEITNER, QUASI_EINSTEIN, Background, check_dimensions, verify_spaceform_conditions
 from .core import AlgebraError, SigmaPoly, positive_k, rat, rat_str
 from .factorization import RouteReport, cross_route_report, route_polynomial
 from .scattering import greens_log_coefficient, log_normalization, scattering_solve
-from .sl2 import NcPoly, extract_Zk, falling_h_product, jacobi_defect, verify_commutator_identity
+from .series import RHO, TruncatedSeries
+from .sl2 import NcPoly, extract_Zk, falling_h_product, jacobi_defect, verify_commutator_identity, zk_closed_form
 
 ROUTE_CHOICES = ROUTES + ("all",)
 
@@ -193,9 +192,15 @@ def sl2_checks(kmax: int, report, solve):
         ok, witness = verify_commutator_identity(kind, k)
         return ok, f"witness {witness}"
 
-    def extracts(k: int) -> bool:
-        # extract_Zk raises unless y^(k-1)x^(k-1) - lead - x Z_k reduces to 0
-        return extract_Zk(k) is not None
+    def extracts(k: int) -> tuple[bool, str]:
+        # extract_Zk raises unless y^(k-1)x^(k-1) - lead - x Z_k reduces to 0;
+        # the Z_k it extracts must also be the closed form, word by word
+        got, want = extract_Zk(k).terms, zk_closed_form(k).terms
+        differ = [w for w in got.keys() | want.keys() if got.get(w, 0) != want.get(w, 0)]
+        if not differ:
+            return True, ""
+        w = min(differ, key=lambda w: (len(w), w))
+        return False, f"word {'*'.join(w) or '1'}: extracted {rat_str(got.get(w, 0))}, closed form {rat_str(want.get(w, 0))}"
 
     def route_ratio(k: int) -> tuple[bool, str]:
         # h evaluated at -(k-1) turns the product into the iterated/obstruction
@@ -228,8 +233,6 @@ def _witness(report: RouteReport, names) -> str:
 
 
 def ambient_checks(kmax: int, report, solve):
-    rng = random.Random(20240229)
-
     def routes_agree(bg: Background, k: int) -> tuple[bool, str]:
         cell = report(bg, k)
         return cell.all_agree(), _witness(cell, sorted(ROUTES))
@@ -239,10 +242,13 @@ def ambient_checks(kmax: int, report, solve):
         if "iterated" in cell.errors:
             return False, _witness(cell, ("iterated",))
         base = cell.routes["iterated"].poly
-        for _ in range(3):
-            poly = gjms_iterated(bg, k, random_admissible_perturbation(rng, k + 2)).poly
+        # The read-off is affine in a Q*H perturbation and sigma is a scalar
+        # of the operator, so rho^1..rho^k span every perturbation over Q[sigma];
+        # rho^(k+1) cannot reach order 0 in k applications.
+        for j in range(1, k + 1):
+            poly = gjms_iterated(bg, k, TruncatedSeries(RHO, [0] * j + [1], k)).poly
             if poly != base:
-                return False, f"perturbed: {poly}; unperturbed: {base}"
+                return False, f"perturbed by rho^{j}: {poly}; unperturbed: {base}"
         return True, ""
 
     def closes(bg: Background) -> tuple[bool, str]:

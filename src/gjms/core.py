@@ -255,8 +255,13 @@ class SigmaPoly:
         return hash(self.coeff(0) if len(self.ints) < 2 else (self.ints, self.den))
 
     def to_strings(self) -> list[str]:
-        """Ascending coefficient array of "p/q" strings."""
-        return [rat_str(c) for c in self.coeffs]
+        """Ascending coefficient array of "p/q" strings, each read off the
+        row with one gcd: no Fraction is made."""
+        den, out = self.den, []
+        for x in self.ints:
+            g = gcd(x, den)
+            out.append(str(x // g) if g == den else f"{x // g}/{den // g}")
+        return out
 
     def __str__(self) -> str:
         terms = [(c, "sigma" if i == 1 else f"sigma^{i}" if i else "") for i, c in enumerate(self.coeffs)]

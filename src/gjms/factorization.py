@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Any
 
 from .ambient import (
@@ -20,30 +18,33 @@ from .core import AlgebraError, RatLike, Record, SigmaPoly, positive_k
 from .scattering import gjms_route_scattering
 
 
-def _root_product(bg: Background, k: int, roots: list[Fraction]) -> GjmsPolynomial:
-    """prod (sigma + root): over the roots' common denominator D, the int
-    polynomial prod (D*sigma + D*root), divided by D^k once."""
-    d = lcm(*(r.denominator for r in roots))
+def _root_product(bg: Background, k: int, den: int, nums: list[int]) -> GjmsPolynomial:
+    """prod (sigma + n/den) over the int numerators n: the int polynomial
+    prod (den*sigma + n), divided by den^k once."""
     poly = [1]
-    for r in roots:
-        n = r.numerator * (d // r.denominator)
-        poly = [n * x + d * y for x, y in zip(poly + [0], [0] + poly)]
-    return GjmsPolynomial(k, bg, "factorization", SigmaPoly(poly) / d**k)
+    for n in nums:
+        poly = [n * x + den * y for x, y in zip(poly + [0], [0] + poly)]
+    return GjmsPolynomial(k, bg, "factorization", SigmaPoly(poly) / den**k)
 
 
 def qe_product(d: int, m: RatLike, lam: RatLike, k: int) -> GjmsPolynomial:
     """Quasi-Einstein product: over l = 0..k-1, factors
-    sigma + 2*lam*(-(d+m)/2 + k - 2l)*((d+m)/2 + k - 1 - 2l)."""
+    sigma + 2*lam*(-(d+m)/2 + k - 2l)*((d+m)/2 + k - 1 - 2l); with d+m = n/e
+    and lam = p/q, the root is p*(2e(k-2l) - n)*(n + 2e(k-1-2l)) / (2e^2 q)."""
     bg, k = Background.quasi_einstein(d, m, lam), positive_k(k)
-    half = bg.dm / 2
-    return _root_product(bg, k, [2 * bg.lam * (k - 2 * l - half) * (half + k - 1 - 2 * l) for l in range(k)])
+    n, e, p = bg.dm.numerator, bg.dm.denominator, bg.lam.numerator
+    nums = [p * (2 * e * (k - 2 * l) - n) * (n + 2 * e * (k - 1 - 2 * l)) for l in range(k)]
+    return _root_product(bg, k, 2 * e * e * bg.lam.denominator, nums)
 
 
 def gl_product(d: int, m: RatLike, k: int) -> GjmsPolynomial:
     """Gover-Leitner product: over j = 0..k-1, factors
-    sigma + (2k - 4j - d - m)*(2 - d + m - 2k + 4j)/4."""
+    sigma + (2k - 4j - d - m)*(2 - d + m - 2k + 4j)/4; with d+m = n/e (so
+    m = n/e - d), the root is (e(2k-4j) - n)*(e(2-2d-2k+4j) + n) / (4e^2)."""
     bg, k = Background.gover_leitner(d, m), positive_k(k)
-    return _root_product(bg, k, [(2 * k - 4 * j - bg.dm) * (2 - d + bg.m - 2 * k + 4 * j) / 4 for j in range(k)])
+    n, e = bg.dm.numerator, bg.dm.denominator
+    nums = [(e * (2 * k - 4 * j) - n) * (e * (2 - 2 * d - 2 * k + 4 * j) + n) for j in range(k)]
+    return _root_product(bg, k, 4 * e * e, nums)
 
 
 def factorization_product(bg: Background, k: int) -> GjmsPolynomial:

@@ -72,12 +72,20 @@ def _radial_coefficients(t: TruncatedSeries, lf: TruncatedSeries) -> tuple[Trunc
     return -t, -(SigmaPoly.sigma() * lf).mul_var(), t
 
 
+def _radial_scalars(dm: Fraction, s: Fraction | int) -> tuple[int, Fraction, Fraction]:
+    """(a, b0, x) = (-1, x + s - 1, s - (d+m)), b0 and x each made as one
+    Fraction from the numerators and denominators of d+m and s."""
+    n, e, den = dm.numerator, dm.denominator, s.denominator * dm.denominator
+    x = s.numerator * e - n * s.denominator
+    return -1, Fraction(x + s.numerator * e - den, den), Fraction(x, den)
+
+
 def _ds_plain(bg: Background, s: Fraction, series: TruncatedSeries, row: int | None = None) -> TruncatedSeries | SigmaPoly:
     """D_s applied to a log-free radial series, valid one order lower.  With
     a row, only the r^row coefficient of u times the image: the image's own
     when its lower rows vanish."""
-    op, x = bg.prepared(R, _radial_coefficients), s - bg.dm
-    args = (-1, x + s - 1, x, series)
+    op = bg.prepared(R, _radial_coefficients)
+    args = (*_radial_scalars(bg.dm, s), series)
     return op.apply(*args) if row is None else op.row(*args, row)
 
 

@@ -68,6 +68,13 @@ class TruncatedSeries:
         self.order = order
         self.coeffs: tuple[SigmaPoly, ...] = tuple(cs)
 
+    @staticmethod
+    def _of(var: str, coeffs: tuple[SigmaPoly, ...], order: int) -> "TruncatedSeries":
+        """The series of a tuple of order + 1 SigmaPolys, neither checked nor coerced."""
+        p = object.__new__(TruncatedSeries)
+        p.var, p.order, p.coeffs = var, order, coeffs
+        return p
+
     @classmethod
     def constant(cls, var: str, value: CoeffLike, order: int) -> "TruncatedSeries":
         return cls(var, [_as_poly(value)], order)
@@ -289,9 +296,9 @@ class PolynomialOperator:
 
     def _weights(self, a: Fraction | int, b0: Fraction | int, x: Fraction | int) -> tuple[int, ...]:
         """a*E, b0*E, E, x*E and D*E, E the lcm of a's, b0's and x's denominators."""
-        e = lcm(a.denominator, b0.denominator, x.denominator)
-        ai, b0i, xi = (v.numerator * (e // v.denominator) for v in (a, b0, x))
-        return ai, b0i, e, xi, self._den * e
+        ad, bd, xd = a.denominator, b0.denominator, x.denominator
+        e = lcm(ad, bd, xd)
+        return a.numerator * (e // ad), b0.numerator * (e // bd), e, x.numerator * (e // xd), self._den * e
 
     def _row(self, weights: tuple, ps: Sequence[SigmaPoly], t: int) -> tuple[list[int], int]:
         """M_t as an unreduced int row over D*E*L, from P's rows
@@ -376,7 +383,7 @@ def solve_order_by_order(
     """
     jets = [SigmaPoly.one(), SigmaPoly.zero()]
     for j in range(1, levels + 1):
-        r, div = residual(TruncatedSeries(var, jets, j), j - 1), divisor(j)
+        r, div = residual(TruncatedSeries._of(var, tuple(jets), j), j - 1), divisor(j)
         if not div:
             raise ObstructedWeight(j)
         jets[j] = SigmaPoly.from_row([-div.denominator * v for v in r.ints], div.numerator * r.den)

@@ -337,6 +337,23 @@ def extract_Zk(k: int) -> NcPoly:
     return zk
 
 
+def zk_closed_form(k: int) -> NcPoly:
+    """Z_k = sum_(j<n) (-1)^j j! C(n,j)^2 x^(n-j-1) prod_(i<j)(h + 2(n-j) + i) y^(n-j),
+    n = k - 1: the reordering of y^n x^n in U(sl2) without its h-product lead
+    (j = n) and with one x taken off each other term, built as PBW words on
+    ints with no rewriting, so it states Z_k independently of ``extract_Zk``."""
+    n = positive_k(k) - 1
+    items = []
+    for j in range(n):
+        hs = [1]  # ascending h-coefficients of prod_(i<j)(h + 2(n-j) + i)
+        for i in range(j):
+            hs = [(2 * (n - j) + i) * a + b for a, b in zip(hs + [0], [0] + hs)]
+        scale = (-1) ** j * factorial(j) * comb(n, j) ** 2
+        xs, ys = ("x",) * (n - j - 1), ("y",) * (n - j)
+        items += [(xs + ("h",) * b + ys, scale * v) for b, v in enumerate(hs)]
+    return NcPoly._reduced(items, 1)
+
+
 def jacobi_defect() -> NcPoly:
     """Normal form of [[x,y],h] + [[y,h],x] + [[h,x],y] (zero in any Lie algebra)."""
     x, y, h = _X, _Y, _H

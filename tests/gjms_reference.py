@@ -5,11 +5,12 @@ part (the log-ansatz check of the scattering expansion), the Green
 pairing computed as the full order-2k series product, the closed-form
 products as one SigmaPoly product per root, the two printers of exact
 sums written out separately, Miller's power recurrence on Fractions,
-SigmaPoly as a tuple of Fractions, and NcPoly as a dict of Fractions with
-its PBW rewrite on Fractions."""
+SigmaPoly as a tuple of Fractions, NcPoly as a dict of Fractions with its
+PBW rewrite on Fractions, and random Q*H perturbations of an extension."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, lcm
@@ -549,3 +550,13 @@ def _fraction_append(
                 if c > 1:
                     add((a, b, c - 1), -c * (c - 1) * coeff)
     return out
+
+
+def random_admissible_perturbation(rng: random.Random, order: int) -> TruncatedSeries:
+    """Random Q*H perturbation profile: zero constant term, coefficients of
+    sigma-degree at most 2 with rationals p/q, |p| <= 6, 1 <= q <= 4."""
+    coeffs = [SigmaPoly.zero()]
+    for _ in range(order):
+        poly = SigmaPoly(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 3)))
+        coeffs.append(poly)
+    return TruncatedSeries(RHO, coeffs, order)

@@ -23,7 +23,6 @@ from gjms.ambient import (
     iterate_at_weight,
     iterated_vs_obstruction_constant,
     obstruction,
-    random_admissible_perturbation,
     RestrictionError,
 )
 from gjms.backgrounds import Background, verify_spaceform_conditions
@@ -37,6 +36,8 @@ from gjms.scattering import (
     scattering_solve,
 )
 from gjms.sl2 import extract_Zk, jacobi_defect, verify_commutator_identity
+
+from gjms_reference import random_admissible_perturbation
 
 SIGMA = SigmaPoly.sigma()
 

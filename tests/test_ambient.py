@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gjms import ambient
 from gjms.ambient import (
@@ -19,7 +21,6 @@ from gjms.ambient import (
     iterated_vs_obstruction_constant,
     jet_normalization,
     obstruction,
-    random_admissible_perturbation,
 )
 from gjms.backgrounds import Background
 from gjms.core import AlgebraError, OrderShortfall, SigmaPoly
@@ -28,12 +29,27 @@ from gjms.scattering import gjms_route_scattering, greens_log_coefficient, scatt
 from gjms.sl2 import extract_Zk, verify_commutator_identity
 from gjms.series import RHO, TruncatedSeries
 
+from gjms_reference import random_admissible_perturbation
+
 QE = Background.quasi_einstein(3, 2, 1)
 GL = Background.gover_leitner(3, 2)
 SIGMA = SigmaPoly.sigma()
 
 
 class TestAmbientLaplacian:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.fractions(min_value=0, max_value=7, max_denominator=9),
+        st.integers(-20, 20),
+        st.fractions(min_value=-20, max_value=20, max_denominator=9),
+    )
+    def test_scalars_from_numerators(self, d, m, n, w):
+        # (a, b0, x) = (-2, 2w + d+m - 2, w), the same for an int and a Fraction weight
+        dm = d + m
+        assert ambient._ambient_scalars(dm, n) == ambient._ambient_scalars(dm, F(n)) == (-2, 2 * F(n) + dm - 2, n)
+        assert ambient._ambient_scalars(dm, w) == (-2, 2 * w + dm - 2, w)
+
     def test_constant_profile(self):
         # Delta(t^w * 1) has rho^0 coefficient sigma + lam*w*(d+m) on the
         # quasi-Einstein model: the P', P'' terms drop and
@@ -198,6 +214,17 @@ class TestExtensionIndependence:
                     iterate_at_weight(bg, w, k, random_admissible_perturbation(rng, k)) != base
                     for _ in range(6)
                 )
+
+    @pytest.mark.parametrize("bg", [QE, GL, Background.quasi_einstein(4, F(1, 2), -1)], ids=lambda bg: bg.label())
+    def test_the_power_basis_moves_off_the_critical_weight_only(self, bg):
+        # the check verify runs: rho^1..rho^k span every Q*H perturbation, so
+        # none may move the critical output, and off it every one does
+        for k in (1, 2, 3, 5):
+            w = critical_weight(bg, k)
+            basis = [TruncatedSeries(RHO, [0] * j + [1], k) for j in range(1, k + 1)]
+            base, off = iterate_at_weight(bg, w, k), iterate_at_weight(bg, w + F(1, 3), k)
+            assert all(iterate_at_weight(bg, w, k, p) == base for p in basis)
+            assert all(iterate_at_weight(bg, w + F(1, 3), k, p) != off for p in basis)
 
     def test_perturbation_admissibility_enforced(self):
         with pytest.raises(AlgebraError):

@@ -374,7 +374,35 @@ class TestVerifyFailures:
         assert cli.main(["verify", "ambient", "--kmax", "1"]) == 1
         out = capsys.readouterr().out
         assert self.witnessed(out, "FAIL extension independence on QE(d=3, m=2, lambda=1) k=1") == \
-            "     perturbed: sigma - 13/2; unperturbed: sigma - 15/2"
+            "     perturbed by rho^1: sigma - 13/2; unperturbed: sigma - 15/2"
+
+    def test_the_first_basis_power_that_moves_is_the_witness(self, monkeypatch, capsys):
+        # only a perturbation with a rho^2 term moves this iteration
+        real = cli.gjms_iterated
+
+        def moved_by_rho_squared(bg, k, perturbation=None):
+            g = real(bg, k)
+            if perturbation is None or perturbation.order < 2 or perturbation.coeff(2).is_zero():
+                return g
+            return GjmsPolynomial(k, bg, "iterated", g.poly + 1)
+
+        monkeypatch.setattr(cli, "gjms_iterated", moved_by_rho_squared)
+        assert cli.main(["verify", "ambient", "--kmax", "2"]) == 1
+        out = capsys.readouterr().out
+        assert "ok   extension independence on QE(d=3, m=2, lambda=1) k=1" in out
+        assert self.witnessed(out, "FAIL extension independence on QE(d=3, m=2, lambda=1) k=2") == \
+            "     perturbed by rho^2: sigma^2 - 11*sigma + 109/4; unperturbed: sigma^2 - 11*sigma + 105/4"
+
+    def test_a_corrupted_zk_fails_the_closed_form_check(self, monkeypatch, capsys):
+        # Z_3 = x*y*y - 4*h*y - 8*y; one more y is caught, with the word that differs
+        real = cli.extract_Zk
+        monkeypatch.setattr(cli, "extract_Zk", lambda k: real(k) + NcPoly.y() if k == 3 else real(k))
+        assert cli.main(["verify", "sl2", "--kmax", "4"]) == 1
+        out = capsys.readouterr().out
+        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+        line = "FAIL sl2 y^(k-1)x^(k-1) = (-1)^(k-1)(k-1)! h(h+1)..(h+k-2) + x Z_k at k=3"
+        assert fails == [line]
+        assert self.witnessed(out, line) == "     word y: extracted -7, closed form -8"
 
     def test_an_open_extension_names_its_first_nonzero_coefficient(self, monkeypatch, capsys):
         # the bare power t^w: its image's rho^0 coefficient is sigma + lam*w*(d+m),

@@ -800,6 +800,21 @@ row_rationals = st.one_of(st.sampled_from([0, 1, -1]), rationals, st.fractions(m
 coefficient_lists = st.lists(row_rationals, max_size=5)
 
 
+class TestToStrings:
+    # printed from the integer row with one gcd per coefficient, against
+    # rat_str of each Fraction coefficient
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12)), max_size=6))
+    def test_equals_rat_str_of_each_coefficient(self, cs):
+        p = SigmaPoly(cs)
+        assert p.to_strings() == [rat_str(c) for c in p.coeffs]
+
+    def test_zero_negative_and_integral_coefficients(self):
+        p = SigmaPoly([F(-3, 6), 0, 4, F(-8, 2), F(7, 9)])
+        assert p.to_strings() == ["-1/2", "0", "4", "-4", "7/9"]
+        assert SigmaPoly([0, 0]).to_strings() == [] and SigmaPoly([-6, 2]).to_strings() == ["-6", "2"]
+
+
 class TestSigmaPolyMatchesTheFractionReference:
     # the integer row against the tuple of Fractions it replaced, operation
     # by operation

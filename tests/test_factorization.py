@@ -97,6 +97,22 @@ class TestIntegerProducts:
         assert gl_product(d, m, k).poly == gl_product_reference(d, m, k)
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.fractions(min_value=0, max_value=7, max_denominator=9),
+        st.fractions(min_value=-5, max_value=5, max_denominator=9),
+        st.integers(1, 10),
+    )
+    def test_int_roots_over_one_denominator(self, d, m, lam, k):
+        # roots as int numerators over 2e^2q (QE) and 4e^2 (GL), d+m = n/e and
+        # lam = p/q, against one SigmaPoly product per Fraction root
+        assume(d + m != 2)
+        assert qe_product(d, m, lam, k).poly == qe_product_reference(d, m, lam, k)
+        assert qe_product(d, m, -lam, k).poly == qe_product_reference(d, m, -lam, k)
+        assert gl_product(d, m, k).poly == gl_product_reference(d, m, k)
+
+
 class TestDispatch:
     def test_factorization_product(self):
         assert factorization_product(QE, 2).poly == qe_product(3, 2, 1, 2).poly

@@ -50,6 +50,11 @@ def test_the_scan_finds_an_unread_import():
     assert unread_imports("a", modules) == ["e (line 1)", "f (line 2)"]
 
 
+def test_no_library_module_imports_random():
+    # every check is exact and deterministic: no draw decides a verdict
+    assert [name for name, tree in MODULES.items() if any(bound == "random" for bound, _, _ in imports(tree))] == []
+
+
 def float_uses(tree: ast.Module) -> list[str]:
     """Float literals, calls of ``float`` or ``round``, and int-literal true
     divisions in a module."""

@@ -11,6 +11,7 @@ from gjms.scattering import (
     SCATTERING_SIGN,
     ScatteringSolution,
     _ds_plain,
+    _radial_scalars,
     gjms_route_scattering,
     greens_log_coefficient,
     log_normalization,
@@ -32,6 +33,20 @@ def replaced(sol, v_coeffs, log_coeff=None):
 
 
 class TestRadialOperator:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 8),
+        st.fractions(min_value=0, max_value=7, max_denominator=9),
+        st.integers(-20, 20),
+        st.fractions(min_value=-20, max_value=20, max_denominator=9),
+    )
+    def test_scalars_from_numerators(self, d, m, n, s):
+        # (a, b0, x) = (-1, x + s - 1, s - (d+m)), the same for an int and a Fraction s
+        dm = d + m
+        expected = (-1, 2 * F(n) - dm - 1, F(n) - dm)
+        assert _radial_scalars(dm, n) == _radial_scalars(dm, F(n)) == expected
+        assert _radial_scalars(dm, s) == (-1, 2 * s - dm - 1, s - dm)
+
     def test_on_constant(self):
         # D_s(1) = -(d+m-s) T - r sigma LF; on QE(3,2,1) with s = (d+m)/2 + 1
         # the r^1 coefficient is -(sigma - 15/2).

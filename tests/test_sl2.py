@@ -17,6 +17,7 @@ from gjms.sl2 import (
     falling_h_product,
     jacobi_defect,
     verify_commutator_identity,
+    zk_closed_form,
 )
 from gjms_reference import FractionNcPoly, nc_poly_str
 
@@ -268,6 +269,15 @@ class TestZkExtraction:
     def test_z1_z2(self):
         assert extract_Zk(1).is_zero()
         assert extract_Zk(2) == Y
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_the_closed_form_is_the_rewrite(self, k):
+        assert zk_closed_form(k) == extract_Zk(k)
+
+    def test_closed_form_z3_pinned(self):
+        # n = 2: j = 0 gives x y^2, j = 1 gives -4 (h + 2) y
+        assert zk_closed_form(3) == X * Y * Y - 4 * H * Y - 8 * Y
+        assert zk_closed_form(1).is_zero()
 
     def test_z3_pinned(self):
         # hand reduction of y^2 x^2 gives x^2 y^2 - 4 x h y - 8 x y + 2h^2 + 2h
