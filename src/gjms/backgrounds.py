@@ -11,6 +11,7 @@ meaning d/dr there.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Any, Callable
 
 from .core import AlgebraError, RatLike, Record, rat, rat_str
@@ -65,7 +66,7 @@ class Background(Record):
         """The route operator a*v*P'' + (b0 + v*b1)*P' + (c0 + x*c1)*P in the
         picture's variable v, with (b1, c0, c1) = coefficients(T, LF).
 
-        T (``trace_term``), LF (``laplacian_factor``) and the unit u = c^2 q
+        T (``trace_term``), LF (``laplacian_factor``) and the unit u (``unit``)
         are read once, at order 2 deg(u) + 2: times u, each coefficient has
         degree at most deg(u) + 1, and PolynomialOperator checks that the
         upper deg(u) + 1 vanish and keeps u, u*b1, u*c0 and u*c1 as integer
@@ -74,7 +75,7 @@ class Background(Record):
         """
         key = (picture, coefficients)
         if key not in self._operators:
-            deg_u = (2 * (len(self.c) - 1) + len(self.q) - 1) * (2 if picture == R else 1)
+            deg_u = sum(len(getattr(self, f)) - 1 for f in self._unit_factors()) * (2 if picture == R else 1)
             n = 2 * deg_u + 2
             t, lf = self.trace_term(picture, n), self.laplacian_factor(picture, n)
             self._operators[key] = PolynomialOperator(self.unit(picture, n), *coefficients(t, lf))
@@ -99,11 +100,18 @@ class Background(Record):
             raise AlgebraError(f"unknown picture {picture!r}")
         return factor.as_exact(order)
 
+    def _unit_factors(self) -> tuple[str, ...]:
+        """The factors of u = c lcm(c, q).  Two linear factors with constant
+        term 1 are equal or coprime, so lcm(c, q) is c when q = c (QE) and
+        c q otherwise (GL)."""
+        return ("c", "c") if self.q == self.c else ("c", "c", "q")
+
     def unit(self, picture: str, order: int) -> TruncatedSeries:
-        """u = c^2 q, a polynomial: the denominator of every expansion
-        accessor's series divides it."""
-        c = self._factor("c", picture, order)
-        return c * c * self._factor("q", picture, order)
+        """u = c lcm(c, q), the least polynomial that every expansion
+        accessor's denominator divides: T = (d+m) c'/c and LF = c^-2 for QE,
+        so u = c^2 there, and c^2 q for GL."""
+        first, *rest = (self._factor(f, picture, order) for f in self._unit_factors())
+        return prod(rest, start=first)
 
     # -- expansion accessors ------------------------------------------------
     #

@@ -140,16 +140,24 @@ class SigmaPoly:
     def from_row(ints: list[int], den: int) -> "SigmaPoly":
         """ints/den for a fresh list ints and den != 0: trailing zeros popped,
         one content gcd divided out and the denominator made positive; a row
-        whose gcd is 1 is kept as it is."""
+        whose gcd is 1 is kept as it is, and an all-zero row is the shared
+        zero."""
         while ints and not ints[-1]:
             ints.pop()
+        if not ints:
+            return _ZERO
         g = gcd(den, *ints)
         if den < 0:
             g = -g
         if g != 1:
             ints, den = [v // g for v in ints], den // g
+        return SigmaPoly._made(tuple(ints), den)
+
+    @staticmethod
+    def _made(ints: tuple[int, ...], den: int) -> "SigmaPoly":
+        """The polynomial of a canonical row, neither checked nor reduced."""
         p = object.__new__(SigmaPoly)
-        p.ints, p.den = tuple(ints), den
+        p.ints, p.den = ints, den
         return p
 
     @staticmethod
@@ -198,7 +206,7 @@ class SigmaPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "SigmaPoly":
-        return SigmaPoly.from_row([-x for x in self.ints], self.den)
+        return self.scaled(-1, 1)
 
     def __sub__(self, other: "SigmaPoly | RatLike") -> "SigmaPoly":
         if not isinstance(other, (SigmaPoly, Fraction, int, str)):
@@ -213,7 +221,7 @@ class SigmaPoly:
             if not isinstance(other, (Fraction, int, str)):
                 return NotImplemented
             c = rat(other) if isinstance(other, str) else other
-            return SigmaPoly.from_row([c.numerator * x for x in self.ints], c.denominator * self.den)
+            return self.scaled(c.numerator, c.denominator)
         row = [0] * (len(self.ints) + len(other.ints) - 1)
         _add_product(row, self.ints, other.ints)
         return SigmaPoly.from_row(row, self.den * other.den)
@@ -224,7 +232,19 @@ class SigmaPoly:
         c = rat(scalar)
         if c == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return SigmaPoly.from_row([c.denominator * x for x in self.ints], c.numerator * self.den)
+        return self.scaled(c.denominator, c.numerator)
+
+    def scaled(self, p: int, q: int) -> "SigmaPoly":
+        """self * p/q for coprime ints p and q != 0, canonical without a
+        re-reduction: with self = ints/den canonical, the result's content
+        gcd is gcd(p, den) * gcd(q, *ints), and p != 0 adds no trailing zero."""
+        if not p or not self.ints:
+            return _ZERO
+        if q < 0:
+            p, q = -p, -q
+        g1, g2 = gcd(p, self.den), gcd(q, *self.ints)
+        f = p // g1
+        return SigmaPoly._made(tuple([f * (x // g2) for x in self.ints]), (q // g2) * (self.den // g1))
 
     def __pow__(self, n: int) -> "SigmaPoly":
         if n < 0:
@@ -271,7 +291,7 @@ class SigmaPoly:
         return f"SigmaPoly({self.to_strings()})"
 
 
-_ZERO, _ONE = SigmaPoly.from_row([], 1), SigmaPoly.from_row([1], 1)
+_ZERO, _ONE = SigmaPoly._made((), 1), SigmaPoly._made((1,), 1)
 
 
 def _add_product(row: list[int], xs: Sequence[int], ys: Sequence[int]) -> None:

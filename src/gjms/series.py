@@ -26,7 +26,7 @@ from itertools import zip_longest
 from math import lcm
 from typing import Callable, Iterable, Sequence, Union
 
-from .core import AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, _add_product, _as_poly, rat
+from .core import _ZERO, AlgebraError, OrderShortfall, RatLike, SigmaPoly, VariableMismatch, _add_product, _as_poly, rat
 
 RHO = "rho"
 R = "r"
@@ -70,7 +70,8 @@ class TruncatedSeries:
 
     @staticmethod
     def _of(var: str, coeffs: tuple[SigmaPoly, ...], order: int) -> "TruncatedSeries":
-        """The series of a tuple of order + 1 SigmaPolys, neither checked nor coerced."""
+        """The series of a tuple of order + 1 canonical SigmaPolys, neither
+        checked nor coerced: how every operation below builds its result."""
         p = object.__new__(TruncatedSeries)
         p.var, p.order, p.coeffs = var, order, coeffs
         return p
@@ -99,11 +100,9 @@ class TruncatedSeries:
         return self.coeffs[j]
 
     def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise OrderShortfall(
-                f"cannot truncate an order-{self.order} series up to order {order}"
-            )
-        return TruncatedSeries(self.var, self.coeffs[: order + 1], order)
+        if not 0 <= order <= self.order:
+            raise OrderShortfall(f"cannot truncate an order-{self.order} series to order {order}")
+        return TruncatedSeries._of(self.var, self.coeffs[: order + 1], order)
 
     def as_exact(self, order: int) -> "TruncatedSeries":
         """Re-declare a polynomial series at a higher order.
@@ -113,7 +112,7 @@ class TruncatedSeries:
         """
         if order <= self.order:
             return self.truncate(order)
-        return TruncatedSeries(self.var, self.coeffs, order)
+        return TruncatedSeries._of(self.var, self.coeffs + (_ZERO,) * (order - self.order), order)
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
@@ -129,24 +128,20 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries | CoeffLike") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(self.var, other, self.order)
+            return TruncatedSeries._of(self.var, (self.coeffs[0] + _as_poly(other),) + self.coeffs[1:], self.order)
         n = self._common(other)
-        return TruncatedSeries(
-            self.var, [self.coeffs[j] + other.coeffs[j] for j in range(n + 1)], n
-        )
+        return TruncatedSeries._of(self.var, tuple(map(SigmaPoly.__add__, self.coeffs[: n + 1], other.coeffs)), n)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.var, [-c for c in self.coeffs], self.order)
+        return TruncatedSeries._of(self.var, tuple(map(SigmaPoly.__neg__, self.coeffs)), self.order)
 
     def __sub__(self, other: "TruncatedSeries | CoeffLike") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries.constant(self.var, other, self.order)
-        return self + (-other)
+        return self + (-other if isinstance(other, TruncatedSeries) else -_as_poly(other))
 
     def __rsub__(self, other: CoeffLike) -> "TruncatedSeries":
-        return TruncatedSeries.constant(self.var, other, self.order) + (-self)
+        return (-self) + other
 
     def __mul__(self, other: "TruncatedSeries | CoeffLike") -> "TruncatedSeries":
         """Product truncated at the lower of the two orders.
@@ -156,15 +151,15 @@ class TruncatedSeries:
         on the ints, and each output row over Da*Db is reduced once.
         """
         if not isinstance(other, TruncatedSeries):
-            c = _as_poly(other)
-            return TruncatedSeries(self.var, [c * a for a in self.coeffs], self.order)
+            c = rat(other) if isinstance(other, str) else other
+            return TruncatedSeries._of(self.var, tuple(a * c for a in self.coeffs), self.order)
         n = self._common(other)
         da, lhs = _integer_rows(self.coeffs[: n + 1])
         db, rhs = _integer_rows(other.coeffs[: n + 1])
         lhs = [(i, r) for i, r in enumerate(lhs) if r]
         rhs = [(j, r) for j, r in enumerate(rhs) if r]
         if not lhs or not rhs:
-            return TruncatedSeries.zero(self.var, n)
+            return TruncatedSeries._of(self.var, (_ZERO,) * (n + 1), n)
         width = max(len(c) for _, c in lhs) + max(len(c) for _, c in rhs) - 1
         rows = [[0] * width for _ in range(n + 1)]
         for i, ac in lhs:
@@ -172,7 +167,7 @@ class TruncatedSeries:
                 if i + j > n:
                     break
                 _add_product(rows[i + j], ac, bc)
-        return TruncatedSeries(self.var, [SigmaPoly.from_row(r, da * db) for r in rows], n)
+        return TruncatedSeries._of(self.var, tuple(SigmaPoly.from_row(r, da * db) for r in rows), n)
 
     __rmul__ = __mul__
 
@@ -180,17 +175,13 @@ class TruncatedSeries:
         """Termwise d/d(var); the result is valid one order lower."""
         if self.order == 0:
             raise OrderShortfall("cannot differentiate an order-0 series")
-        return TruncatedSeries(
-            self.var,
-            [(j + 1) * self.coeffs[j + 1] for j in range(self.order)],
-            self.order - 1,
+        return TruncatedSeries._of(
+            self.var, tuple(c.scaled(j, 1) for j, c in enumerate(self.coeffs[1:], 1)), self.order - 1
         )
 
     def mul_var(self) -> "TruncatedSeries":
         """Multiply by the series variable; gains one valid order."""
-        return TruncatedSeries(
-            self.var, (SigmaPoly.zero(),) + self.coeffs, self.order + 1
-        )
+        return TruncatedSeries._of(self.var, (_ZERO,) + self.coeffs, self.order + 1)
 
     def rpow(self, exponent: RatLike) -> "TruncatedSeries":
         """(1 + u)**e for rational e; the constant term must equal 1.
@@ -216,7 +207,7 @@ class TruncatedSeries:
                 f = (e.numerator * i - n * e.denominator) * (big // (a.den * b.den))
                 _add_product(acc, [f * x for x in a.ints], b.ints)
             p.append(SigmaPoly.from_row(acc, n * e.denominator * big))
-        return TruncatedSeries(self.var, p, self.order)
+        return TruncatedSeries._of(self.var, tuple(p), self.order)
 
     def reciprocal(self) -> "TruncatedSeries":
         """Multiplicative inverse; like ``rpow``, the constant term must equal 1."""
@@ -230,10 +221,10 @@ class TruncatedSeries:
         """
         if self.var != RHO:
             raise VariableMismatch("substitution applies to rho-series only")
-        out = [SigmaPoly.zero() for _ in range(2 * self.order + 2)]
+        out = [_ZERO] * (2 * self.order + 2)
         for j, c in enumerate(self.coeffs):
-            out[2 * j] = c * (Fraction(-1, 2) ** j)
-        return TruncatedSeries(R, out, 2 * self.order + 1)
+            out[2 * j] = c.scaled((-1) ** j, 2**j)
+        return TruncatedSeries._of(R, tuple(out), 2 * self.order + 1)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -276,7 +267,7 @@ class PolynomialOperator:
     check.
     """
 
-    __slots__ = ("var", "_den", "_u", "_bc")
+    __slots__ = ("var", "_den", "_u", "_bc", "_width")
 
     def __init__(self, u: TruncatedSeries, b1: TruncatedSeries, c0: TruncatedSeries, c1: TruncatedSeries):
         polys = [u] + [u * s for s in (b1, c0, c1)]
@@ -293,6 +284,7 @@ class PolynomialOperator:
         self._u = [r[0] if r else 0 for r in rows[:h]]
         # per u_i: ((u*b1)_i, (u*c0)_i, (u*c1)_i) as zipped triples of ints
         self._bc = [list(zip_longest(*r, fillvalue=0)) for r in zip(rows[h : 2 * h], rows[2 * h : 3 * h], rows[3 * h :])]
+        self._width = max(map(len, self._bc))
 
     def _weights(self, a: Fraction | int, b0: Fraction | int, x: Fraction | int) -> tuple[int, ...]:
         """a*E, b0*E, E, x*E and D*E, E the lcm of a's, b0's and x's denominators."""
@@ -307,7 +299,7 @@ class PolynomialOperator:
         reach = min(t, len(self._u) - 1)
         window = ps[t - reach : t + 2]
         big = lcm(*(q.den for q in window))
-        row = [0] * (max(map(len, self._bc)) + max(len(q.ints) for q in window))
+        row = [0] * (self._width + max(len(q.ints) for q in window))
         for i in range(reach + 1):
             s = t - i
             z, y = ps[s + 1], ps[s]
@@ -342,9 +334,11 @@ class PolynomialOperator:
     def apply(self, a: Fraction | int, b0: Fraction | int, x: Fraction | int, p: TruncatedSeries) -> TruncatedSeries:
         """L*P, a series one order below P (an order-0 P raises OrderShortfall)."""
         ps, weights, out = self._checked(p), self._weights(a, b0, x), []
+        if not p.order:
+            raise OrderShortfall("cannot apply a second-order operator to an order-0 series")
         for t in range(p.order):
             out.append(self._divided(self._row(weights, ps, t), out))
-        return TruncatedSeries(p.var, out, p.order - 1)
+        return TruncatedSeries._of(p.var, tuple(out), p.order - 1)
 
     def row(
         self, a: Fraction | int, b0: Fraction | int, x: Fraction | int, p: TruncatedSeries, t: int, lower: list | None = None
@@ -371,8 +365,8 @@ def solve_order_by_order(
     """The series in var of a_0 = 1, a_1, ..., a_levels solved level by
     level, at order levels+1 with a zero top coefficient.
 
-    Level j sets a_j = -residual(P, j-1) / divisor(j) on the integer row,
-    where P is the order-j series of a_0..a_(j-1) and a zero a_j, whose
+    Level j sets a_j = -residual(P, j-1) / divisor(j) by ``SigmaPoly.scaled``
+    (the row is reduced once, by the residual), where P is the order-j series of a_0..a_(j-1) and a zero a_j, whose
     image's row t is residual(P, t), and divisor(j) is the factor the
     operator's principal part puts on a_j (the residual may include or omit
     that part; it sees a_j = 0).  A zero divisor raises ObstructedWeight(j).
@@ -381,11 +375,11 @@ def solve_order_by_order(
     u*L*P is the residual: one ``PolynomialOperator.row`` a level, O(deg) int
     row products.  The zero top coefficient lets one more call read the next.
     """
-    jets = [SigmaPoly.one(), SigmaPoly.zero()]
+    jets = [SigmaPoly.one(), _ZERO]
     for j in range(1, levels + 1):
         r, div = residual(TruncatedSeries._of(var, tuple(jets), j), j - 1), divisor(j)
         if not div:
             raise ObstructedWeight(j)
-        jets[j] = SigmaPoly.from_row([-div.denominator * v for v in r.ints], div.numerator * r.den)
-        jets.append(SigmaPoly.zero())
-    return TruncatedSeries(var, jets, levels + 1)
+        jets[j] = r.scaled(-div.denominator, div.numerator)
+        jets.append(_ZERO)
+    return TruncatedSeries._of(var, tuple(jets), levels + 1)

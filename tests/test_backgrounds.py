@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gjms import ambient, scattering
-from gjms.backgrounds import Background, verify_spaceform_conditions
+from gjms.backgrounds import QUASI_EINSTEIN, Background, verify_spaceform_conditions
 from gjms.cli import VERIFY_MATRIX
 from gjms.core import AlgebraError
 from gjms.factorization import cross_route_report
@@ -133,7 +133,8 @@ class TestFactorData:
 
     @pytest.mark.parametrize("bg", VERIFY_MATRIX, ids=lambda bg: bg.label())
     def test_windows_follow_from_the_factor_degrees(self, monkeypatch, bg):
-        # deg u = 2 deg c + deg q is 3 in rho and 6 in r, and T, LF and the
+        # deg u = deg c + deg lcm(c, q): c = q for QE, so 2 in rho and 4 in r;
+        # c and q are coprime for GL, so 3 in rho and 6 in r.  T, LF and the
         # unit are read at order 2 deg u + 2
         orders = Counter()
         unit = Background.unit
@@ -145,11 +146,21 @@ class TestFactorData:
         monkeypatch.setattr(Background, "unit", counted)
         fresh = copy.copy(bg)
         ops = fresh.prepared(RHO, ambient._ambient_coefficients), fresh.prepared(R, scattering._radial_coefficients)
-        assert orders == {(RHO, 8): 1, (R, 14): 1}
+        assert orders == ({(RHO, 6): 1, (R, 10): 1} if bg.kind == QUASI_EINSTEIN else {(RHO, 8): 1, (R, 14): 1})
         # the same integer polynomials as the reference's, read at r order 16
         for op, ref in zip(ops, (ambient_operator(bg), radial_operator(bg))):
             for name in ("var", "_den", "_u", "_bc"):
                 assert getattr(op, name) == getattr(ref, name), name
+
+    @pytest.mark.parametrize("bg", [QE, GL], ids=lambda bg: bg.label())
+    @pytest.mark.parametrize("picture, coefficients", [(RHO, ambient._ambient_coefficients), (R, scattering._radial_coefficients)])
+    def test_a_unit_one_factor_too_small_is_rejected(self, monkeypatch, bg, picture, coefficients):
+        # c for QE and c^2 for GL leave a denominator in some coefficient,
+        # which the operator's tail check reports
+        factors = Background._unit_factors
+        monkeypatch.setattr(Background, "_unit_factors", lambda self: factors(self)[:-1])
+        with pytest.raises(AlgebraError, match="not polynomials"):
+            copy.copy(bg).prepared(picture, coefficients)
 
     @pytest.mark.parametrize("lam", ["x", "1/0"])
     def test_an_unknown_kind_is_reported_before_its_lambda_is_read(self, lam):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gjms import ambient, scattering, series
 from gjms.backgrounds import Background
-from gjms.core import AlgebraError, OrderShortfall, SigmaPoly, VariableMismatch, rat, rat_str
+from gjms.core import AlgebraError, OrderShortfall, SigmaPoly, VariableMismatch, _as_poly, rat, rat_str
 from gjms.series import RHO, R, ObstructedWeight, PolynomialOperator, TruncatedSeries, solve_order_by_order
 from gjms_reference import (
     FractionPoly,
@@ -854,6 +854,83 @@ class TestSigmaPolyMatchesTheFractionReference:
         assert (SigmaPoly.zero().ints, SigmaPoly.zero().den) == ((), 1)
         assert (SigmaPoly([F(1, 2), F(1, 3), 0]).ints, SigmaPoly([F(1, 2), F(1, 3)]).den) == ((3, 2), 6)
         assert SigmaPoly.from_row([4, -6, 0, 0], -8) == SigmaPoly([F(-1, 2), F(3, 4)])
+
+
+class TestScalarPathMatchesFromRow:
+    # p * c and p / c divide out gcd(c's numerator, den) and gcd(c's
+    # denominator, *ints) instead of re-reducing the whole row
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(row_rationals, hard_rationals), max_size=5), st.one_of(row_rationals, hard_rationals))
+    def test_product_and_quotient(self, a, c):
+        p, c = SigmaPoly(a), F(c)
+        product = SigmaPoly.from_row([c.numerator * x for x in p.ints], c.denominator * p.den)
+        for got in (p * c, c * p, p.scaled(c.numerator, c.denominator), p.scaled(-c.numerator, -c.denominator)):
+            assert_reduced_row(got)
+            assert (got.ints, got.den) == (product.ints, product.den)
+        if c:
+            quotient = SigmaPoly.from_row([c.denominator * x for x in p.ints], c.numerator * p.den)
+            assert_reduced_row(p / c)
+            assert ((p / c).ints, (p / c).den) == (quotient.ints, quotient.den)
+
+    def test_zero_rows_and_scalars_give_the_shared_zero(self):
+        p = SigmaPoly([F(3, 4), -2])
+        assert p * 0 is SigmaPoly.zero() and SigmaPoly([0, 0]) * F(-5, 3) is SigmaPoly.zero()
+        assert SigmaPoly.from_row([0, 0], 7) is SigmaPoly.zero()
+
+
+def assert_built_as_checked(result):
+    """result, made without the checking constructor, equals the series that
+    constructor makes of its coefficients, and every row is canonical."""
+    assert result == TruncatedSeries(result.var, list(result.coeffs), result.order)
+    assert type(result.coeffs) is tuple and len(result.coeffs) == result.order + 1
+    for c in result.coeffs:
+        assert type(c) is SigmaPoly
+        assert_reduced_row(c)
+
+
+any_series = st.builds(
+    lambda var, rows, extra: TruncatedSeries(var, rows, len(rows) - 1 + extra),
+    st.sampled_from([RHO, R]),
+    st.lists(st.one_of(st.just(SigmaPoly([0])), sigma_polys), min_size=1, max_size=7),
+    st.integers(0, 2),
+)
+series_scalars = st.one_of(mixed_scalars, sigma_polys)
+
+
+class TestUncoercedSeriesOperations:
+    @settings(max_examples=150, deadline=None)
+    @given(any_series, st.data())
+    def test_every_operation_builds_a_checked_series(self, s, data):
+        n = data.draw(st.integers(0, 8))
+        t = TruncatedSeries(s.var, data.draw(st.lists(sigma_polys, max_size=n + 1)), n)
+        c = data.draw(series_scalars)
+        value = _as_poly(c.strip() if isinstance(c, str) else c)
+        results = [s.truncate(data.draw(st.integers(0, s.order))), s.as_exact(s.order + 2), -s, s + t, s - t, s * t]
+        results += [s + c, c + s, s - c, c - s, s.mul_var()]
+        for product in (s * c, c * s):
+            assert [x * value for x in s.coeffs] == list(product.coeffs)
+            results.append(product)
+        if s.order:
+            derivative = s.derivative()
+            assert list(derivative.coeffs) == [j * x for j, x in enumerate(s.coeffs) if j]
+            results.append(derivative)
+        if s.var == RHO:
+            results.append(s.substitute_rho())
+        one = TruncatedSeries(s.var, [1] + list(s.coeffs[1:]), s.order)
+        results += [one.rpow(data.draw(exponents)), one.reciprocal()]
+        for result in results:
+            assert_built_as_checked(result)
+
+    @settings(max_examples=60, deadline=None)
+    @given(polynomial_operator_inputs())
+    def test_an_operator_image_builds_a_checked_series(self, args):
+        a, b0, x, prepared, p = args
+        assert_built_as_checked(PolynomialOperator(*prepared).apply(a, b0, x, p))
+
+    @pytest.mark.parametrize("order", [-1, 4])
+    def test_a_truncation_outside_the_valid_orders_is_refused(self, order):
+        with pytest.raises(OrderShortfall, match=f"^cannot truncate an order-3 series to order {order}$"):
+            TruncatedSeries(R, [1, 2], 3).truncate(order)
 
 
 class TestLogSeries:
