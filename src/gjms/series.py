@@ -9,9 +9,11 @@ known to be polynomials (all higher coefficients identically zero).
 
 A ``PolynomialOperator`` has no order and no memory.  Its coefficients are
 rational functions whose denominators divide a polynomial unit u, so it keeps
-u times each of them as a polynomial and computes u*L*P one row at a time, at
-O(deg) products a row.  The full image divides each row by u with a recurrence
-of at most deg(u) terms; an order-by-order solve reads one row a level.
+u times each of them as a polynomial and computes u*L*P one row at a time from
+O(deg) terms.  A row of L*P itself adds the division by u to the same terms:
+at most deg(u) multiples of the image's rows below, in the same accumulation.
+The full image is built so row by row; an order-by-order solve reads one row
+a level.
 
 Every coefficient is a SigmaPoly, whose integer row (``ints`` over ``den``)
 the kernels here read directly: a product, a power, an operator row and a
@@ -189,7 +191,8 @@ class TruncatedSeries:
         J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with a the
         coefficients of self and p those of the power, p_0 = 1 and
         n p_n = sum_{i=1..n} ((e+1) i - n) a_i p_(n-i).  The sum runs over the
-        nonzero a_i only, so a factor 1 + a*v costs O(N) coefficient products.
+        nonzero a_i and p_(n-i) only, so a factor 1 + a*v costs O(N)
+        coefficient products, and a step with no such term is the shared zero.
         It runs on the rows: with e + 1 = f/q, each p_n is the int sum of
         (f i - n q) a_i p_(n-i) over the lcm L of its terms' denominators,
         one row over n q L, reduced once.
@@ -200,9 +203,12 @@ class TruncatedSeries:
         terms = [(i, a) for i, a in enumerate(self.coeffs) if i and a.ints]
         p = [SigmaPoly.one()]
         for n in range(1, self.order + 1):
-            live = [(i, a, p[n - i]) for i, a in terms if i <= n]
+            live = [(i, a, b) for i, a in terms if i <= n and (b := p[n - i]).ints]
+            if not live:
+                p.append(_ZERO)
+                continue
             big = lcm(*(a.den * b.den for _, a, b in live))
-            acc = [0] * max((len(a.ints) + len(b.ints) - 1 for _, a, b in live), default=0)
+            acc = [0] * max(len(a.ints) + len(b.ints) - 1 for _, a, b in live)
             for i, a, b in live:
                 f = (e.numerator * i - n * e.denominator) * (big // (a.den * b.den))
                 _add_product(acc, [f * x for x in a.ints], b.ints)
@@ -254,20 +260,25 @@ class PolynomialOperator:
     Preparing multiplies u into b1, c0 and c1, raises AlgebraError unless the
     upper half of each product (and of u) vanishes at the order the series
     are given, and keeps u, u*b1, u*c0 and u*c1 as integer rows over one
-    denominator D.  Row t of M = u*L*P,
+    denominator D.  Row t of M = u*L*P, grouped by the row p_j it reads,
 
-      M_t = sum_i u_i*(a*s + b0)*(s+1)*p_(s+1) + (s*(u*b1)_i + (u*c)_i)*p_s,
+      M_t = sum_o (u_(o+1)*(a*(j-1) + b0)*j + j*(u*b1)_o + (u*c)_o)*p_j,
 
-    s = t - i and c = c0 + x*c1, is O(deg) int row products over D, the lcm
-    E of a's, b0's and x's denominators and that of p_(t-deg)..p_(t+1), the
-    only coefficients it reads.  Row t of L*P is M_t - sum_(i>=1)
-    u_i*(L*P)_(t-i), in ints over the lcm of the rows' denominators and
-    reduced; ``apply`` divides every row so, for P's full image one order
-    below P.  P is a TruncatedSeries, whose order and variable both methods
-    check.
+    j = t - o over the offsets o = -1..deg(u), c = c0 + x*c1 and (u*b1)_-1
+    = (u*c)_-1 = 0, reads only p_(t-deg)..p_(t+1).  Row t of L*P is M_t -
+    sum_(i>=1) u_i*(L*P)_(t-i).  Either is one accumulation: each nonzero
+    term is an int factor over D*E (E the lcm of a's, b0's and x's
+    denominators), a sigma shift and a nonzero row, p_j or (L*P)_(t-i); the
+    rows are brought over the lcm L of their denominators, summed into one
+    int row over D*E*L and reduced once.  Preparation keeps only the offsets
+    with a nonzero u_(o+1) or sigma-entry and the nonzero u_i past u_0, so a
+    structural zero (the odd u_i of the r picture, say) costs nothing, and a
+    zero row of P or of L*P adds no term.  ``apply`` builds every row so, for
+    P's full image one order below P.  P is a TruncatedSeries, whose order
+    and variable both methods check.
     """
 
-    __slots__ = ("var", "_den", "_u", "_bc", "_width")
+    __slots__ = ("var", "_den", "_u", "_bc")
 
     def __init__(self, u: TruncatedSeries, b1: TruncatedSeries, c0: TruncatedSeries, c1: TruncatedSeries):
         polys = [u] + [u * s for s in (b1, c0, c1)]
@@ -278,13 +289,12 @@ class PolynomialOperator:
             raise AlgebraError(f"operator coefficients times the unit are not polynomials of degree < {h}")
         self.var = u.var
         self._den, rows = _integer_rows(c for p in polys for c in p.coeffs[:h])
-        while not any(rows[h - 1 :: h]):  # drop the rows every polynomial leaves zero
-            del rows[h - 1 :: h]
-            h -= 1
-        self._u = [r[0] if r else 0 for r in rows[:h]]
-        # per u_i: ((u*b1)_i, (u*c0)_i, (u*c1)_i) as zipped triples of ints
-        self._bc = [list(zip_longest(*r, fillvalue=0)) for r in zip(rows[h : 2 * h], rows[2 * h : 3 * h], rows[3 * h :])]
-        self._width = max(map(len, self._bc))
+        units = [r[0] if r else 0 for r in rows[:h]]
+        self._u = [(i, f) for i, f in enumerate(units) if i and f]
+        # per offset o = -1..h-1: ((u*b1)_o, (u*c0)_o, (u*c1)_o) as zipped triples of ints
+        bcs = [[]] + [list(zip_longest(*r, fillvalue=0)) for r in zip(rows[h : 2 * h], rows[2 * h : 3 * h], rows[3 * h :])]
+        # (o, u_(o+1), bc_o) where either is nonzero; bc_o gets a sigma^0 entry for the principal part to join
+        self._bc = [(o, f, b or [(0, 0, 0)]) for o, (f, b) in enumerate(zip_longest(units, bcs, fillvalue=0), -1) if f or b]
 
     def _weights(self, a: Fraction | int, b0: Fraction | int, x: Fraction | int) -> tuple[int, ...]:
         """a*E, b0*E, E, x*E and D*E, E the lcm of a's, b0's and x's denominators."""
@@ -292,38 +302,41 @@ class PolynomialOperator:
         e = lcm(ad, bd, xd)
         return a.numerator * (e // ad), b0.numerator * (e // bd), e, x.numerator * (e // xd), self._den * e
 
-    def _row(self, weights: tuple, ps: Sequence[SigmaPoly], t: int) -> tuple[list[int], int]:
-        """M_t as an unreduced int row over D*E*L, from P's rows
-        p_(t-deg)..p_(t+1) brought over their lcm L."""
+    def _row(self, weights: tuple, ps: Sequence[SigmaPoly], t: int, lower: Sequence[SigmaPoly] | None = None) -> SigmaPoly:
+        """Row t of M = u*L*P, or with lower, L*P's rows 0..t-1, row t of L*P:
+        one int row over D*E*L, reduced once."""
         ai, b0i, e, xi, de = weights
-        reach = min(t, len(self._u) - 1)
-        window = ps[t - reach : t + 2]
-        big = lcm(*(q.den for q in window))
-        row = [0] * (self._width + max(len(q.ints) for q in window))
-        for i in range(reach + 1):
-            s = t - i
-            z, y = ps[s + 1], ps[s]
-            f = self._u[i] * (ai * s + b0i) * (s + 1)
-            if f and z.ints:
-                _add_product(row, [f * (big // z.den)], z.ints)
-            if self._bc[i] and y.ints:
-                m = big // y.den
-                _add_product(row, [m * (e * (s * b + c0) + xi * c1) for b, c0, c1 in self._bc[i]], y.ints)
-        return row, de * big
-
-    def _divided(self, m: tuple[list[int], int], lower: list[SigmaPoly]) -> SigmaPoly:
-        """Row t of L*P, reduced once, from M_t's unreduced row and L*P's
-        rows 0..t-1 in lower."""
-        ints, den = m
-        terms = [(f, lower[-i]) for i, f in enumerate(self._u[1 : len(lower) + 1], 1) if f]
-        out = lcm(den, *(self._den * q.den for _, q in terms))
-        z = [v * (out // den) for v in ints]
-        for f, q in terms:
-            g = f * (out // (self._den * q.den))
-            z.extend([0] * (len(q.ints) - len(z)))
-            for n, v in enumerate(q.ints):
-                z[n] -= g * v
-        return SigmaPoly.from_row(z, out)
+        terms, dens, lens = [], [], [0]  # (factor over D*E, sigma shift, row); each row's denominator and reach
+        for o, f, bc in self._bc:
+            if o > t:
+                break
+            j = t - o
+            p = ps[j]
+            if p.ints:
+                g = f * (ai * (j - 1) + b0i) * j  # the principal part, on the sigma^0 entry
+                for k, (b, c0, c1) in enumerate(bc):
+                    w = e * (j * b + c0) + xi * c1 + g
+                    if w:
+                        terms.append((w, k, p))
+                    g = 0
+                dens.append(p.den)
+                lens.append(len(bc) + len(p.ints) - 1)
+        if lower is not None:
+            for i, f in self._u:
+                if i > t:
+                    break
+                q = lower[t - i]
+                if q.ints:
+                    terms.append((-e * f, 0, q))
+                    dens.append(q.den)
+                    lens.append(len(q.ints))
+        big = lcm(*dens)
+        row = [0] * max(lens)
+        for f, k, q in terms:
+            m = f * (big // q.den)
+            for n, v in enumerate(q.ints, k):
+                row[n] += m * v
+        return SigmaPoly.from_row(row, de * big)
 
     def _checked(self, p: TruncatedSeries) -> tuple[SigmaPoly, ...]:
         """P's coefficients, once P is known to be in the operator's variable."""
@@ -337,7 +350,7 @@ class PolynomialOperator:
         if not p.order:
             raise OrderShortfall("cannot apply a second-order operator to an order-0 series")
         for t in range(p.order):
-            out.append(self._divided(self._row(weights, ps, t), out))
+            out.append(self._row(weights, ps, t, out))
         return TruncatedSeries._of(p.var, tuple(out), p.order - 1)
 
     def row(
@@ -350,13 +363,13 @@ class PolynomialOperator:
         ps = self._checked(p)
         if t >= p.order:
             raise OrderShortfall(f"row {t} of the image of an order-{p.order} series")
-        row = self._row(self._weights(a, b0, x), ps, t)
-        if lower is not None:
-            if len(lower) != t:
-                raise AlgebraError(f"row {t} of L*P needs its {t} rows below, not {len(lower)}")
-            lower.append(self._divided(row, lower))
-            return lower[-1]
-        return SigmaPoly.from_row(*row)
+        weights = self._weights(a, b0, x)
+        if lower is None:
+            return self._row(weights, ps, t)
+        if len(lower) != t:
+            raise AlgebraError(f"row {t} of L*P needs its {t} rows below, not {len(lower)}")
+        lower.append(self._row(weights, ps, t, lower))
+        return lower[-1]
 
 
 def solve_order_by_order(

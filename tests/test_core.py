@@ -359,6 +359,14 @@ class TestKernelsMatchReferences:
     def test_rpow_adds_exponents(self, s, e1, e2):
         assert s.rpow(e1) * s.rpow(e2) == s.rpow(e1 + e2)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.just(F(0)), rationals), max_size=5), st.integers(0, 7), exponents)
+    def test_rpow_commutes_with_the_substitution(self, tail, order, e):
+        # in the r picture every odd coefficient is zero, so half of the
+        # recurrence's steps there have no live term
+        c = TruncatedSeries(RHO, [1] + tail, len(tail)).as_exact(order)
+        assert c.substitute_rho().rpow(e) == c.rpow(e).substitute_rho()
+
     @settings(max_examples=40, deadline=None)
     @given(
         rationals,
@@ -425,6 +433,22 @@ def polynomial_operator_inputs(draw):
     coefficients = [TruncatedSeries(var, draw(st.lists(small_polys, max_size=4)), 8) * inverse for _ in range(3)]
     n = draw(st.integers(1, 12))
     p = TruncatedSeries(var, draw(st.lists(sigma_polys, max_size=n + 1)), n)
+    return draw(scalars), draw(rationals), draw(scalars), (u, *coefficients), p
+
+
+@st.composite
+def sparse_operator_inputs(draw):
+    """As polynomial_operator_inputs, with structural zeros: a unit with
+    interior zero coefficients (1 - v^2 among them), coefficient polynomials
+    with zero terms and P with zero rows."""
+    var = draw(st.sampled_from([RHO, R]))
+    units = st.lists(st.one_of(st.just(F(0)), rationals), max_size=4).map(lambda tail: [1] + tail)
+    u = TruncatedSeries(var, draw(st.one_of(st.just([1, 0, -1]), units)), 8)
+    inverse = u.reciprocal()
+    zero_or = st.one_of(st.just(SigmaPoly.zero()), small_polys)
+    coefficients = [TruncatedSeries(var, draw(st.lists(zero_or, max_size=4)), 8) * inverse for _ in range(3)]
+    n = draw(st.integers(1, 12))
+    p = TruncatedSeries(var, draw(st.lists(st.one_of(st.just(SigmaPoly.zero()), sigma_polys), max_size=n + 1)), n)
     return draw(scalars), draw(rationals), draw(scalars), (u, *coefficients), p
 
 
@@ -648,6 +672,19 @@ class TestPolynomialOperator:
         a, b0, x, coefficients, p = args
         out = PolynomialOperator(*coefficients).apply(a, b0, x, p)
         assert out == dense_reference(*coefficients, p.order).apply(a, b0, x, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_operator_inputs())
+    def test_rows_with_the_lower_rows_build_the_image(self, args):
+        # row by row with the rows below, the kernel skips the zero u_i, the
+        # zero terms of u*b1, u*c0 and u*c1 and the zero rows of P and L*P
+        a, b0, x, coefficients, p = args
+        op, lower = PolynomialOperator(*coefficients), []
+        rows = [op.row(a, b0, x, p, t, lower) for t in range(p.order)]
+        assert rows == lower
+        image = op.apply(a, b0, x, p)
+        assert image.coeffs == tuple(rows)
+        assert image == dense_reference(*coefficients, p.order).apply(a, b0, x, p)
 
     def test_non_polynomial_coefficients_are_rejected(self):
         u = TruncatedSeries(RHO, [1, 1], 8)

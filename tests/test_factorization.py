@@ -318,19 +318,32 @@ class TestPreparedOperators:
         assert all(p.den > 0 and gcd(p.den, *p.ints) == 1 and (not p.ints or p.ints[-1]) for p in lower)
 
     @pytest.mark.parametrize("k", [12, 24])
-    def test_a_scattering_level_makes_at_most_two_products_per_unit_coefficient(self, monkeypatch, k):
-        # each of the 2k-1 levels and the read-off computes one row of u*L*P:
-        # per coefficient u_i at most one product for the principal part and
-        # one for the rest, whatever k
+    def test_a_scattering_level_reads_one_row_of_p_per_nonzero_unit_offset(self, monkeypatch, k):
+        # each of the 2k-1 levels and the read-off computes row t of u*L*P
+        # from P's rows t-o, o = -1..deg u, each read once and only where
+        # u_(o+1) or (u*b1, u*c0, u*c1)_o is nonzero: in r the unit is even
+        # and the products odd, so half the offsets are skipped, whatever k
         bg = Background.gover_leitner(4, F(3, 2))
         bg.prepared(R, scattering._radial_coefficients)  # preparation's own products are not counted
         deg_u = max(j for j, c in enumerate(bg.unit(R, 16).coeffs) if not c.is_zero())
-        calls = []
-        add_product = series._add_product
-        monkeypatch.setattr(series, "_add_product", lambda *args: calls.append(1) or add_product(*args))
+        reads = []
+
+        class Counted(tuple):
+            def __getitem__(self, j):
+                reads[-1].append(j)
+                return tuple.__getitem__(self, j)
+
+        row = series.PolynomialOperator._row
+
+        def counted(self, weights, ps, t, lower=None):
+            reads.append([])
+            return row(self, weights, Counted(ps), t, lower)
+
+        monkeypatch.setattr(series.PolynomialOperator, "_row", counted)
         scattering.scattering_solve(bg, k)
-        assert deg_u == 6
-        assert 0 < len(calls) <= 2 * (deg_u + 1) * 2 * k, len(calls)
+        assert deg_u == 6 and len(reads) == 2 * k
+        assert all(len(set(r)) == len(r) <= deg_u // 2 + 1 for r in reads), reads
+        assert max(map(len, reads)) == deg_u // 2 + 1
 
 
 EPS = 1 + F(1, 1000)
@@ -377,8 +390,12 @@ FAULTS = {
     },
     "preparation: b1 * (1+eps)": mutate_preparation(lambda u, b1, c0, c1: (u, EPS * b1, c0, c1)),
     "preparation: c0 one order up": mutate_preparation(lambda u, b1, c0, c1: (u, b1, c0.mul_var(), c1)),
-    "row kernel: P read one coefficient late": mutate_kernel("_row", lambda w, ps, t: (w, ps[1:] + (SigmaPoly.zero(),), t)),
-    "one-row division: lower rows one step stale": mutate_kernel("_divided", lambda m, lower: (m, lower[:-1])),
+    "row kernel: P read one coefficient late": mutate_kernel(
+        "_row", lambda w, ps, t, lower=None: (w, ps[1:] + (SigmaPoly.zero(),), t, lower)
+    ),
+    "one-row division: lower rows one step stale": mutate_kernel(
+        "_row", lambda w, ps, t, lower=None: (w, ps, t, lower if lower is None else [SigmaPoly.zero()] + lower[:-1])
+    ),
     "solver: divisor * (1+eps)": mutate_solver(lambda div: lambda j: EPS * div(j)),
     "solver: divisor one level up": mutate_solver(lambda div: lambda j: div(j + 1)),
 }
